@@ -67,7 +67,6 @@ def _json(payload) -> str:
 def _cmd_diagram(args, out: _Out) -> int:
     manifest = load_manifest(args.manifest)
     out.log(f"project '{manifest.project}': {len(manifest.defects)} defect entries")
-    exit_code = EXIT_OK
     ctx = None
     for label, runs in sorted(manifest.runs_by_label().items()):
         corrections = {}
@@ -104,7 +103,7 @@ def _cmd_diagram(args, out: _Out) -> int:
         }
         out.write(f"diagrams/{label}_levels.json", _json(summary))
         print(f"{label}: stable charge at intrinsic Fermi level = {diag.stable_at_intrinsic:+d}")
-    return exit_code
+    return EXIT_OK
 
 
 def _check_records(records, reference, out: _Out, stem: str) -> int:
@@ -333,7 +332,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = _Out(args.out, args.command.replace("-", "_"), args.verbose)
+    try:
+        out = _Out(args.out, args.command.replace("-", "_"), args.verbose)
+    except OSError as exc:
+        # no output tree exists, so the error cannot go to out.log
+        print(f"error: cannot create the output tree under --out {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         code = args.func(args, out)
     except (ParseError, ValidationError) as exc:

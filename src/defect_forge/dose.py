@@ -122,6 +122,8 @@ def classify(curve: DoseCurve, fluence: float, damage_threshold: float) -> str:
     so the apex of the first rise still classifies as write.  Fluences above
     the calibrated range but below the threshold extend the last segment.
     """
+    if not np.isfinite(fluence):
+        raise ValidationError(f"fluence must be finite, got {fluence}")
     if fluence < 0:
         raise ValidationError(f"fluence must be >= 0, got {fluence}")
     if damage_threshold <= curve.fluences[-1]:

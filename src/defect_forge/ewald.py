@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ValidationError
 from .lattice import CrystalCell, minimum_image, reciprocal, ws_inscribed_radius
@@ -154,6 +153,9 @@ class EwaldContext:
         Points are reduced into the home cell first (pure translation, the
         potential is periodic).  Shape (n,) output for (n, 3) input.
         """
+        # local import: scipy costs about 1.2 s of start-up that most commands never use
+        from scipy.special import erfc
+
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         frac = pts @ np.linalg.inv(self.cell.lattice)
         pts = (frac - np.round(frac)) @ self.cell.lattice

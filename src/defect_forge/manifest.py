@@ -123,7 +123,11 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
             if value != label:
                 raise ParseError(f"label '{value}' contradicts manifest entry '{label}'", source, no)
         elif key == "charge":
-            if int(value) != charge:
+            try:
+                declared = int(value)
+            except ValueError:
+                raise ParseError(f"charge must be an integer, got '{value}'", source, no) from None
+            if declared != charge:
                 raise ParseError(f"charge {value} contradicts manifest entry {charge:+d}", source, no)
         else:
             warnings.warn(f"{source}:{no}: ignoring unknown key '{key}'")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import FitNonConvergence, ValidationError
 from .fitting import (
@@ -107,6 +106,9 @@ class PeakFit:
 
 
 def _seed_peaks(spec: Spectrum, max_peaks: int):
+    # local import: scipy costs about 1.2 s of start-up that most commands never use
+    from scipy.signal import find_peaks
+
     counts = spec.counts
     baseline = float(np.median(counts))
     mad = float(np.median(np.abs(counts - baseline)))

@@ -1,6 +1,9 @@
 """CLI surface: commands, exit codes, artifact layout, byte-determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,14 @@ def test_diagram_command(tmp_path, capsys):
     assert "stable charge at intrinsic" in capsys.readouterr().out
 
 
+def test_diagram_bad_charge_exit_2(tmp_path, capsys):
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    with open(tmp_path / "inputs" / "ci_0.run", "a") as fh:
+        fh.write("charge = abc\n")
+    assert run_cli("diagram", "--manifest", manifest, "--out", tmp_path / "out") == 2
+    assert "ci_0.run:3: charge must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_diagram_green_region_topology(tmp_path):
     """A neutral-stable window must appear in the export when intercepts demand it."""
     base = tmp_path / "inputs"
@@ -64,6 +75,14 @@ def test_check_table1_command(tmp_path, capsys):
     text = (out / "optics" / "table1_check.csv").read_text()
     assert text.count("INCONSISTENT") == 1
     assert "reconstructed" in text
+
+
+def test_out_names_existing_file_exit_2(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("keep\n")
+    assert run_cli("check-table1", "--out", existing) == 2
+    assert "--out" in capsys.readouterr().err
+    assert existing.read_text() == "keep\n"
 
 
 def test_optics_command(tmp_path):
@@ -167,6 +186,17 @@ def test_dose_command(tmp_path, capsys):
     assert rows[0]["segment"] == 0 and rows[-1]["segment"] is None
 
 
+@pytest.mark.parametrize("fluence", ["nan", "inf"])
+def test_dose_non_finite_classify_exit_2(tmp_path, capsys, fluence):
+    (tmp_path / "dose.csv").write_text(io.write_xy(
+        [10.0, 16.0, 30.0], [100.0, 900.0, 50.0], "fluence_mJcm2,intensity"))
+    out = tmp_path / "out"
+    assert run_cli("dose", "--data", tmp_path / "dose.csv", "--classify", f"16,{fluence}",
+                   "--out", out) == 2
+    assert "fluence must be finite" in capsys.readouterr().err
+    assert not (out / "fits" / "dose_classified.jsonl").exists()
+
+
 def test_raster_command(tmp_path):
     (tmp_path / "scan.csv").write_text(
         "x_um,y_um,counts\n0,0,1\n1,0,2\n2,0,3\n0,1,4\n1,1,5\n2,1,6\n")
@@ -196,3 +226,14 @@ def test_verbose_writes_log(tmp_path):
     assert run_cli("--verbose", "diagram", "--manifest", manifest, "--out", out) == 0
     log = (out / "logs" / "diagram.log").read_text()
     assert "wrote diagrams/Ci.csv" in log
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported only inside the functions that call it, never at start-up."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import defect_forge.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"

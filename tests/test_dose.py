@@ -59,8 +59,9 @@ def test_classification_anchors():
 
 def test_classify_validation():
     curve = g_center_fixture()
-    with pytest.raises(ValidationError):
-        classify(curve, -1.0, 100.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            classify(curve, bad, 100.0)
     with pytest.raises(ValidationError):
         classify(curve, 20.0, 40.0)  # threshold below calibrated range
 

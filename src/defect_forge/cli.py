@@ -222,7 +222,7 @@ def _cmd_saturation(args, out: _Out) -> int:
     if fit.identifiable:
         print(f"P_sat = {fit.p_sat_mw:.4g} mW, I_sat = {fit.i_sat:.6g}")
     else:
-        print("saturation knee unidentifiable: all points in the linear regime")
+        print("saturation knee unidentifiable: P_sat outside the measured power range")
     return EXIT_OK
 
 

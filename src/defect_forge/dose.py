@@ -122,34 +122,26 @@ def classify(curve: DoseCurve, fluence: float, damage_threshold: float) -> str:
     so the apex of the first rise still classifies as write.  Fluences above
     the calibrated range but below the threshold extend the last segment.
     """
+    return classify_with_segment(curve, fluence, damage_threshold)[0]
+
+
+def classify_with_segment(curve: DoseCurve, fluence: float, damage_threshold: float):
+    """(regime, segment index) pair; index is None outside the calibration."""
     if not np.isfinite(fluence):
         raise ValidationError(f"fluence must be finite, got {fluence}")
     if fluence < 0:
         raise ValidationError(f"fluence must be >= 0, got {fluence}")
-    if damage_threshold <= curve.fluences[-1]:
+    if not damage_threshold > curve.fluences[-1]:
         raise ValidationError(
             f"damage threshold {damage_threshold:g} must exceed the largest "
             f"calibrated fluence {curve.fluences[-1]:g}"
         )
     if fluence >= damage_threshold:
-        return REGIME_DAMAGE
+        return REGIME_DAMAGE, None
     if fluence < curve.fluences[0]:
-        return REGIME_BELOW
-    idx = min(bisect_right([s.lo for s in curve.segments], fluence) - 1,
-              len(curve.segments) - 1)
-    seg = curve.segments[idx]
-    if fluence == seg.lo and idx > 0:
-        return curve.segments[idx - 1].regime
-    return seg.regime
-
-
-def classify_with_segment(curve: DoseCurve, fluence: float, damage_threshold: float):
-    """(regime, segment index) pair; index is None outside the calibration."""
-    regime = classify(curve, fluence, damage_threshold)
-    if regime in (REGIME_BELOW, REGIME_DAMAGE):
-        return regime, None
+        return REGIME_BELOW, None
     idx = min(bisect_right([s.lo for s in curve.segments], fluence) - 1,
               len(curve.segments) - 1)
     if fluence == curve.segments[idx].lo and idx > 0:
         idx -= 1
-    return regime, idx
+    return curve.segments[idx].regime, idx

@@ -205,9 +205,12 @@ def write_grid(grid: GridFunction, per_line: int = 3) -> str:
 # --- measurement CSVs ---------------------------------------------------------
 
 def _parse_csv_body(text: str, source: str, header: str):
-    """Shared '# key=value' + header + numeric-rows reader."""
+    """Shared '# key=value' + header + numeric-rows reader; rows come back as an (n, ncols) array.
+
+    Every field must be finite: a nan or inf is rejected with its line number.
+    """
     meta: dict[str, str] = {}
-    rows: list[list[float]] = []
+    values: list[float] = []
     header_seen = False
     ncols = header.count(",") + 1
     for no, ln in _lines(text):
@@ -229,20 +232,28 @@ def _parse_csv_body(text: str, source: str, header: str):
         if len(parts) != ncols:
             raise ParseError(f"expected {ncols} comma-separated values", source, no)
         try:
-            rows.append([float(p) for p in parts])
+            values.extend(map(float, parts))
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", source, no) from None
     if not header_seen:
         raise ParseError(f"missing header line '{header}'", source, 1)
-    return meta, rows
+    arr = np.array(values, dtype=float).reshape(-1, ncols)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        # data rows are the non-blank, non-comment lines after the header
+        data_lines = [no for no, ln in _lines(text) if ln.strip() and not ln.strip().startswith("#")][1:]
+        row = ",".join(_fmt(v) for v in arr[bad])
+        raise ParseError(f"non-finite value in row '{row}'", source, data_lines[bad])
+    return meta, arr
 
 
 _SPECTRUM_META_FLOAT = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_um")
 
 
 def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
-    meta, rows = _parse_csv_body(text, source, "wavelength_nm,counts")
-    if not rows:
+    meta, arr = _parse_csv_body(text, source, "wavelength_nm,counts")
+    if not len(arr):
         raise ParseError("spectrum has no data rows", source, 1)
     known = dict.fromkeys(_SPECTRUM_META_FLOAT)
     for key, value in meta.items():
@@ -253,7 +264,6 @@ def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
                 raise ParseError(f"metadata '{key}' must be numeric, got '{value}'", source, 1) from None
         elif key != "location":
             warnings.warn(f"{source}: ignoring unknown metadata key '{key}'")
-    arr = np.array(rows)
     try:
         return Spectrum(
             wavelength_nm=arr[:, 0], counts=arr[:, 1],
@@ -283,10 +293,9 @@ def write_spectrum(spec: Spectrum) -> str:
 
 
 def parse_decay(text: str, source: str = "<string>") -> DecayTrace:
-    _, rows = _parse_csv_body(text, source, "time_ns,counts")
-    if not rows:
+    _, arr = _parse_csv_body(text, source, "time_ns,counts")
+    if not len(arr):
         raise ParseError("decay trace has no data rows", source, 1)
-    arr = np.array(rows)
     try:
         return DecayTrace(time_ns=arr[:, 0], counts=arr[:, 1])
     except Exception as exc:
@@ -302,10 +311,9 @@ def write_decay(trace: DecayTrace) -> str:
 
 def parse_xy(text: str, header: str, source: str = "<string>") -> tuple[np.ndarray, np.ndarray]:
     """Two-column CSV (dose 'fluence_mJcm2,intensity', saturation 'power_mW,intensity')."""
-    _, rows = _parse_csv_body(text, source, header)
-    if not rows:
+    _, arr = _parse_csv_body(text, source, header)
+    if not len(arr):
         raise ParseError("file has no data rows", source, 1)
-    arr = np.array(rows)
     return arr[:, 0], arr[:, 1]
 
 
@@ -317,10 +325,10 @@ def write_xy(x, y, header: str) -> str:
 
 
 def parse_raster_points(text: str, source: str = "<string>") -> list[tuple[float, float, float]]:
-    _, rows = _parse_csv_body(text, source, "x_um,y_um,counts")
-    if not rows:
+    _, arr = _parse_csv_body(text, source, "x_um,y_um,counts")
+    if not len(arr):
         raise ParseError("raster file has no data rows", source, 1)
-    return [(r[0], r[1], r[2]) for r in rows]
+    return list(zip(*arr.T.tolist()))
 
 
 def write_raster_csv(rmap: RasterMap) -> str:

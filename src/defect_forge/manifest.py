@@ -2,46 +2,29 @@
 
 A manifest names the host reference block (bulk energy, VBM, gap, chemical
 potentials, dielectric tensor, cell file) plus any number of defect entries
-and measurement files.  parse_manifest resolves and parses every referenced
-file, so a returned RunManifest is fully validated.  Entries are parsed in
-parallel; the DEFECT_FORGE_THREADS environment variable caps the worker
-count.
+and measurement files.  parse_manifest checks that every referenced file
+exists and parses the cell and each defect's record files (.run, .eig,
+.pot), which is all `diagram` reads.  Spectrum and wavefunction entries are
+returned as resolved paths; the command that reads one parses it.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .io_formats import _lines, load_decay, load_grid, load_raster_points, load_spectrum, load_structure, load_xy
+from .io_formats import _lines, load_structure
 from .lattice import CrystalCell
-from .optics import GridFunction
 from .thermo import DefectRun, HostReference
 
 __all__ = ["RunManifest", "DefectEntry", "SpectrumEntry", "parse_manifest", "load_manifest",
-           "parse_defect_run", "parse_eigenvalues", "parse_site_potentials", "worker_count"]
+           "parse_defect_run", "parse_eigenvalues", "parse_site_potentials"]
 
 SPECTRUM_KINDS = ("pl", "trpl", "dose", "raster")
-
-
-def worker_count() -> int:
-    """Parallelism cap: DEFECT_FORGE_THREADS when set, else the CPU count."""
-    env = os.environ.get("DEFECT_FORGE_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ParseError(f"DEFECT_FORGE_THREADS must be an integer, got '{env}'", "<env>") from None
-        if n < 1:
-            raise ParseError("DEFECT_FORGE_THREADS must be >= 1", "<env>")
-        return n
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -52,15 +35,13 @@ class DefectEntry:
     run_path: str
     eigenvalue_path: str | None = None
     site_potential_path: str | None = None
-    psi_initial: GridFunction | None = None
-    psi_final: GridFunction | None = None
+    wavefunction_paths: tuple[str, str] | None = None  # (initial, final)
 
 
 @dataclass(frozen=True)
 class SpectrumEntry:
     kind: str
     path: str
-    data: object  # Spectrum | DecayTrace | (fluence, intensity) | raster points
     metadata: tuple[tuple[str, str], ...] = ()
 
 
@@ -310,7 +291,7 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
         raise ParseError(str(exc), source, host_no) from None
 
     seen: set[tuple[str, int]] = set()
-    jobs = []
+    defects = []
     for no, label, charge, kv in defect_blocks:
         if (label, charge) in seen:
             raise ParseError(f"duplicate defect entry '{label}' with charge {charge:+d}", source, no)
@@ -328,10 +309,6 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
                 f"defect '{label}' ({charge:+d}) must name both wavefunction files or neither",
                 source, no,
             )
-        jobs.append((label, charge, paths))
-
-    def load_entry(job) -> DefectEntry:
-        label, charge, paths = job
         run = parse_defect_run(paths["energy"].read_text(), label, charge, str(paths["energy"]))
         eig_path = paths.get("eigenvalues")
         pot_path = paths.get("site_potentials")
@@ -343,16 +320,15 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
                         site_potentials=pots,
                         position=run.position,
                         cell=cell)
-        psi_i = psi_f = None
+        psi = None
         if "wavefunction.i" in paths:
-            psi_i = load_grid(paths["wavefunction.i"], cell)
-            psi_f = load_grid(paths["wavefunction.f"], cell)
-        return DefectEntry(label=label, charge=charge, run=run, run_path=str(paths["energy"]),
-                           eigenvalue_path=str(eig_path) if eig_path else None,
-                           site_potential_path=str(pot_path) if pot_path else None,
-                           psi_initial=psi_i, psi_final=psi_f)
+            psi = (str(paths["wavefunction.i"]), str(paths["wavefunction.f"]))
+        defects.append(DefectEntry(label=label, charge=charge, run=run, run_path=str(paths["energy"]),
+                                   eigenvalue_path=str(eig_path) if eig_path else None,
+                                   site_potential_path=str(pot_path) if pot_path else None,
+                                   wavefunction_paths=psi))
 
-    spectrum_jobs = []
+    spectra = []
     for no, kind, kv in spectrum_blocks:
         path = None
         meta = []
@@ -363,30 +339,10 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
                 meta.append((key, value))  # free-form entry metadata, passed through
         if path is None:
             raise ParseError(f"[spectrum {kind}] is missing the 'file' key", source, no)
-        spectrum_jobs.append((kind, path, tuple(meta)))
+        spectra.append(SpectrumEntry(kind=kind, path=str(path), metadata=tuple(meta)))
 
-    def load_spectrum_entry(job) -> SpectrumEntry:
-        kind, path, meta = job
-        if kind == "pl":
-            data = load_spectrum(path)
-        elif kind == "trpl":
-            data = load_decay(path)
-        elif kind == "dose":
-            data = load_xy(path, "fluence_mJcm2,intensity")
-        else:
-            data = load_raster_points(path)
-        return SpectrumEntry(kind=kind, path=str(path), data=data, metadata=meta)
-
-    workers = worker_count()
-    if workers > 1 and len(jobs) + len(spectrum_jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            defects = tuple(pool.map(load_entry, jobs))
-            spectra = tuple(pool.map(load_spectrum_entry, spectrum_jobs))
-    else:
-        defects = tuple(load_entry(j) for j in jobs)
-        spectra = tuple(load_spectrum_entry(j) for j in spectrum_jobs)
-
-    return RunManifest(project=project, cell=cell, host=host, defects=defects, spectra=spectra)
+    return RunManifest(project=project, cell=cell, host=host, defects=tuple(defects),
+                       spectra=tuple(spectra))
 
 
 def load_manifest(path) -> RunManifest:

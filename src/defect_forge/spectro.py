@@ -280,9 +280,10 @@ class SaturationFit:
 def fit_saturation(powers_mw, intensities) -> SaturationFit:
     """Fit I(P) = I_sat * P / (P + P_sat).
 
-    When every point sits in the linear regime the knee is not constrained by
-    the data; the fit is then flagged identifiable=False (P_sat beyond the
-    measured power range).
+    The knee is constrained by the data only when it lies inside the measured
+    power range.  A P_sat above the highest power (every point in the linear
+    regime) or below the lowest (a flat, fully saturated curve) is flagged
+    identifiable=False.
     """
     p = np.asarray(powers_mw, dtype=float)
     i = np.asarray(intensities, dtype=float)
@@ -301,7 +302,7 @@ def fit_saturation(powers_mw, intensities) -> SaturationFit:
         np.array([i_sat0, p_sat0]),
     )
     i_sat, p_sat = result.params
-    identifiable = bool(0 < p_sat <= float(np.max(p)))
+    identifiable = bool(np.min(p) <= p_sat <= np.max(p))
     return SaturationFit(
         i_sat=float(i_sat),
         p_sat_mw=float(p_sat),

@@ -180,11 +180,15 @@ class FormationDiagram:
 
     def stable_charge(self, fermi: float) -> int:
         """Stable state at one Fermi level; interval boundaries belong to the lower-|q| state."""
-        f = float(fermi)
-        vals = {q: c + q * f for q, c in self.lines}
-        best = min(vals.values())
-        tied = [q for q, v in vals.items() if abs(v - best) <= 1e-12 * max(1.0, abs(best))]
-        return min(tied, key=lambda q: (abs(q), q))
+        return _lowest_line(self.lines, float(fermi))
+
+
+def _lowest_line(lines, fermi: float) -> int:
+    """Charge of the lowest (q, intercept) line at fermi; near-ties go to the lower |q|, then q."""
+    vals = [(q, c + q * fermi) for q, c in lines]
+    best = min(v for _, v in vals)
+    tol = 1e-12 * max(1.0, abs(best))
+    return min((q for q, v in vals if v <= best + tol), key=lambda q: (abs(q), q))
 
 
 def build_diagram(
@@ -238,13 +242,7 @@ def build_diagram(
                 cuts.add(float(x))
     edges = sorted(cuts)
 
-    def winner(f):
-        vals = {q: cmap[q] + q * f for q in qs}
-        best = min(vals.values())
-        tied = [q for q, v in vals.items() if v <= best + 1e-12 * max(1.0, abs(best))]
-        return min(tied, key=lambda q: (abs(q), q))
-
-    raw = [(lo, hi, winner(0.5 * (lo + hi))) for lo, hi in zip(edges[:-1], edges[1:])]
+    raw = [(lo, hi, _lowest_line(lines, 0.5 * (lo + hi))) for lo, hi in zip(edges[:-1], edges[1:])]
     merged: list[list] = []
     for lo, hi, q in raw:
         if merged and merged[-1][2] == q:

@@ -45,6 +45,16 @@ def test_diagram_bad_charge_exit_2(tmp_path, capsys):
     assert "ci_0.run:3: charge must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+def test_diagram_leaves_spectrum_and_grid_files_unparsed(tmp_path):
+    """diagram reads the defect records only; a broken PL file or grid pair cannot fail it."""
+    clean = write_demo_manifest(tmp_path / "clean")
+    broken = write_demo_manifest(tmp_path / "broken", grid_text="GRID 2 2 2 complex\n1 2 3\n")
+    (tmp_path / "broken" / "pl.csv").write_text("wavelength_nm,counts\n1450,abc\n")
+    for manifest, out in ((clean, tmp_path / "o1"), (broken, tmp_path / "o2")):
+        assert run_cli("diagram", "--manifest", manifest, "--out", out) == 0
+    assert _tree_bytes(tmp_path / "o1" / "diagrams") == _tree_bytes(tmp_path / "o2" / "diagrams")
+
+
 def test_diagram_green_region_topology(tmp_path):
     """A neutral-stable window must appear in the export when intercepts demand it."""
     base = tmp_path / "inputs"
@@ -171,6 +181,15 @@ def test_saturation_command(tmp_path):
     assert payload["identifiable"] is True
 
 
+def test_saturation_flat_curve_unidentifiable(tmp_path, capsys):
+    p = np.linspace(0.05, 3.0, 16)
+    (tmp_path / "flat.csv").write_text(io.write_xy(p, np.full(16, 500.0), "power_mW,intensity"))
+    out = tmp_path / "out"
+    assert run_cli("saturation", "--data", tmp_path / "flat.csv", "--out", out) == 0
+    assert json.loads((out / "fits" / "flat_saturation.json").read_text())["identifiable"] is False
+    assert "P_sat outside the measured power range" in capsys.readouterr().out
+
+
 def test_dose_command(tmp_path, capsys):
     (tmp_path / "dose.csv").write_text(io.write_xy(
         [10.0, 16.0, 22.0, 30.0, 38.0, 44.5],
@@ -195,6 +214,24 @@ def test_dose_non_finite_classify_exit_2(tmp_path, capsys, fluence):
                    "--out", out) == 2
     assert "fluence must be finite" in capsys.readouterr().err
     assert not (out / "fits" / "dose_classified.jsonl").exists()
+
+
+def test_dose_nan_damage_threshold_exit_2(tmp_path, capsys):
+    (tmp_path / "dose.csv").write_text(io.write_xy(
+        [10.0, 16.0, 30.0], [100.0, 900.0, 50.0], "fluence_mJcm2,intensity"))
+    out = tmp_path / "out"
+    assert run_cli("dose", "--data", tmp_path / "dose.csv", "--classify", "16,500",
+                   "--damage-threshold", "nan", "--out", out) == 2
+    assert "damage threshold nan must exceed" in capsys.readouterr().err
+    assert not (out / "fits" / "dose_classified.jsonl").exists()
+
+
+def test_raster_non_finite_count_exit_2(tmp_path, capsys):
+    (tmp_path / "scan.csv").write_text("x_um,y_um,counts\n0,0,1\n1,0,inf\n0,1,3\n1,1,4\n")
+    out = tmp_path / "out"
+    assert run_cli("raster", "--data", tmp_path / "scan.csv", "--out", out) == 2
+    assert "scan.csv:3: non-finite value in row '1,0,inf'" in capsys.readouterr().err
+    assert not (out / "fits" / "scan_raster.csv").exists()
 
 
 def test_raster_command(tmp_path):
@@ -228,12 +265,22 @@ def test_verbose_writes_log(tmp_path):
     assert "wrote diagrams/Ci.csv" in log
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is imported only inside the functions that call it, never at start-up."""
+def _modules_after_cli_import(prefix: str) -> str:
+    """Modules starting with prefix that a fresh `import defect_forge.cli` loads."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import defect_forge.cli, sys; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+             f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported only inside the functions that call it, never at start-up."""
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    """Manifests are parsed serially, so start-up pulls in no concurrent.futures (nor its logging)."""
+    assert _modules_after_cli_import("concurrent") == "[]"

@@ -62,8 +62,9 @@ def test_classify_validation():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             classify(curve, bad, 100.0)
-    with pytest.raises(ValidationError):
-        classify(curve, 20.0, 40.0)  # threshold below calibrated range
+    for threshold in (40.0, float("nan")):  # below the calibrated range, or not a number
+        with pytest.raises(ValidationError):
+            classify(curve, 20.0, threshold)
 
 
 def test_classify_with_segment_indices():

@@ -10,7 +10,6 @@ from defect_forge.manifest import (
     parse_defect_run,
     parse_eigenvalues,
     parse_site_potentials,
-    worker_count,
 )
 from defect_forge.optics import GridFunction
 from defect_forge.spectro import raster_map
@@ -237,7 +236,8 @@ def test_site_potentials_parse():
 # --- manifests --------------------------------------------------------------------------------
 
 
-def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False):
+def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False, grid_text=None):
+    """Demo manifest; with grid_text, Ci -1 also names psi_i.grid and psi_f.grid holding it."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     cell = CrystalCell(np.eye(3) * 10.0,
                        tuple(Site("Si", (i / 4, j / 4, k / 4))
@@ -275,6 +275,8 @@ def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False):
         "energy = ci_m1.run",
         "eigenvalues = ci_m1.eig",
         "site_potentials = ci_m1.pot",
+        None if grid_text is None else "wavefunction.i = psi_i.grid",
+        None if grid_text is None else "wavefunction.f = psi_f.grid",
         "",
         "[defect Ci 0]",
         "energy = missing.run" if dangling else "energy = ci_0.run",
@@ -288,6 +290,9 @@ def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False):
         "[spectrum raster]",
         "file = raster.csv",
     ]
+    if grid_text is not None:
+        (tmp_path / "psi_i.grid").write_text(grid_text)
+        (tmp_path / "psi_f.grid").write_text(grid_text)
     path = tmp_path / "run.manifest"
     path.write_text("\n".join(ln for ln in lines if ln is not None) + "\n")
     return path
@@ -346,22 +351,31 @@ def test_manifest_duplicate_entries_rejected(tmp_path):
         load_manifest(path)
 
 
-def test_manifest_parallel_parse_matches_serial(tmp_path, monkeypatch):
-    path = write_demo_manifest(tmp_path)
-    monkeypatch.setenv("DEFECT_FORGE_THREADS", "1")
-    serial = load_manifest(path)
-    monkeypatch.setenv("DEFECT_FORGE_THREADS", "4")
-    parallel = load_manifest(path)
-    assert serial.project == parallel.project
-    assert [e.label for e in serial.defects] == [e.label for e in parallel.defects]
-    assert [e.run.total_energy for e in serial.defects] == [e.run.total_energy for e in parallel.defects]
+def test_manifest_wavefunction_paths(tmp_path):
+    path = write_demo_manifest(tmp_path, grid_text="GRID 2 2 2 real\n")  # not parsed here
+    manifest = load_manifest(path)
+    by_charge = {e.charge: e for e in manifest.defects}
+    assert by_charge[-1].wavefunction_paths == (str((tmp_path / "psi_i.grid").resolve()),
+                                                str((tmp_path / "psi_f.grid").resolve()))
+    assert by_charge[0].wavefunction_paths is None
+    path.write_text(path.read_text().replace("wavefunction.f = psi_f.grid\n", ""))
+    with pytest.raises(ParseError, match=r"run\.manifest:\d+: .*both wavefunction files or neither"):
+        load_manifest(path)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DEFECT_FORGE_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DEFECT_FORGE_THREADS", "zero")
-    with pytest.raises(ParseError):
-        worker_count()
-    monkeypatch.delenv("DEFECT_FORGE_THREADS")
-    assert worker_count() >= 1
+CSV_PARSERS = {
+    "wavelength_nm,counts": io.parse_spectrum,
+    "time_ns,counts": io.parse_decay,
+    "power_mW,intensity": lambda text, source: io.parse_xy(text, "power_mW,intensity", source),
+    "x_um,y_um,counts": io.parse_raster_points,
+}
+
+
+@pytest.mark.parametrize("header", list(CSV_PARSERS))
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_non_finite_field_rejected(header, bad):
+    ncols = header.count(",") + 1
+    good = ",".join(["1"] * ncols)
+    text = "\n".join([header, good, ",".join(["2"] * (ncols - 1) + [bad]), good]) + "\n"
+    with pytest.raises(ParseError, match=r"f\.csv:3: non-finite value in row"):
+        CSV_PARSERS[header](text, source="f.csv")

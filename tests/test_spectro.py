@@ -201,6 +201,12 @@ def test_saturation_linear_regime_unidentifiable():
     assert not fit.identifiable
 
 
+def test_saturation_flat_curve_unidentifiable():
+    p = np.linspace(0.05, 3.0, 16)  # fully saturated: the knee lies below the lowest power
+    fit = fit_saturation(p, np.full(16, 500.0))
+    assert not fit.identifiable
+
+
 def test_saturation_scale_equivariance():
     p = np.linspace(0.05, 3.0, 12)
     data = saturation_model(p, [5000.0, 0.7])

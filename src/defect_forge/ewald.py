@@ -20,8 +20,14 @@ All energies are in eV, potentials in volts, charges in |e|, lengths in
 Angstrom.  Summation cutoffs are auto-grown until analytic Gaussian tail
 bounds fall below a tolerance, which makes results parameter-free: energies
 are independent of the splitting parameter eta to well below 1e-7 eV.
-The context is immutable and all operations are pure, so batches of
-(charge, position) evaluations can run concurrently.
+finite_size_correction finds the minimum images of all sampled sites in one
+call and evaluates their model potentials in one potential_terms call per
+defect position: the context keeps the last set of far-site terms, which
+the next charge state of the same defect reuses (the model potential is
+C * q times terms that do not depend on q).  The context is otherwise
+immutable and all operations are pure, so batches of (charge, position)
+evaluations can run concurrently; at worst a concurrent caller misses the
+reuse and computes the same terms again.
 """
 
 from __future__ import annotations
@@ -172,6 +178,21 @@ class EwaldContext:
             out[i] = real + recip - np.pi / (volume * self.eta * self.eta)
         return out
 
+    def _far_site_terms(self, disp: np.ndarray) -> np.ndarray:
+        """potential_terms(disp), reusing the previous result for the same displacements.
+
+        The charge states of one defect share its position and sampled
+        sites, so their corrections need the same site potentials.
+        """
+        key = disp.tobytes()
+        last = self.__dict__.get("_last_far_sites")
+        if last is None or last[0] != key:
+            terms = self.potential_terms(disp)
+            terms.flags.writeable = False
+            last = (key, terms)
+            self.__dict__["_last_far_sites"] = last
+        return last[1]
+
     @cached_property
     def self_potential_per_q(self) -> float:
         """Madelung potential at the charge site per unit (C*q), own charge removed."""
@@ -260,21 +281,18 @@ def finite_size_correction(
         sampling_radius = ws_inscribed_radius(cell)
     defect_frac = np.asarray(defect_position, dtype=float).reshape(3)
 
-    far_disp = []
-    far_dv = []
-    for i, dv in pots:
-        disp = minimum_image(cell, cell.sites[i].frac - defect_frac)
-        if np.linalg.norm(disp) > sampling_radius:
-            far_disp.append(disp)
-            far_dv.append(dv)
+    disp = minimum_image(cell, cell.site_positions()[[i for i, _ in pots]] - defect_frac)
+    far = np.linalg.norm(disp, axis=1) > sampling_radius
+    far_disp = disp[far]
     if len(far_disp) < 4:
         raise ValidationError(
             f"only {len(far_disp)} sampled sites lie outside the sampling radius "
             f"{sampling_radius:.3f} A; at least 4 are required for a meaningful alignment"
         )
 
-    v_model = COULOMB_EV_ANG * q * ctx.potential_terms(np.array(far_disp))
-    delta_phi = float(np.mean(np.array(far_dv) - v_model))
+    v_model = COULOMB_EV_ANG * q * ctx._far_site_terms(far_disp)
+    far_dv = np.array([v for _, v in pots])[far]
+    delta_phi = float(np.mean(far_dv - v_model))
     e_pc = -lattice_energy(ctx, q)
     alignment = -q * delta_phi
     return CorrectionResult(

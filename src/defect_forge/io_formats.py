@@ -18,7 +18,7 @@ from .errors import ParseError
 from .lattice import CrystalCell, Site
 from .optics import GridFunction, OpticsRecord, TableCheck
 from .spectro import DecayTrace, RasterMap, Spectrum
-from .thermo import FormationDiagram
+from .thermo import FormationDiagram, _lowest_line
 
 __all__ = [
     "parse_structure", "load_structure", "write_structure", "save_structure",
@@ -147,11 +147,55 @@ def write_structure(cell: CrystalCell, comment: str = "structure") -> str:
 # --- grid function files ----------------------------------------------------
 
 def parse_grid(text: str, cell: CrystalCell, source: str = "<string>") -> GridFunction:
-    """Grid file: header 'GRID n1 n2 n3 complex|real', then values (fastest index n3)."""
-    lines = [(no, ln) for no, ln in _lines(text) if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ParseError("empty grid file", source, 1)
-    no, header = lines[0]
+    """Grid file: header 'GRID n1 n2 n3 complex|real', then values (fastest index n3).
+
+    The value block is converted in one numpy call.  A file that call cannot
+    take whole (comments in the block, a wrong count, a token float() reads
+    differently, a non-finite value) goes through the per-line reader, which
+    reports the offending line.
+    """
+    split = _grid_split(text)
+    if split is not None:
+        header, header_no, block = split
+        values = _block_values(block)
+        del split, block  # drop the copy of the text before the grid arrays are built
+        if values is not None:
+            dims, kind = _grid_header(header, source, header_no)
+            if len(values) == _grid_value_count(dims, kind):
+                return _grid_function(values, dims, kind, cell, source, header_no)
+    return _parse_grid_lines(text, cell, source)
+
+
+def _grid_split(text: str):
+    """(header line, its line number, the text after it), or None where splitlines would number lines differently."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        line = text[pos:end]
+        if len(line.splitlines()) > 1:
+            return None
+        if line.strip() and not line.lstrip().startswith("#"):
+            return line, len(text[:pos].splitlines()) + 1, text[end:]
+        pos = end
+    return None
+
+
+def _block_values(block: str):
+    """Every number of a value block from one numpy call, or None to leave the block to the per-line reader."""
+    # numpy reads a whitespace-only block as [-1.0], and takes tokens such as
+    # 'nan(1)' that float() rejects; '#' lines are comments to the per-line reader
+    if "#" in block or not block or block.isspace():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # "could not be read to its end"
+        try:
+            values = np.fromstring(block, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if np.isfinite(values).all() else None
+
+
+def _grid_header(header: str, source: str, no: int) -> tuple[tuple[int, int, int], str]:
     parts = header.split()
     if len(parts) != 5 or parts[0] != "GRID":
         raise ParseError("grid header must be 'GRID n1 n2 n3 complex|real'", source, no)
@@ -162,26 +206,43 @@ def parse_grid(text: str, cell: CrystalCell, source: str = "<string>") -> GridFu
     kind = parts[4]
     if kind not in ("complex", "real"):
         raise ParseError(f"grid kind must be 'complex' or 'real', got '{kind}'", source, no)
+    return dims, kind
+
+
+def _grid_value_count(dims, kind: str) -> int:
+    n = dims[0] * dims[1] * dims[2]
+    return 2 * n if kind == "complex" else n
+
+
+def _grid_function(arr, dims, kind, cell, source, header_no) -> GridFunction:
+    values = arr[0::2] + 1j * arr[1::2] if kind == "complex" else arr.astype(complex)
+    try:
+        return GridFunction(dims, values, cell)
+    except Exception as exc:
+        raise ParseError(str(exc), source, header_no) from None
+
+
+def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction:
+    """Token-by-token grid reader; every error names its line."""
+    lines = [(no, ln) for no, ln in _lines(text) if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ParseError("empty grid file", source, 1)
+    no, header = lines[0]
+    dims, kind = _grid_header(header, source, no)
     tokens: list[float] = []
     for no, ln in lines[1:]:
         try:
             tokens.extend(float(t) for t in ln.split())
         except ValueError as exc:
             raise ParseError(f"non-numeric grid value: {exc}", source, no) from None
-    n = dims[0] * dims[1] * dims[2]
-    need = 2 * n if kind == "complex" else n
+    need = _grid_value_count(dims, kind)
     if len(tokens) != need:
         raise ParseError(
             f"grid value count mismatch: header promises {need} numbers "
-            f"({n} {kind} values), found {len(tokens)}",
+            f"({dims[0] * dims[1] * dims[2]} {kind} values), found {len(tokens)}",
             source, lines[-1][0],
         )
-    arr = np.array(tokens)
-    values = arr[0::2] + 1j * arr[1::2] if kind == "complex" else arr.astype(complex)
-    try:
-        return GridFunction(dims, values, cell)
-    except Exception as exc:
-        raise ParseError(str(exc), source, lines[0][0]) from None
+    return _grid_function(np.array(tokens), dims, kind, cell, source, lines[0][0])
 
 
 def write_grid(grid: GridFunction, per_line: int = 3) -> str:
@@ -189,16 +250,13 @@ def write_grid(grid: GridFunction, per_line: int = 3) -> str:
     is_real = bool(np.all(vals.imag == 0))
     kind = "real" if is_real else "complex"
     out = [f"GRID {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} {kind}"]
-    if is_real:
-        flat = [_fmt(v) for v in vals.real]
-    else:
-        flat = []
-        for v in vals:
-            flat.append(_fmt(v.real))
-            flat.append(_fmt(v.imag))
+    flat = (vals.real if is_real else np.column_stack([vals.real, vals.imag]).reshape(-1)).tolist()
     step = per_line * (1 if is_real else 2)
-    for i in range(0, len(flat), step):
-        out.append(" ".join(flat[i:i + step]))
+    full = len(flat) - len(flat) % step
+    line_fmt = " ".join(["%.17g"] * step)
+    out += [line_fmt % tuple(flat[i:i + step]) for i in range(0, full, step)]
+    if full < len(flat):
+        out.append(" ".join(["%.17g"] * (len(flat) - full)) % tuple(flat[full:]))
     return "\n".join(out) + "\n"
 
 
@@ -434,12 +492,12 @@ def write_table_check(checks: list[TableCheck]) -> str:
 def write_diagram_csv(diag: FormationDiagram) -> str:
     charges = [q for q, _ in diag.lines]
     header = "fermi_eV," + ",".join(f"q={q:+d}" for q in charges) + ",envelope_eV,stable_q"
-    out = [header]
-    env = diag.envelope_at(diag.fermi)
-    cols = [diag.energy_of(q, diag.fermi) for q in charges]
-    for k, f in enumerate(diag.fermi):
-        row = [_fmt(f)] + [_fmt(col[k]) for col in cols] + [_fmt(env[k]), str(diag.stable_charge(f))]
-        out.append(",".join(row))
+    table = np.column_stack(
+        [diag.fermi] + [diag.energy_of(q, diag.fermi) for q in charges] + [diag.envelope_at(diag.fermi)]
+    ).tolist()
+    stable = _lowest_line(diag.lines, diag.fermi).tolist()
+    row_fmt = ",".join(["%.17g"] * (len(charges) + 2)) + ",%d"
+    out = [header] + [row_fmt % (*row, q) for row, q in zip(table, stable)]
     return "\n".join(out) + "\n"
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,10 @@ class CrystalCell:
     def with_dielectric(self, dielectric) -> "CrystalCell":
         return CrystalCell(self.lattice, self.sites, dielectric)
 
+    @cached_property
+    def _selling_transform(self) -> np.ndarray:
+        return _selling_reduce(self.lattice)
+
     def site_positions(self) -> np.ndarray:
         """Fractional coordinates of all sites, shape (n_sites, 3)."""
         if not self.sites:
@@ -143,32 +148,73 @@ def cart_to_frac(cell: CrystalCell, cart) -> np.ndarray:
     return np.asarray(cart, dtype=float) @ np.linalg.inv(cell.lattice)
 
 
+# the 3^3 block of shifts {-1, 0, 1}^3; row 13 is the zero shift
+_NEIGHBOURS = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+
+
+def _selling_reduce(lattice: np.ndarray) -> np.ndarray:
+    """Integer U (det +-1) such that the rows of U @ lattice form a Selling-reduced basis.
+
+    Selling reduction turns the superbase v0..v3 (v0 = -(v1 + v2 + v3)) into
+    an obtuse one, v_i . v_j <= 0 for all i != j.  Each step lowers the sum
+    of |v_i|^2, so it terminates.  For an obtuse superbase every
+    Voronoi-relevant vector is a sum of a subset of v0..v3, which has
+    coefficients in {-1, 0, 1} in the basis v1, v2, v3 (Conway & Sloane,
+    Proc. R. Soc. A 436, 55 (1992)).  Bases that are already obtuse, such as
+    any orthogonal one, are returned unchanged.
+    """
+    sup = np.array([[-1, -1, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64)
+    while True:
+        vecs = sup @ lattice
+        dots = vecs @ vecs.T
+        tol = 1e-12 * float(np.trace(dots))
+        for i, j in itertools.combinations(range(4), 2):
+            if dots[i, j] > tol:
+                for k in range(4):
+                    if k not in (i, j):
+                        sup[k] += sup[i]
+                sup[i] = -sup[i]
+                break
+        else:
+            return sup[1:]
+
+
 def minimum_image(cell: CrystalCell, frac_delta) -> np.ndarray:
     """Shortest Cartesian displacement for a fractional difference vector.
 
-    Searches the 3^3 neighbor images, which is sufficient for the
-    reasonably compact cells this toolkit targets.
+    Exact for any valid basis.  The search runs in the cell's
+    Selling-reduced basis: it takes the best of the 3^3 neighbour images and
+    moves there until no neighbour is shorter, and since that block holds
+    every Voronoi-relevant vector, the image it stops at is the shortest.
+    The result is (d + n) @ cell.lattice, with d the input wrapped to
+    [-0.5, 0.5] and n an integer shift in the original basis; for an
+    orthogonal cell the search is the plain 3^3 block around d.
     """
     d = np.asarray(frac_delta, dtype=float).reshape(-1, 3)
     d = d - np.round(d)
-    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
-    cand = (d[:, None, :] + shifts[None, :, :]) @ cell.lattice
-    norms = np.einsum("nsi,nsi->ns", cand, cand)
-    best = np.argmin(norms, axis=1)
-    out = cand[np.arange(len(d)), best]
+    u = cell._selling_transform
+    block = _NEIGHBOURS @ u
+    # start from the shift that wraps d into the reduced cell
+    n = -np.round(d @ np.round(np.linalg.inv(u))) @ u
+    out = np.empty_like(d)
+    todo = np.arange(len(d))
+    while len(todo):
+        cand = (d[todo, None, :] + (n[todo, None, :] + block[None, :, :])) @ cell.lattice
+        norms = np.einsum("nsi,nsi->ns", cand, cand)
+        best = np.argmin(norms, axis=1)
+        rows = np.arange(len(todo))
+        out[todo] = cand[rows, best]
+        n[todo] += block[best]
+        todo = todo[norms[rows, best] < norms[:, 13]]
     return out[0] if np.asarray(frac_delta).ndim == 1 else out
 
 
 def ws_inscribed_radius(cell: CrystalCell) -> float:
     """Radius of the largest sphere inscribed in the Wigner-Seitz cell.
 
-    Equals half the shortest nonzero lattice translation (search over a
-    small index block, enough for non-pathological cells).
+    Equals half the shortest nonzero lattice translation.  A shortest
+    translation is Voronoi-relevant, so the 3^3 block of the Selling-reduced
+    basis (see minimum_image) holds it for any valid basis.
     """
-    rng = range(-2, 3)
-    best = np.inf
-    for n in itertools.product(rng, rng, rng):
-        if n == (0, 0, 0):
-            continue
-        best = min(best, float(np.linalg.norm(np.array(n, dtype=float) @ cell.lattice)))
-    return 0.5 * best
+    shifts = np.delete(_NEIGHBOURS, 13, axis=0) @ cell._selling_transform
+    return 0.5 * float(np.linalg.norm(shifts @ cell.lattice, axis=1).min())

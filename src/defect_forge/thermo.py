@@ -180,15 +180,19 @@ class FormationDiagram:
 
     def stable_charge(self, fermi: float) -> int:
         """Stable state at one Fermi level; interval boundaries belong to the lower-|q| state."""
-        return _lowest_line(self.lines, float(fermi))
+        if not np.isfinite(fermi):
+            raise ValidationError(f"Fermi level must be finite, got {fermi}")
+        return int(_lowest_line(self.lines, float(fermi)))
 
 
-def _lowest_line(lines, fermi: float) -> int:
-    """Charge of the lowest (q, intercept) line at fermi; near-ties go to the lower |q|, then q."""
-    vals = [(q, c + q * fermi) for q, c in lines]
-    best = min(v for _, v in vals)
-    tol = 1e-12 * max(1.0, abs(best))
-    return min((q for q, v in vals if v <= best + tol), key=lambda q: (abs(q), q))
+def _lowest_line(lines, fermi):
+    """Charge of the lowest (q, intercept) line at each fermi; near-ties go to the lower |q|, then q."""
+    ranked = sorted(lines, key=lambda line: (abs(line[0]), line[0]))
+    vals = np.stack([c + q * np.asarray(fermi) for q, c in ranked])
+    best = vals.min(axis=0)
+    tol = 1e-12 * np.maximum(1.0, np.abs(best))
+    # the first line in tie-rule order that lies within tol of the minimum
+    return np.array([q for q, _ in ranked])[np.argmax(vals <= best + tol, axis=0)]
 
 
 def build_diagram(
@@ -242,7 +246,7 @@ def build_diagram(
                 cuts.add(float(x))
     edges = sorted(cuts)
 
-    raw = [(lo, hi, _lowest_line(lines, 0.5 * (lo + hi))) for lo, hi in zip(edges[:-1], edges[1:])]
+    raw = [(lo, hi, int(_lowest_line(lines, 0.5 * (lo + hi)))) for lo, hi in zip(edges[:-1], edges[1:])]
     merged: list[list] = []
     for lo, hi, q in raw:
         if merged and merged[-1][2] == q:

@@ -55,6 +55,32 @@ def test_diagram_leaves_spectrum_and_grid_files_unparsed(tmp_path):
     assert _tree_bytes(tmp_path / "o1" / "diagrams") == _tree_bytes(tmp_path / "o2" / "diagrams")
 
 
+def test_diagram_evaluates_site_potentials_once_per_position(tmp_path, monkeypatch):
+    """Charges 0/-1/-2 of one defect at one position share one Ewald evaluation of their sites."""
+    from defect_forge.ewald import EwaldContext
+
+    inputs = tmp_path / "inputs"
+    manifest = write_demo_manifest(inputs)
+    (inputs / "ci_m2.run").write_text("e_total = 0.2\ndelta.C = 1\nposition = 0 0 0\n")
+    (inputs / "ci_m2.pot").write_text("\n".join(f"{i} 0.002" for i in range(64)) + "\n")
+    with open(manifest, "a") as fh:
+        fh.write("[defect Ci -2]\nenergy = ci_m2.run\nsite_potentials = ci_m2.pot\n")
+    calls = []
+    original = EwaldContext.potential_terms
+
+    def counting(self, points):
+        calls.append(np.array(points, dtype=float))
+        return original(self, points)
+
+    monkeypatch.setattr(EwaldContext, "potential_terms", counting)
+    assert run_cli("diagram", "--manifest", manifest, "--out", tmp_path / "out") == 0
+    site_calls = [p for p in calls if not (p.shape == (1, 3) and not p.any())]
+    assert len(site_calls) == 1 and len(site_calls[0]) >= 4
+    assert len(calls) == 2  # plus the self-potential at the charge site
+    log = (tmp_path / "out" / "logs" / "diagram.log").read_text()
+    assert "Ci q=-1:" in log and "Ci q=-2:" in log
+
+
 def test_diagram_green_region_topology(tmp_path):
     """A neutral-stable window must appear in the export when intercepts demand it."""
     base = tmp_path / "inputs"

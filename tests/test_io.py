@@ -13,7 +13,7 @@ from defect_forge.manifest import (
 )
 from defect_forge.optics import GridFunction
 from defect_forge.spectro import raster_map
-from defect_forge.thermo import HostReference, build_diagram
+from defect_forge.thermo import FormationDiagram, HostReference, build_diagram
 
 
 # --- structure files -----------------------------------------------------------
@@ -105,6 +105,70 @@ def test_grid_header_and_count_errors():
         io.parse_grid("GRID 1 1 1 imaginary\n1.0\n", cell)
 
 
+@pytest.mark.parametrize("text, line, match", [
+    ("GRID 3 1 1 real\n1.0 2.0\n3.0 abc\n", 3, "non-numeric grid value"),
+    ("# comment\n\nGRID 2 1 1 real\n1\n2\n3\n", 6, "count mismatch: header promises 2 numbers"),
+    ("GRID 2 1 1 complex\n1 0\n2 0 9\n", 3, "found 5"),
+    ("GRID 2 1 1 complex\n1 0\n2\n\n", 3, "found 3"),
+    ("GRID 2 1 1 real\n1 nan(1)\n", 2, "non-numeric grid value"),
+    ("GRID 2 1 1 real\n\n1 inf\n", 1, "non-finite"),
+    ("\nGRID 1 1 1 real\n   \n", 2, "found 0"),
+    ("GRID 1 1 1 real\n1 # trailing\n", 2, "non-numeric grid value"),
+    ("GRID 1 1 1 real\n0x1p3\n", 2, "non-numeric grid value"),
+])
+def test_grid_parse_errors_name_their_line(text, line, match):
+    with pytest.raises(ParseError, match=match) as err:
+        io.parse_grid(text, CrystalCell(np.eye(3)), source="g.grid")
+    assert err.value.line == line
+    assert str(err.value).startswith(f"g.grid:{line}: ")
+
+
+@pytest.mark.parametrize("text, kind, expected", [
+    ("GRID 2 2 1 real\n1 2 3\n4\n", "real", [1, 2, 3, 4]),
+    ("GRID 2 1 1 real\n\n  1.5\n\n-2e-3\n\n", "real", [1.5, -2e-3]),
+    ("# lead\nGRID 2 1 1 complex\n1 2\n# inside the block\n  # indented\n3 4\n", "complex", [1 + 2j, 3 + 4j]),
+    ("GRID 2 1 1 complex\r\n1 -0.0\r\n3 4\r\n", "complex", [1, 3 + 4j]),
+    ("GRID 3 1 1 real\n1_0 +.5 5.\n", "real", [10, 0.5, 5]),
+    ("GRID 2 1 1 real\n4.9e-324 1", "real", [5e-324, 1]),
+])
+def test_grid_parse_layouts(text, kind, expected):
+    grid = io.parse_grid(text, CrystalCell(np.eye(3)))
+    np.testing.assert_array_equal(grid.values.reshape(-1), np.array(expected, dtype=complex))
+    assert io.write_grid(grid).split()[4] == kind
+
+
+def _write_grid_per_value(grid, per_line):
+    """Reference writer: one _fmt call per value."""
+    vals = grid.values.reshape(-1)
+    is_real = bool(np.all(vals.imag == 0))
+    out = [f"GRID {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} {'real' if is_real else 'complex'}"]
+    flat = [io._fmt(v) for v in vals.real] if is_real else [
+        io._fmt(x) for v in vals for x in (v.real, v.imag)]
+    step = per_line * (1 if is_real else 2)
+    out += [" ".join(flat[i:i + step]) for i in range(0, len(flat), step)]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("per_line", [1, 3, 4])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (5, 1, 1), (2, 3, 2), (7, 1, 2)])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_write_grid_matches_per_value_format(rng, per_line, dims, complex_values):
+    n = dims[0] * dims[1] * dims[2]
+    specials = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]
+    vals = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    vals[:min(n, len(specials))] = specials[:n]
+    if n == 1:
+        vals[0] = 1.0 / 3.0
+    if complex_values:
+        vals = vals + 1j * np.roll(vals, 1)
+    with np.errstate(over="ignore"):  # 1e308 overflows the L2 norm, which only needs to be > 0
+        grid = GridFunction(dims, vals, CrystalCell(np.eye(3)))
+    text = io.write_grid(grid, per_line)
+    assert text == _write_grid_per_value(grid, per_line)
+    with np.errstate(over="ignore"):
+        assert io.parse_grid(text, grid.cell) == grid
+
+
 # --- measurement CSVs ---------------------------------------------------------------
 
 
@@ -194,6 +258,38 @@ def test_diagram_csv_round_trip():
     assert set(stable) == {0, -1, -2}
     # envelope column is the pointwise minimum of the line columns
     np.testing.assert_array_equal(envelope, energies.min(axis=1))
+
+
+def _write_diagram_per_row(diag):
+    """Reference writer: _fmt per value, stable_charge per row."""
+    charges = [q for q, _ in diag.lines]
+    out = ["fermi_eV," + ",".join(f"q={q:+d}" for q in charges) + ",envelope_eV,stable_q"]
+    env = diag.envelope_at(diag.fermi)
+    cols = [diag.energy_of(q, diag.fermi) for q in charges]
+    for k, f in enumerate(diag.fermi):
+        row = [io._fmt(f)] + [io._fmt(c[k]) for c in cols] + [io._fmt(env[k]), str(diag.stable_charge(f))]
+        out.append(",".join(row))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("lines", [
+    # q=0 and q=-1 cross exactly on the grid point 0.5
+    ((-1, 1.5), (0, 1.0), (1, 0.4)),
+    # q=+1 lies 1e-13 below q=0 at 0.2: a tie within 1e-12, which goes to q=0
+    ((0, 0.2 + 1e-13), (1, 0.0)),
+    # three lines through one point, and a tie between q=+1 and q=-1 by |q|, then q
+    ((-1, 1.0), (0, 0.5), (1, 0.0)),
+    ((-2, 2.0), (2, -2.0), (-3, 3.0)),
+])
+def test_write_diagram_csv_stable_column(lines):
+    fermi = np.linspace(0.0, 1.0, 101)
+    assert 0.5 in fermi and 0.2 in fermi
+    diag = FormationDiagram(gap=1.0, fermi=fermi, lines=lines, intervals=(), transition_levels=(),
+                            intrinsic_fermi=0.5, stable_at_intrinsic=0)
+    text = io.write_diagram_csv(diag)
+    assert text == _write_diagram_per_row(diag)
+    stable = io.parse_diagram_csv(text)[4]
+    assert stable.tolist() == [diag.stable_charge(f) for f in fermi]
 
 
 # --- defect run / eigenvalue / site-potential records --------------------------------------

@@ -149,3 +149,48 @@ def test_minimum_image_cubic(cubic_cell):
 
 def test_ws_inscribed_radius_cubic(cubic_cell):
     assert ws_inscribed_radius(cubic_cell) == pytest.approx(2.5)
+
+
+def _brute_force_shortest(cell, frac, reach=8):
+    """Lengths of the shortest images of frac over all shifts in [-reach, reach]^3."""
+    d = frac - np.round(frac)
+    axis = np.arange(-reach, reach + 1, dtype=float)
+    shifts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    best = []
+    for chunk in np.array_split(d, max(1, len(d) // 100)):
+        cand = (chunk[:, None, :] + shifts[None, :, :]) @ cell.lattice
+        best.append(np.einsum("nsi,nsi->ns", cand, cand).min(axis=1))
+    return np.sqrt(np.concatenate(best))
+
+
+@pytest.mark.parametrize("lattice", [
+    [[10.0, 0.0, 0.0], [9.0, 1.5, 0.0], [0.0, 0.0, 10.0]],
+    [[6.0, 0.0, 0.0], [1.2, 5.5, 0.0], [0.4, 0.8, 7.1]],
+    [[3.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 40.0]],
+    [[5.0, 0.0, 0.0], [-2.5, 4.33, 0.0], [7.5, -4.33, 9.0]],
+])
+def test_minimum_image_matches_brute_force(lattice):
+    cell = CrystalCell(lattice)
+    frac = np.random.default_rng(7).uniform(-1.5, 1.5, size=(2000, 3))
+    disp = minimum_image(cell, frac)
+    # each result is an image of its input ...
+    shift = disp @ np.linalg.inv(cell.lattice) - frac
+    np.testing.assert_allclose(shift, np.round(shift), atol=1e-9)
+    # ... and no image in a wide block is shorter
+    np.testing.assert_allclose(np.linalg.norm(disp, axis=1), _brute_force_shortest(cell, frac),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(minimum_image(cell, frac[5]), disp[5])
+
+
+@pytest.mark.parametrize("lattice", [
+    [[10.0, 0.0, 0.0], [9.0, 1.5, 0.0], [0.0, 0.0, 10.0]],
+    [[10.0, 0.0, 0.0], [29.0, 1.5, 0.0], [0.0, 0.3, 10.0]],
+    [[3.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 40.0]],
+])
+def test_ws_inscribed_radius_matches_brute_force(lattice):
+    cell = CrystalCell(lattice)
+    axis = np.arange(-25, 26, dtype=float)
+    n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    n = n[np.any(n != 0, axis=1)]
+    shortest = np.linalg.norm(n @ cell.lattice, axis=1).min()
+    assert ws_inscribed_radius(cell) == pytest.approx(0.5 * shortest, rel=1e-12)

@@ -122,6 +122,13 @@ def test_diagram_single_line():
     assert diag.intervals[0].lo == 0.0 and diag.intervals[0].hi == diag.gap
 
 
+@pytest.mark.parametrize("fermi", [float("nan"), float("inf")])
+def test_stable_charge_rejects_non_finite_fermi(fermi):
+    diag = build_diagram([run_with_intercept(1.0, -1), run_with_intercept(0.5, 0)], host())
+    with pytest.raises(ValidationError, match="finite"):
+        diag.stable_charge(fermi)
+
+
 def test_diagram_topology_fixture():
     diag = build_diagram(fig_topology_runs(), host())
     seq = [iv.charge for iv in diag.intervals]

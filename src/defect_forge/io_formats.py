@@ -9,6 +9,7 @@ carry the source path and line number.
 
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -46,14 +47,22 @@ def _lines(text: str):
     return list(enumerate(text.splitlines(), start=1))
 
 
+def _number(token: str, what: str, source: str, lineno: int) -> float:
+    """float(token), or a ParseError at source:lineno when the token is not a finite number."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"non-numeric value in {what}: '{token}'", source, lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value in {what}: '{token}'", source, lineno)
+    return value
+
+
 def _floats(token_line: str, n: int, source: str, lineno: int, what: str) -> list[float]:
     parts = token_line.split()
     if len(parts) != n:
         raise ParseError(f"expected {n} values for {what}, got {len(parts)}", source, lineno)
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"non-numeric value in {what}: {exc}", source, lineno) from None
+    return [_number(p, what, source, lineno) for p in parts]
 
 
 # --- structure files --------------------------------------------------------
@@ -267,7 +276,7 @@ def _parse_csv_body(text: str, source: str, header: str):
 
     Every field must be finite: a nan or inf is rejected with its line number.
     """
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     values: list[float] = []
     header_seen = False
     ncols = header.count(",") + 1
@@ -279,7 +288,7 @@ def _parse_csv_body(text: str, source: str, header: str):
             body = stripped[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
+                meta[key.strip()] = (no, value.strip())
             continue
         if not header_seen:
             if stripped != header:
@@ -314,12 +323,9 @@ def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
     if not len(arr):
         raise ParseError("spectrum has no data rows", source, 1)
     known = dict.fromkeys(_SPECTRUM_META_FLOAT)
-    for key, value in meta.items():
+    for key, (no, value) in meta.items():
         if key in known:
-            try:
-                known[key] = float(value)
-            except ValueError:
-                raise ParseError(f"metadata '{key}' must be numeric, got '{value}'", source, 1) from None
+            known[key] = _number(value, f"metadata '{key}'", source, no)
         elif key != "location":
             warnings.warn(f"{source}: ignoring unknown metadata key '{key}'")
     try:
@@ -327,7 +333,7 @@ def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
             wavelength_nm=arr[:, 0], counts=arr[:, 1],
             temperature_k=known["temperature_K"], power_mw=known["power_mW"],
             grating_gpmm=known["grating_gpmm"], x_um=known["x_um"], y_um=known["y_um"],
-            location=meta.get("location"),
+            location=meta["location"][1] if "location" in meta else None,
         )
     except Exception as exc:
         raise ParseError(str(exc), source, 1) from None
@@ -382,19 +388,21 @@ def write_xy(x, y, header: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_raster_points(text: str, source: str = "<string>") -> list[tuple[float, float, float]]:
+def parse_raster_points(text: str, source: str = "<string>") -> np.ndarray:
+    """Raster scan CSV: the (n, 3) array of x_um, y_um, counts rows, in file order."""
     _, arr = _parse_csv_body(text, source, "x_um,y_um,counts")
     if not len(arr):
         raise ParseError("raster file has no data rows", source, 1)
-    return list(zip(*arr.T.tolist()))
+    return arr
 
 
 def write_raster_csv(rmap: RasterMap) -> str:
     """Dense grid export: first row/column are axes, NaN marks missing points."""
-    out = ["y_um\\x_um," + ",".join(_fmt(x) for x in rmap.xs)]
-    for iy, y in enumerate(rmap.ys):
-        cells = [_fmt(v) if np.isfinite(v) else "nan" for v in rmap.values[iy]]
-        out.append(_fmt(y) + "," + ",".join(cells))
+    fields = ["%.17g"] * len(rmap.xs)
+    cells = np.where(np.isfinite(rmap.values), rmap.values, np.nan)
+    row_fmt = ",".join(["%.17g"] + fields)
+    out = ["y_um\\x_um," + ",".join(fields) % tuple(rmap.xs.tolist())]
+    out += [row_fmt % tuple(row) for row in np.column_stack([rmap.ys, cells]).tolist()]
     return "\n".join(out) + "\n"
 
 
@@ -440,9 +448,9 @@ def parse_optics_records(text: str, source: str = "<string>") -> list[OpticsReco
                 defect=parts[0],
                 charge=int(parts[1]),
                 spin=parts[2],
-                zpl_mev=float(parts[3]) if parts[3] else None,
-                tdm_debye2=float(parts[4]) if parts[4] else None,
-                shift_mev=float(parts[5]) if parts[5] else None,
+                zpl_mev=_number(parts[3], "zpl_meV", source, no) if parts[3] else None,
+                tdm_debye2=_number(parts[4], "tdm_debye2", source, no) if parts[4] else None,
+                shift_mev=_number(parts[5], "shift_meV", source, no) if parts[5] else None,
             ))
         except ParseError:
             raise

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .io_formats import _lines, load_structure
+from .io_formats import _lines, _number, load_structure
 from .lattice import CrystalCell
 from .thermo import DefectRun, HostReference
 
@@ -80,10 +80,7 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
             raise ParseError(f"expected 'key = value', got '{ln}'", source, no)
         key, _, value = (p.strip() for p in ln.partition("="))
         if key == "e_total":
-            try:
-                e_total = float(value)
-            except ValueError:
-                raise ParseError(f"e_total must be numeric, got '{value}'", source, no) from None
+            e_total = _number(value, "e_total", source, no)
         elif key.startswith("delta."):
             species = key[len("delta."):]
             if not species:
@@ -96,10 +93,7 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
             parts = value.split()
             if len(parts) != 3:
                 raise ParseError("position needs 3 fractional coordinates", source, no)
-            try:
-                position = tuple(float(p) for p in parts)
-            except ValueError:
-                raise ParseError("position coordinates must be numeric", source, no) from None
+            position = tuple(_number(p, "position", source, no) for p in parts)
         elif key == "label":
             if value != label:
                 raise ParseError(f"label '{value}' contradicts manifest entry '{label}'", source, no)
@@ -134,9 +128,11 @@ def parse_eigenvalues(text: str, source: str = "<string>"):
         if spin not in ("up", "down", "none"):
             raise ParseError(f"spin must be up|down|none, got '{spin}'", source, no)
         try:
-            idx, energy, occ = int(parts[1]), float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric eigenvalue field: {exc}", source, no) from None
+            idx = int(parts[1])
+        except ValueError:
+            raise ParseError(f"level index must be an integer, got '{parts[1]}'", source, no) from None
+        energy = _number(parts[2], "eigenvalue energy", source, no)
+        occ = _number(parts[3], "occupation", source, no)
         chan = channels.setdefault(spin, {})
         if idx in chan:
             raise ParseError(f"duplicate level index {idx} in spin channel '{spin}'", source, no)
@@ -161,9 +157,10 @@ def parse_site_potentials(text: str, source: str = "<string>"):
         if len(parts) != 2:
             raise ParseError("expected 'site_index delta_v'", source, no)
         try:
-            rows.append((int(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric site potential field: {exc}", source, no) from None
+            index = int(parts[0])
+        except ValueError:
+            raise ParseError(f"site index must be an integer, got '{parts[0]}'", source, no) from None
+        rows.append((index, _number(parts[1], "site potential", source, no)))
     if not rows:
         raise ParseError("site-potential file has no rows", source, 1)
     return tuple(rows)
@@ -241,10 +238,7 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
     for no, key, value in host_entries:
         if key.startswith("mu."):
             species = key[len("mu."):]
-            try:
-                mu[species] = float(value)
-            except ValueError:
-                raise ParseError(f"chemical potential must be numeric, got '{value}'", source, no) from None
+            mu[species] = _number(value, f"chemical potential {key}", source, no)
         elif key in (*_HOST_REQUIRED, "dielectric"):
             host_map[key] = (no, value)
         else:
@@ -258,10 +252,7 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
     if "dielectric" in host_map:
         no, value = host_map["dielectric"]
         parts = value.split()
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError("dielectric must be 1, 3 or 9 numbers", source, no) from None
+        nums = [_number(p, "dielectric", source, no) for p in parts]
         if len(nums) == 1:
             eps = nums[0]
         elif len(nums) == 3:
@@ -277,10 +268,7 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
 
     def host_float(key):
         no, value = host_map[key]
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"host.{key} must be numeric, got '{value}'", source, no) from None
+        return _number(value, f"host.{key}", source, no)
 
     try:
         host = HostReference(e_bulk=host_float("e_bulk"), e_vbm=host_float("e_vbm"),

@@ -113,12 +113,14 @@ def _seed_peaks(spec: Spectrum, max_peaks: int):
     baseline = float(np.median(counts))
     mad = float(np.median(np.abs(counts - baseline)))
     threshold = baseline + 5.0 * mad
-    idx, props = find_peaks(counts, height=threshold)
+    idx, props = find_peaks(counts, height=threshold, prominence=0)
     if len(idx) == 0:
         raise ValidationError(
             f"no peak above the seeding threshold (median + 5*MAD = {threshold:g} counts)"
         )
-    order = np.argsort(props["peak_heights"])[::-1][:max_peaks]
+    # rank by prominence, not height: a noise maximum on the flank of a tall
+    # line is high but not prominent, and must not displace a weaker real line
+    order = np.argsort(-props["prominences"], kind="stable")[:max_peaks]
     seeds = np.sort(idx[order])
     return baseline, seeds
 
@@ -360,10 +362,26 @@ class RasterMap:
                 and self.missing == other.missing)
 
 
+def _nearest(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the nearest of the sorted centers for each value; the lower index wins a tie.
+
+    Float subtraction rounds monotonically, so the smallest distance is always
+    to one of the two centres that bracket the value.  With centres spaced far
+    above rounding error, as the grid check ensures, this is
+    np.argmin(np.abs(centers - v)).
+    """
+    right = np.minimum(np.searchsorted(centers, values), len(centers) - 1)
+    left = np.maximum(right - 1, 0)
+    return np.where(np.abs(centers[right] - values) < np.abs(centers[left] - values), right, left)
+
+
 def _grid_axis(values: np.ndarray, tol_fraction: float):
     vals = np.sort(values)
-    centers = [vals[0]]
-    for v in vals[1:]:
+    # the sequential rules below compare each value with the last kept centre,
+    # which a repeated value never changes, so they run over distinct values only
+    distinct = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+    centers = [distinct[0]]
+    for v in distinct[1:].tolist():
         if v - centers[-1] > 1e-12:
             centers.append(v)
     centers = np.array(centers)
@@ -371,12 +389,12 @@ def _grid_axis(values: np.ndarray, tol_fraction: float):
         pitch = float(np.median(np.diff(centers)))
         tol = tol_fraction * pitch
         merged = [centers[0]]
-        for c in centers[1:]:
+        for c in centers[1:].tolist():
             if c - merged[-1] <= tol:
                 continue
             merged.append(c)
         centers = np.array(merged)
-        off = np.abs(values[:, None] - centers[None, :]).min(axis=1)
+        off = np.abs(centers[_nearest(centers, distinct)] - distinct)
         spacing_dev = np.abs(np.diff(centers) - pitch) if len(centers) > 1 else np.zeros(1)
         if np.any(off > tol) or np.any(spacing_dev > tol):
             worst = max(off.max(), spacing_dev.max())
@@ -388,24 +406,30 @@ def _grid_axis(values: np.ndarray, tol_fraction: float):
 
 
 def raster_map(points, pitch_tolerance: float = 0.01) -> RasterMap:
-    """Assemble (x_um, y_um, counts) scan points into a dense row-major grid."""
-    pts = [(float(x), float(y), float(v)) for x, y, v in points]
-    if not pts:
+    """Assemble (x_um, y_um, counts) scan points into a dense row-major grid.
+
+    points is an (n, 3) array or any iterable of triples.  Each point goes to
+    the nearest axis centre; where several land on one cell, the last wins.
+    """
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=float)
+    if pts.size == 0:
         raise ValidationError("raster_map needs at least one point")
-    xs_all = np.array([p[0] for p in pts])
-    ys_all = np.array([p[1] for p in pts])
-    xs = _grid_axis(xs_all, pitch_tolerance)
-    ys = _grid_axis(ys_all, pitch_tolerance)
-    grid = np.full((len(ys), len(xs)), np.nan)
-    for x, y, v in pts:
-        ix = int(np.argmin(np.abs(xs - x)))
-        iy = int(np.argmin(np.abs(ys - y)))
-        grid[iy, ix] = v
-    missing = tuple(
-        (float(xs[ix]), float(ys[iy]))
-        for iy in range(len(ys)) for ix in range(len(xs))
-        if np.isnan(grid[iy, ix])
-    )
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValidationError("raster points must be (x, y, counts) triples")
+    if not np.isfinite(pts[:, :2]).all():
+        raise ValidationError("raster point coordinates must be finite")
+    xs = _grid_axis(pts[:, 0], pitch_tolerance)
+    ys = _grid_axis(pts[:, 1], pitch_tolerance)
+    cell = _nearest(ys, pts[:, 1]) * len(xs) + _nearest(xs, pts[:, 0])
+    # numpy leaves the order of repeated indices in one assignment unspecified,
+    # so pick each cell's last point first: the first in reversed order
+    _, first_reversed = np.unique(cell[::-1], return_index=True)
+    last = len(cell) - 1 - first_reversed
+    grid = np.full(len(ys) * len(xs), np.nan)
+    grid[cell[last]] = pts[last, 2]
+    grid = grid.reshape(len(ys), len(xs))
+    iy, ix = np.nonzero(np.isnan(grid))
+    missing = tuple(zip(xs[ix].tolist(), ys[iy].tolist()))
     xs.flags.writeable = False
     ys.flags.writeable = False
     grid.flags.writeable = False

@@ -2,8 +2,10 @@
 
 Everything here is built from first principles with plain numpy and no code
 from the package under test: a closed-form potential of a homogeneous box,
-a direct real-space image sum for periodic point charges, and a radial
-quadrature for the hydrogenic 1s->2p_z dipole matrix element.
+a direct real-space image sum for periodic point charges, a radial
+quadrature for the hydrogenic 1s->2p_z dipole matrix element, and the
+original one-point-at-a-time raster assembly and CSV writer, which the
+whole-array versions must match bit for bit.
 """
 
 import numpy as np
@@ -89,3 +91,58 @@ def hydrogenic_1s_2pz_squared_tdm():
     d_bohr = (1.0 / np.sqrt(np.pi)) * (1.0 / (4.0 * np.sqrt(2.0 * np.pi))) * angular * radial
     d_debye = d_bohr * A0 * DEBYE
     return d_debye * d_debye
+
+
+def raster_reference(points, tol_fraction=0.01):
+    """Dense raster by the original per-point rule: (xs, ys, values, missing).
+
+    Each axis keeps the sorted values more than 1e-12 above the last kept
+    one, then merges centres within tol_fraction of the median spacing; each
+    point goes to np.argmin of its distance to every centre, one point at a
+    time, so a later point on the same cell overwrites an earlier one.  An
+    off-grid scan raises ValueError with the package's message.
+    """
+    pts = [(float(x), float(y), float(v)) for x, y, v in points]
+
+    def axis(values):
+        vals = np.sort(values)
+        centers = [vals[0]]
+        for v in vals[1:]:
+            if v - centers[-1] > 1e-12:
+                centers.append(v)
+        centers = np.array(centers)
+        if len(centers) > 1:
+            pitch = float(np.median(np.diff(centers)))
+            tol = tol_fraction * pitch
+            merged = [centers[0]]
+            for c in centers[1:]:
+                if c - merged[-1] > tol:
+                    merged.append(c)
+            centers = np.array(merged)
+            off = np.abs(values[:, None] - centers[None, :]).min(axis=1)
+            spacing_dev = np.abs(np.diff(centers) - pitch) if len(centers) > 1 else np.zeros(1)
+            if np.any(off > tol) or np.any(spacing_dev > tol):
+                worst = max(off.max(), spacing_dev.max())
+                raise ValueError(
+                    "scan points do not sit on a uniform rectilinear grid "
+                    f"(worst deviation {worst:g} exceeds {tol:g} = {tol_fraction:.0%} of pitch)"
+                )
+        return centers
+
+    xs = axis(np.array([p[0] for p in pts]))
+    ys = axis(np.array([p[1] for p in pts]))
+    grid = np.full((len(ys), len(xs)), np.nan)
+    for x, y, v in pts:
+        grid[int(np.argmin(np.abs(ys - y))), int(np.argmin(np.abs(xs - x)))] = v
+    missing = tuple((float(xs[ix]), float(ys[iy]))
+                    for iy in range(len(ys)) for ix in range(len(xs)) if np.isnan(grid[iy, ix]))
+    return xs, ys, grid, missing
+
+
+def raster_csv_reference(xs, ys, values):
+    """Raster CSV text written one cell at a time with format(v, '.17g'); non-finite cells read 'nan'."""
+    out = ["y_um\\x_um," + ",".join(format(float(x), ".17g") for x in xs)]
+    for y, row in zip(ys, values):
+        cells = [format(float(v), ".17g") if np.isfinite(v) else "nan" for v in row]
+        out.append(format(float(y), ".17g") + "," + ",".join(cells))
+    return "\n".join(out) + "\n"

@@ -45,6 +45,20 @@ def test_diagram_bad_charge_exit_2(tmp_path, capsys):
     assert "ci_0.run:3: charge must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_diagram_non_finite_energy_exit_2(tmp_path, capsys, bad):
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    run = tmp_path / "inputs" / "ci_m1.run"
+    run.write_text(run.read_text().replace("e_total = 0.45", f"e_total = {bad}"))
+    out = tmp_path / "out"
+    assert run_cli("diagram", "--manifest", manifest, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"ci_m1.run:1: non-finite value in e_total: '{bad}'" in err
+    assert "Traceback" not in err
+    for path in out.rglob("*.json"):
+        assert not any(word in path.read_text() for word in ("NaN", "nan", "Infinity"))
+
+
 def test_diagram_leaves_spectrum_and_grid_files_unparsed(tmp_path):
     """diagram reads the defect records only; a broken PL file or grid pair cannot fail it."""
     clean = write_demo_manifest(tmp_path / "clean")

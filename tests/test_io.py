@@ -409,6 +409,44 @@ def test_manifest_full_parse(tmp_path):
     assert sorted(r.charge for r in by_label["Ci"]) == [-1, 0]
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, old, new, what", [
+    ("ci_m1.run", "e_total = 0.45", "e_total = {}", "e_total"),
+    ("ci_m1.run", "position = 0 0 0", "position = 0 {} 0", "position"),
+    ("ci_m1.eig", "down 1 1.068 0.0", "down 1 {} 0.0", "eigenvalue energy"),
+    ("ci_m1.eig", "down 0 0.1 1.0", "down 0 0.1 {}", "occupation"),
+    ("ci_m1.pot", "\n5 0.001", "\n5 {}", "site potential"),
+    ("run.manifest", "mu.C = 0.0", "mu.C = {}", "chemical potential mu.C"),
+    ("run.manifest", "e_bulk = 0.0", "e_bulk = {}", "host.e_bulk"),
+    ("run.manifest", "e_gap = 1.17", "e_gap = {}", "host.e_gap"),
+    ("run.manifest", "dielectric = 11.7", "dielectric = {}", "dielectric"),
+    ("host.cell", "\n0 10 0\n", "\n0 {} 0\n", "lattice row 2"),
+])
+def test_manifest_non_finite_number_names_its_line(tmp_path, name, old, new, what, bad):
+    manifest = write_demo_manifest(tmp_path)
+    path = tmp_path / name
+    text = path.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new.format(bad))
+    path.write_text(text)
+    line = text[:text.index(new.format(bad).strip())].count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        load_manifest(manifest)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert f"non-finite value in {what}: '{bad}'" in str(err.value)
+
+
+def test_optics_and_spectrum_fields_reject_non_finite():
+    header = "label,charge,spin,zpl_meV,tdm_debye2,shift_meV\n"
+    for row, what in (("Ci,-1,down,nan,1.69e-06,2", "zpl_meV"), ("Ci,-1,down,571,inf,2", "tdm_debye2"),
+                      ("Ci,-1,down,571,1.69e-06,-inf", "shift_meV")):
+        with pytest.raises(ParseError, match=f"t.csv:2: non-finite value in {what}"):
+            io.parse_optics_records(header + row + "\n", source="t.csv")
+    text = "# run 4\n# temperature_K=nan\nwavelength_nm,counts\n" + "".join(f"{i},1\n" for i in range(16))
+    with pytest.raises(ParseError, match="s.csv:2: non-finite value in metadata 'temperature_K'"):
+        io.parse_spectrum(text, source="s.csv")
+
+
 def test_manifest_spectrum_metadata_passthrough(tmp_path):
     path = write_demo_manifest(tmp_path)
     text = path.read_text().replace("[spectrum pl]\nfile = pl.csv",

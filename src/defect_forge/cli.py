@@ -276,42 +276,35 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="formation-energy diagrams from a run manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--fermi-grid", type=int, default=2001, dest="fermi_grid")
     p.set_defaults(func=_cmd_diagram)
 
     p = sub.add_parser("optics", help="consistency-check a ZPL/TDM record table")
     p.add_argument("--table", required=True)
     p.add_argument("--reference", type=float, required=True, help="reference ZPL in meV")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optics)
 
     p = sub.add_parser("check-table1", help="check the bundled reference table")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_check_table1)
 
     p = sub.add_parser("tdm", help="transition dipole moment from two grid wavefunctions")
     p.add_argument("--psi-i", required=True, dest="psi_i")
     p.add_argument("--psi-f", required=True, dest="psi_f")
     p.add_argument("--cell", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tdm)
 
     p = sub.add_parser("fitpl", help="fit PL spectrum peaks")
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=("lorentzian", "gaussian"), default="lorentzian")
     p.add_argument("--max-peaks", type=int, default=5, dest="max_peaks")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fitpl)
 
     p = sub.add_parser("lifetime", help="fit a first-order TR-PL decay")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lifetime)
 
     p = sub.add_parser("saturation", help="fit a PL saturation curve")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_saturation)
 
     p = sub.add_parser("dose", help="calibrate a fluence dose curve and classify fluences")
@@ -320,13 +313,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--classify", type=lambda s: [float(x) for x in s.split(",")], default=None,
                    help="comma-separated fluences to classify (mJ/cm^2)")
     p.add_argument("--damage-threshold", type=float, default=100.0, dest="damage_threshold")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dose)
 
     p = sub.add_parser("raster", help="assemble scan points into a 2-D map")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_raster)
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 

@@ -21,13 +21,12 @@ Angstrom.  Summation cutoffs are auto-grown until analytic Gaussian tail
 bounds fall below a tolerance, which makes results parameter-free: energies
 are independent of the splitting parameter eta to well below 1e-7 eV.
 finite_size_correction finds the minimum images of all sampled sites in one
-call and evaluates their model potentials in one potential_terms call per
-defect position: the context keeps the last set of far-site terms, which
-the next charge state of the same defect reuses (the model potential is
-C * q times terms that do not depend on q).  The context is otherwise
-immutable and all operations are pure, so batches of (charge, position)
-evaluations can run concurrently; at worst a concurrent caller misses the
-reuse and computes the same terms again.
+call.  The context memoises the terms of each home-cell point by its bytes,
+so a point shared by charge states or by defects on equivalent host sites is
+evaluated once per context (the model potential is C * q times terms of the
+reduced point alone).  The context is otherwise immutable and all operations
+are pure, so (charge, position) evaluations can run concurrently; at worst a
+concurrent caller misses the memo and computes the same term again.
 """
 
 from __future__ import annotations
@@ -159,39 +158,37 @@ class EwaldContext:
         Points are reduced into the home cell first (pure translation, the
         potential is periodic).  Shape (n,) output for (n, 3) input.
         """
+        return np.array([self._point_term(p) for p in self._home_cell(points)])
+
+    def _home_cell(self, points) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        frac = pts @ np.linalg.inv(self.cell.lattice)
+        return (frac - np.round(frac)) @ self.cell.lattice
+
+    def _point_term(self, p: np.ndarray) -> float:
+        """potential_terms at one home-cell point p; a pure function of p's bits."""
         # local import: scipy costs about 1.2 s of start-up that most commands never use
         from scipy.special import erfc
 
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        frac = pts @ np.linalg.inv(self.cell.lattice)
-        pts = (frac - np.round(frac)) @ self.cell.lattice
         volume = self.cell.volume
-        out = np.empty(len(pts))
-        images = self._real_vectors
         gvecs, gweights = self._recip_table
-        for i, p in enumerate(pts):
-            d = p[None, :] - images
-            u = np.sqrt(np.einsum("ni,ij,nj->n", d, self._eps_inv, d))
-            mask = u > 1e-10
-            real = float(np.sum(erfc(self.eta * u[mask]) / u[mask])) / self._sqrt_det_eps
-            recip = (4.0 * np.pi / volume) * float(np.sum(gweights * np.cos(gvecs @ p)))
-            out[i] = real + recip - np.pi / (volume * self.eta * self.eta)
-        return out
+        d = p[None, :] - self._real_vectors
+        u = np.sqrt(np.einsum("ni,ij,nj->n", d, self._eps_inv, d))
+        mask = u > 1e-10
+        real = float(np.sum(erfc(self.eta * u[mask]) / u[mask])) / self._sqrt_det_eps
+        recip = (4.0 * np.pi / volume) * float(np.sum(gweights * np.cos(gvecs @ p)))
+        return real + recip - np.pi / (volume * self.eta * self.eta)
 
     def _far_site_terms(self, disp: np.ndarray) -> np.ndarray:
-        """potential_terms(disp), reusing the previous result for the same displacements.
-
-        The charge states of one defect share its position and sampled
-        sites, so their corrections need the same site potentials.
-        """
-        key = disp.tobytes()
-        last = self.__dict__.get("_last_far_sites")
-        if last is None or last[0] != key:
-            terms = self.potential_terms(disp)
-            terms.flags.writeable = False
-            last = (key, terms)
-            self.__dict__["_last_far_sites"] = last
-        return last[1]
+        """potential_terms(disp), evaluating each distinct home-cell point once per context."""
+        memo = self.__dict__.setdefault("_term_memo", {})
+        terms = []
+        for p in self._home_cell(disp):
+            key = p.tobytes()
+            if key not in memo:
+                memo[key] = self._point_term(p)
+            terms.append(memo[key])
+        return np.array(terms)
 
     @cached_property
     def self_potential_per_q(self) -> float:

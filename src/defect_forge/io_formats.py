@@ -271,10 +271,11 @@ def write_grid(grid: GridFunction, per_line: int = 3) -> str:
 
 # --- measurement CSVs ---------------------------------------------------------
 
-def _parse_csv_body(text: str, source: str, header: str):
+def _parse_csv_body(text: str, source: str, header: str, what: str):
     """Shared '# key=value' + header + numeric-rows reader; rows come back as an (n, ncols) array.
 
     Every field must be finite: a nan or inf is rejected with its line number.
+    A file with no data rows is rejected as "<what> has no data rows".
     """
     meta: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     values: list[float] = []
@@ -308,35 +309,52 @@ def _parse_csv_body(text: str, source: str, header: str):
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
-        # data rows are the non-blank, non-comment lines after the header
-        data_lines = [no for no, ln in _lines(text) if ln.strip() and not ln.strip().startswith("#")][1:]
         row = ",".join(_fmt(v) for v in arr[bad])
-        raise ParseError(f"non-finite value in row '{row}'", source, data_lines[bad])
+        raise ParseError(f"non-finite value in row '{row}'", source, _data_line(text, bad))
+    if not len(arr):
+        raise ParseError(f"{what} has no data rows", source, 1)
     return meta, arr
+
+
+def _data_line(text: str, row: int) -> int:
+    """Line number of data row `row` (0-based; -1 is the last) of a measurement CSV."""
+    # data rows are the non-blank, non-comment lines after the header
+    return [no for no, ln in _lines(text) if ln.strip() and not ln.strip().startswith("#")][1:][row]
+
+
+def _series(cls, arr: np.ndarray, text: str, source: str, **fields):
+    """cls(first column, counts column, **fields); a constructor error is raised as a
+    ParseError at the data row it concerns."""
+    try:
+        return cls(arr[:, 0], arr[:, 1], **fields)
+    except Exception as exc:
+        msg = str(exc)
+    if "strictly increasing" in msg:  # the first row not above its predecessor
+        row = int(np.argmin(np.diff(arr[:, 0]) > 0)) + 1
+    elif "must be >= 0" in msg:  # the first negative count
+        row = int(np.argmax(arr[:, 1] < 0))
+    else:  # too few samples: the file ends early
+        row = -1
+    raise ParseError(msg, source, _data_line(text, row))
 
 
 _SPECTRUM_META_FLOAT = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_um")
 
 
 def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
-    meta, arr = _parse_csv_body(text, source, "wavelength_nm,counts")
-    if not len(arr):
-        raise ParseError("spectrum has no data rows", source, 1)
+    meta, arr = _parse_csv_body(text, source, "wavelength_nm,counts", "spectrum")
     known = dict.fromkeys(_SPECTRUM_META_FLOAT)
     for key, (no, value) in meta.items():
         if key in known:
             known[key] = _number(value, f"metadata '{key}'", source, no)
         elif key != "location":
             warnings.warn(f"{source}: ignoring unknown metadata key '{key}'")
-    try:
-        return Spectrum(
-            wavelength_nm=arr[:, 0], counts=arr[:, 1],
-            temperature_k=known["temperature_K"], power_mw=known["power_mW"],
-            grating_gpmm=known["grating_gpmm"], x_um=known["x_um"], y_um=known["y_um"],
-            location=meta["location"][1] if "location" in meta else None,
-        )
-    except Exception as exc:
-        raise ParseError(str(exc), source, 1) from None
+    return _series(
+        Spectrum, arr, text, source,
+        temperature_k=known["temperature_K"], power_mw=known["power_mW"],
+        grating_gpmm=known["grating_gpmm"], x_um=known["x_um"], y_um=known["y_um"],
+        location=meta["location"][1] if "location" in meta else None,
+    )
 
 
 def write_spectrum(spec: Spectrum) -> str:
@@ -357,13 +375,8 @@ def write_spectrum(spec: Spectrum) -> str:
 
 
 def parse_decay(text: str, source: str = "<string>") -> DecayTrace:
-    _, arr = _parse_csv_body(text, source, "time_ns,counts")
-    if not len(arr):
-        raise ParseError("decay trace has no data rows", source, 1)
-    try:
-        return DecayTrace(time_ns=arr[:, 0], counts=arr[:, 1])
-    except Exception as exc:
-        raise ParseError(str(exc), source, 1) from None
+    _, arr = _parse_csv_body(text, source, "time_ns,counts", "decay trace")
+    return _series(DecayTrace, arr, text, source)
 
 
 def write_decay(trace: DecayTrace) -> str:
@@ -375,9 +388,7 @@ def write_decay(trace: DecayTrace) -> str:
 
 def parse_xy(text: str, header: str, source: str = "<string>") -> tuple[np.ndarray, np.ndarray]:
     """Two-column CSV (dose 'fluence_mJcm2,intensity', saturation 'power_mW,intensity')."""
-    _, arr = _parse_csv_body(text, source, header)
-    if not len(arr):
-        raise ParseError("file has no data rows", source, 1)
+    _, arr = _parse_csv_body(text, source, header, "file")
     return arr[:, 0], arr[:, 1]
 
 
@@ -390,9 +401,7 @@ def write_xy(x, y, header: str) -> str:
 
 def parse_raster_points(text: str, source: str = "<string>") -> np.ndarray:
     """Raster scan CSV: the (n, 3) array of x_um, y_um, counts rows, in file order."""
-    _, arr = _parse_csv_body(text, source, "x_um,y_um,counts")
-    if not len(arr):
-        raise ParseError("raster file has no data rows", source, 1)
+    _, arr = _parse_csv_body(text, source, "x_um,y_um,counts", "raster file")
     return arr
 
 

@@ -70,29 +70,37 @@ def test_diagram_leaves_spectrum_and_grid_files_unparsed(tmp_path):
 
 
 def test_diagram_evaluates_site_potentials_once_per_position(tmp_path, monkeypatch):
-    """Charges 0/-1/-2 of one defect at one position share one Ewald evaluation of their sites."""
+    """Each distinct far-site point is evaluated once per diagram, across charges and labels.
+
+    Ci sits at the origin in charges -1/-2 and Cs on the host site (0.25, 0, 0)
+    in charge -1: their sampled displacements are the same points, so the whole
+    diagram needs one evaluation per far site of Ci, plus the self potential.
+    """
     from defect_forge.ewald import EwaldContext
 
     inputs = tmp_path / "inputs"
     manifest = write_demo_manifest(inputs)
     (inputs / "ci_m2.run").write_text("e_total = 0.2\ndelta.C = 1\nposition = 0 0 0\n")
     (inputs / "ci_m2.pot").write_text("\n".join(f"{i} 0.002" for i in range(64)) + "\n")
+    (inputs / "cs_m1.run").write_text("e_total = 0.6\ndelta.C = 1\nposition = 0.25 0 0\n")
     with open(manifest, "a") as fh:
-        fh.write("[defect Ci -2]\nenergy = ci_m2.run\nsite_potentials = ci_m2.pot\n")
-    calls = []
-    original = EwaldContext.potential_terms
+        fh.write("[defect Ci -2]\nenergy = ci_m2.run\nsite_potentials = ci_m2.pot\n"
+                 "[defect Cs -1]\nenergy = cs_m1.run\nsite_potentials = ci_m1.pot\n")
+    evaluated = []
+    original = EwaldContext._point_term
 
-    def counting(self, points):
-        calls.append(np.array(points, dtype=float))
-        return original(self, points)
+    def counting(self, p):
+        evaluated.append(p.tobytes())
+        return original(self, p)
 
-    monkeypatch.setattr(EwaldContext, "potential_terms", counting)
+    monkeypatch.setattr(EwaldContext, "_point_term", counting)
     assert run_cli("diagram", "--manifest", manifest, "--out", tmp_path / "out") == 0
-    site_calls = [p for p in calls if not (p.shape == (1, 3) and not p.any())]
-    assert len(site_calls) == 1 and len(site_calls[0]) >= 4
-    assert len(calls) == 2  # plus the self-potential at the charge site
     log = (tmp_path / "out" / "logs" / "diagram.log").read_text()
-    assert "Ci q=-1:" in log and "Ci q=-2:" in log
+    sampled = [int(ln.rsplit(" over ", 1)[1].split()[0]) for ln in log.splitlines() if " over " in ln]
+    assert len(sampled) == 3 and len(set(sampled)) == 1 and sampled[0] >= 4
+    assert "Ci q=-1:" in log and "Ci q=-2:" in log and "Cs q=-1:" in log
+    assert len(evaluated) == len(set(evaluated)) == sampled[0] + 1
+    assert np.zeros(3).tobytes() in evaluated  # the self potential at the charge site
 
 
 def test_diagram_green_region_topology(tmp_path):

@@ -253,3 +253,34 @@ def test_correction_rejects_fractional_charge():
     ctx = EwaldContext.for_cell(_sampled_cell())
     with pytest.raises(ValidationError):
         finite_size_correction(ctx, 0.5, [(0, 0.0)], (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("host, on_sites", [("cubic", True), ("cubic", False),
+                                            ("si_motif", True), ("si_motif", False)])
+def test_shared_context_matches_a_fresh_context_per_call(host, on_sites, si_motif):
+    """Terms reused across calls on one context give the same bits as a fresh context each time.
+
+    Defects on host sites share their reduced far-site points (memo hits);
+    random interstitial positions share none (misses).  Each case list runs
+    in two shuffled orders.
+    """
+    from defect_forge import supercell
+
+    cell = supercell(si_motif, 3, 3, 3).with_dielectric(11.7) if host == "si_motif" else _sampled_cell()
+    rng = np.random.default_rng(7)
+    if on_sites:
+        positions = [cell.sites[k].frac for k in rng.choice(len(cell.sites), 4, replace=False)]
+    else:
+        positions = list(rng.random((4, 3)))
+    pots = [(i, float(v)) for i, v in enumerate(rng.normal(0.0, 0.01, len(cell.sites)))]
+    cases = [(q, pos) for pos in positions for q in (-2, -1, 1)]
+    want = {(q, tuple(pos)): finite_size_correction(EwaldContext.for_cell(cell), q, pots, pos)
+            for q, pos in cases}
+    for _ in range(2):
+        shared = EwaldContext.for_cell(cell)
+        for k in rng.permutation(len(cases)):
+            q, pos = cases[k]
+            assert finite_size_correction(shared, q, pots, pos) == want[(q, tuple(pos))]
+        n_sampled = sum(want[(-1, tuple(pos))].n_sampled for pos in positions)
+        memo_size = len(shared.__dict__["_term_memo"])
+        assert memo_size < n_sampled if on_sites else memo_size == n_sampled

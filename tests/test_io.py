@@ -203,6 +203,47 @@ def test_decay_round_trip():
     assert io.parse_decay(io.write_decay(trace)) == trace
 
 
+def _series_text(header, rows, comment_every):
+    """CSV text with a comment and a blank line before the header, and a comment every few rows."""
+    lines = ["# a comment", "", header]
+    for k, (a, b) in enumerate(rows):
+        if k and k % comment_every == 0:
+            lines.append("# mid-file comment")
+        lines.append(f"{a},{b}")
+    return "\n".join(lines) + "\n"
+
+
+def _steps(n, start=1400):
+    return [(start + i, 1) for i in range(n)]
+
+
+@pytest.mark.parametrize("rows, bad, match", [
+    (_steps(11) + [(1409.5, 1)] + _steps(8, 1412), "1409.5,1", "wavelength axis must be strictly"),
+    (_steps(10) + [(1409, 2)] + _steps(9, 1411), "1409,2", "wavelength axis must be strictly"),
+    ([(1400 + i, -2 if i in (5, 9) else 1) for i in range(20)], "1405,-2", "counts must be >= 0"),
+    (_steps(5), "1404,1", "spectrum needs >= 16 samples, got 5"),
+])
+@pytest.mark.parametrize("comment_every", [4, 100])
+def test_spectrum_constructor_error_names_its_row(rows, bad, match, comment_every):
+    text = _series_text("wavelength_nm,counts", rows, comment_every)
+    with pytest.raises(ParseError, match=match) as err:
+        io.parse_spectrum(text, "s.csv")
+    assert str(err.value).startswith(f"s.csv:{text.splitlines().index(bad) + 1}: ")
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([(1, 5), (3, 4), (2, 3)], "2,3"),
+    ([(0, 9), (1, 8), (2, 7), (2, 6), (1, 5)], "2,6"),
+    ([(0.5, 1), (0.25, 1)], "0.25,1"),
+])
+@pytest.mark.parametrize("comment_every", [2, 100])
+def test_decay_constructor_error_names_its_row(rows, bad, comment_every):
+    text = _series_text("time_ns,counts", rows, comment_every)
+    with pytest.raises(ParseError, match="time axis must be strictly increasing") as err:
+        io.parse_decay(text, "d.csv")
+    assert str(err.value).startswith(f"d.csv:{text.splitlines().index(bad) + 1}: ")
+
+
 def test_xy_round_trip():
     x = np.array([0.05, 0.1, 0.4, 1.3])
     y = np.array([10.0, 19.0, 55.0, 80.0])

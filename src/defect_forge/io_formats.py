@@ -43,8 +43,29 @@ def charge_str(q: int) -> str:
     return f"{q:+d}" if q else "0"
 
 
-def _lines(text: str):
-    return list(enumerate(text.splitlines(), start=1))
+def _content(text: str):
+    """(line number, stripped line) of every line that is neither blank nor a '#' comment."""
+    for no, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            yield no, ln
+
+
+def _table(text: str, source: str, header: str):
+    """The (line number, line) data rows of a CSV whose first content line must be `header`."""
+    rows = _content(text)
+    for no, ln in rows:
+        if ln != header:
+            raise ParseError(f"expected header '{header}', got '{ln}'", source, no)
+        return rows
+    raise ParseError(f"missing header line '{header}'", source, 1)
+
+
+def _csv(head_lines: list[str], columns) -> str:
+    """The head lines, then one row of %.17g fields per index of the equal-length columns."""
+    row_fmt = ",".join(["%.17g"] * len(columns))
+    out = head_lines + [row_fmt % tuple(row) for row in np.column_stack(columns).tolist()]
+    return "\n".join(out) + "\n"
 
 
 def _number(token: str, what: str, source: str, lineno: int) -> float:
@@ -73,8 +94,10 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
     A file with only the comment and lattice rows is a site-less cell
     (a bare box, e.g. the companion of a grid file).
     """
-    lines = _lines(text)
-    content = [(no, ln) for no, ln in lines if ln.strip()]
+    # the first non-blank line is free text; the comment rule holds after it
+    comment_no = next((no for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()), None)
+    content = [] if comment_no is None else [(comment_no, "")] + [
+        (no, ln) for no, ln in _content(text) if no > comment_no]
     if len(content) < 4 or len(content) == 5:
         raise ParseError(
             "truncated structure file: need comment, 3 lattice rows, then "
@@ -134,7 +157,8 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
 
 
 def write_structure(cell: CrystalCell, comment: str = "structure") -> str:
-    out = [comment.replace("\n", " ")]
+    comment = comment.replace("\n", " ")
+    out = [comment if comment.strip() else "#"]  # a blank first line would not be read as the comment
     for row in cell.lattice:
         out.append(" ".join(_fmt(x) for x in row))
     if not cell.sites:
@@ -233,7 +257,7 @@ def _grid_function(arr, dims, kind, cell, source, header_no) -> GridFunction:
 
 def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction:
     """Token-by-token grid reader; every error names its line."""
-    lines = [(no, ln) for no, ln in _lines(text) if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = list(_content(text))
     if not lines:
         raise ParseError("empty grid file", source, 1)
     no, header = lines[0]
@@ -271,40 +295,22 @@ def write_grid(grid: GridFunction, per_line: int = 3) -> str:
 
 # --- measurement CSVs ---------------------------------------------------------
 
-def _parse_csv_body(text: str, source: str, header: str, what: str):
-    """Shared '# key=value' + header + numeric-rows reader; rows come back as an (n, ncols) array.
+def _parse_csv_body(text: str, source: str, header: str, what: str) -> np.ndarray:
+    """Header + numeric rows of a measurement CSV as an (n, ncols) array.
 
     Every field must be finite: a nan or inf is rejected with its line number.
     A file with no data rows is rejected as "<what> has no data rows".
     """
-    meta: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     values: list[float] = []
-    header_seen = False
     ncols = header.count(",") + 1
-    for no, ln in _lines(text):
-        stripped = ln.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = (no, value.strip())
-            continue
-        if not header_seen:
-            if stripped != header:
-                raise ParseError(f"expected header '{header}', got '{stripped}'", source, no)
-            header_seen = True
-            continue
-        parts = stripped.split(",")
+    for no, ln in _table(text, source, header):
+        parts = ln.split(",")
         if len(parts) != ncols:
             raise ParseError(f"expected {ncols} comma-separated values", source, no)
         try:
             values.extend(map(float, parts))
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", source, no) from None
-    if not header_seen:
-        raise ParseError(f"missing header line '{header}'", source, 1)
     arr = np.array(values, dtype=float).reshape(-1, ncols)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
@@ -313,13 +319,12 @@ def _parse_csv_body(text: str, source: str, header: str, what: str):
         raise ParseError(f"non-finite value in row '{row}'", source, _data_line(text, bad))
     if not len(arr):
         raise ParseError(f"{what} has no data rows", source, 1)
-    return meta, arr
+    return arr
 
 
 def _data_line(text: str, row: int) -> int:
     """Line number of data row `row` (0-based; -1 is the last) of a measurement CSV."""
-    # data rows are the non-blank, non-comment lines after the header
-    return [no for no, ln in _lines(text) if ln.strip() and not ln.strip().startswith("#")][1:][row]
+    return [no for no, _ in _content(text)][1:][row]  # the header is the first content line
 
 
 def _series(cls, arr: np.ndarray, text: str, source: str, **fields):
@@ -342,7 +347,13 @@ _SPECTRUM_META_FLOAT = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_
 
 
 def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
-    meta, arr = _parse_csv_body(text, source, "wavelength_nm,counts", "spectrum")
+    arr = _parse_csv_body(text, source, "wavelength_nm,counts", "spectrum")
+    meta: dict[str, tuple[int, str]] = {}  # '# key=value' comment -> (line number, value)
+    for no, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if ln.startswith("#") and "=" in ln:
+            key, _, value = ln[1:].partition("=")
+            meta[key.strip()] = (no, value.strip())
     known = dict.fromkeys(_SPECTRUM_META_FLOAT)
     for key, (no, value) in meta.items():
         if key in known:
@@ -358,61 +369,45 @@ def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
 
 
 def write_spectrum(spec: Spectrum) -> str:
-    out = []
     pairs = (
         ("temperature_K", spec.temperature_k), ("power_mW", spec.power_mw),
         ("grating_gpmm", spec.grating_gpmm), ("x_um", spec.x_um), ("y_um", spec.y_um),
     )
-    for key, value in pairs:
-        if value is not None:
-            out.append(f"# {key}={_fmt(value)}")
+    out = [f"# {key}={_fmt(value)}" for key, value in pairs if value is not None]
     if spec.location is not None:
         out.append(f"# location={spec.location}")
-    out.append("wavelength_nm,counts")
-    for wl, ct in zip(spec.wavelength_nm, spec.counts):
-        out.append(f"{_fmt(wl)},{_fmt(ct)}")
-    return "\n".join(out) + "\n"
+    return _csv(out + ["wavelength_nm,counts"], [spec.wavelength_nm, spec.counts])
 
 
 def parse_decay(text: str, source: str = "<string>") -> DecayTrace:
-    _, arr = _parse_csv_body(text, source, "time_ns,counts", "decay trace")
+    arr = _parse_csv_body(text, source, "time_ns,counts", "decay trace")
     return _series(DecayTrace, arr, text, source)
 
 
 def write_decay(trace: DecayTrace) -> str:
-    out = ["time_ns,counts"]
-    for t, c in zip(trace.time_ns, trace.counts):
-        out.append(f"{_fmt(t)},{_fmt(c)}")
-    return "\n".join(out) + "\n"
+    return _csv(["time_ns,counts"], [trace.time_ns, trace.counts])
 
 
 def parse_xy(text: str, header: str, source: str = "<string>") -> tuple[np.ndarray, np.ndarray]:
     """Two-column CSV (dose 'fluence_mJcm2,intensity', saturation 'power_mW,intensity')."""
-    _, arr = _parse_csv_body(text, source, header, "file")
+    arr = _parse_csv_body(text, source, header, "file")
     return arr[:, 0], arr[:, 1]
 
 
 def write_xy(x, y, header: str) -> str:
-    out = [header]
-    for a, b in zip(x, y):
-        out.append(f"{_fmt(a)},{_fmt(b)}")
-    return "\n".join(out) + "\n"
+    return _csv([header], [x, y])
 
 
 def parse_raster_points(text: str, source: str = "<string>") -> np.ndarray:
     """Raster scan CSV: the (n, 3) array of x_um, y_um, counts rows, in file order."""
-    _, arr = _parse_csv_body(text, source, "x_um,y_um,counts", "raster file")
-    return arr
+    return _parse_csv_body(text, source, "x_um,y_um,counts", "raster file")
 
 
 def write_raster_csv(rmap: RasterMap) -> str:
     """Dense grid export: first row/column are axes, NaN marks missing points."""
-    fields = ["%.17g"] * len(rmap.xs)
     cells = np.where(np.isfinite(rmap.values), rmap.values, np.nan)
-    row_fmt = ",".join(["%.17g"] + fields)
-    out = ["y_um\\x_um," + ",".join(fields) % tuple(rmap.xs.tolist())]
-    out += [row_fmt % tuple(row) for row in np.column_stack([rmap.ys, cells]).tolist()]
-    return "\n".join(out) + "\n"
+    header = "y_um\\x_um," + ",".join(["%.17g"] * len(rmap.xs)) % tuple(rmap.xs.tolist())
+    return _csv([header], [rmap.ys, *cells.T])
 
 
 def write_raster_pgm(rmap: RasterMap, maxval: int = 65535) -> str:
@@ -439,17 +434,8 @@ _OPTICS_HEADER = "label,charge,spin,zpl_meV,tdm_debye2,shift_meV"
 
 def parse_optics_records(text: str, source: str = "<string>") -> list[OpticsRecord]:
     records = []
-    header_seen = False
-    for no, ln in _lines(text):
-        stripped = ln.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not header_seen:
-            if stripped != _OPTICS_HEADER:
-                raise ParseError(f"expected header '{_OPTICS_HEADER}'", source, no)
-            header_seen = True
-            continue
-        parts = [p.strip() for p in stripped.split(",")]
+    for no, ln in _table(text, source, _OPTICS_HEADER):
+        parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 6:
             raise ParseError("expected 6 comma-separated fields", source, no)
         try:
@@ -465,8 +451,6 @@ def parse_optics_records(text: str, source: str = "<string>") -> list[OpticsReco
             raise
         except Exception as exc:
             raise ParseError(str(exc), source, no) from None
-    if not header_seen:
-        raise ParseError(f"missing header line '{_OPTICS_HEADER}'", source, 1)
     if not records:
         raise ParseError("table has no records", source, 1)
     return records
@@ -509,18 +493,14 @@ def write_table_check(checks: list[TableCheck]) -> str:
 def write_diagram_csv(diag: FormationDiagram) -> str:
     charges = [q for q, _ in diag.lines]
     header = "fermi_eV," + ",".join(f"q={q:+d}" for q in charges) + ",envelope_eV,stable_q"
-    table = np.column_stack(
-        [diag.fermi] + [diag.energy_of(q, diag.fermi) for q in charges] + [diag.envelope_at(diag.fermi)]
-    ).tolist()
-    stable = _lowest_line(diag.lines, diag.fermi).tolist()
-    row_fmt = ",".join(["%.17g"] * (len(charges) + 2)) + ",%d"
-    out = [header] + [row_fmt % (*row, q) for row, q in zip(table, stable)]
-    return "\n".join(out) + "\n"
+    # %.17g prints an integer-valued stable_q as its digits, as %d would
+    return _csv([header], [diag.fermi, *(diag.energy_of(q, diag.fermi) for q in charges),
+                           diag.envelope_at(diag.fermi), _lowest_line(diag.lines, diag.fermi)])
 
 
 def parse_diagram_csv(text: str, source: str = "<string>"):
     """Read a diagram CSV back as (charges, fermi, per-charge energies, envelope, stable)."""
-    lines = [(no, ln.strip()) for no, ln in _lines(text) if ln.strip()]
+    lines = list(_content(text))
     if not lines:
         raise ParseError("empty diagram file", source, 1)
     no, header = lines[0]

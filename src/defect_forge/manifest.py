@@ -11,13 +11,13 @@ returned as resolved paths; the command that reads one parses it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .io_formats import _lines, _number, load_structure
+from .io_formats import _content, _number, load_structure
 from .lattice import CrystalCell
 from .thermo import DefectRun, HostReference
 
@@ -32,9 +32,6 @@ class DefectEntry:
     label: str
     charge: int
     run: DefectRun
-    run_path: str
-    eigenvalue_path: str | None = None
-    site_potential_path: str | None = None
     wavefunction_paths: tuple[str, str] | None = None  # (initial, final)
 
 
@@ -62,20 +59,12 @@ class RunManifest:
 
 # --- key=value record files ---------------------------------------------------
 
-def _kv_lines(text: str, source: str):
-    for no, ln in _lines(text):
-        stripped = ln.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield no, stripped
-
-
 def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>") -> DefectRun:
     """Defect run record: e_total, delta.<species> entries, optional position."""
     e_total = None
     delta: dict[str, int] = {}
     position = None
-    for no, ln in _kv_lines(text, source):
+    for no, ln in _content(text):
         if "=" not in ln:
             raise ParseError(f"expected 'key = value', got '{ln}'", source, no)
         key, _, value = (p.strip() for p in ln.partition("="))
@@ -119,8 +108,8 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
 
 def parse_eigenvalues(text: str, source: str = "<string>"):
     """Eigenvalue table rows: 'spin index energy_eV occupation'."""
-    channels: dict[str, dict[int, tuple[float, float]]] = {}
-    for no, ln in _kv_lines(text, source):
+    channels: dict[str, dict[int, tuple[int, float, float]]] = {}  # spin -> index -> (line, energy, occ)
+    for no, ln in _content(text):
         parts = ln.split()
         if len(parts) != 4:
             raise ParseError("expected 'spin index energy occupation'", source, no)
@@ -136,23 +125,24 @@ def parse_eigenvalues(text: str, source: str = "<string>"):
         chan = channels.setdefault(spin, {})
         if idx in chan:
             raise ParseError(f"duplicate level index {idx} in spin channel '{spin}'", source, no)
-        chan[idx] = (energy, occ)
+        chan[idx] = (no, energy, occ)
     out = {}
     for spin, chan in channels.items():
         indices = sorted(chan)
-        if indices != list(range(len(indices))):
+        gap = next((i for k, i in enumerate(indices) if i != k), None)
+        if gap is not None:
             raise ParseError(
                 f"spin channel '{spin}' indices must be contiguous from 0, got {indices}",
-                source, 1,
+                source, chan[gap][0],
             )
-        out[spin] = tuple(chan[i] for i in indices)
+        out[spin] = tuple(chan[i][1:] for i in indices)
     return out
 
 
 def parse_site_potentials(text: str, source: str = "<string>"):
     """Site-potential rows: 'site_index delta_v_volts' (defect minus bulk)."""
     rows = []
-    for no, ln in _kv_lines(text, source):
+    for no, ln in _content(text):
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError("expected 'site_index delta_v'", source, no)
@@ -174,7 +164,7 @@ _HOST_REQUIRED = ("cell", "e_bulk", "e_vbm", "e_gap")
 def _sections(text: str, source: str):
     """Split into (header, [(lineno, key, value), ...]) with '' for the preamble."""
     sections: list[tuple[str, int, list]] = [("", 0, [])]
-    for no, ln in _kv_lines(text, source):
+    for no, ln in _content(text):
         if ln.startswith("[") and ln.endswith("]"):
             sections.append((ln[1:-1].strip(), no, []))
             continue
@@ -302,19 +292,11 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
         pot_path = paths.get("site_potentials")
         eig = parse_eigenvalues(eig_path.read_text(), str(eig_path)) if eig_path else None
         pots = parse_site_potentials(pot_path.read_text(), str(pot_path)) if pot_path else None
-        run = DefectRun(label=run.label, charge=run.charge, total_energy=run.total_energy,
-                        composition_delta=run.composition_delta,
-                        eigenvalues=tuple(eig.items()) if eig else None,
-                        site_potentials=pots,
-                        position=run.position,
-                        cell=cell)
+        run = replace(run, eigenvalues=tuple(eig.items()) if eig else None, site_potentials=pots)
         psi = None
         if "wavefunction.i" in paths:
             psi = (str(paths["wavefunction.i"]), str(paths["wavefunction.f"]))
-        defects.append(DefectEntry(label=label, charge=charge, run=run, run_path=str(paths["energy"]),
-                                   eigenvalue_path=str(eig_path) if eig_path else None,
-                                   site_potential_path=str(pot_path) if pot_path else None,
-                                   wavefunction_paths=psi))
+        defects.append(DefectEntry(label=label, charge=charge, run=run, wavefunction_paths=psi))
 
     spectra = []
     for no, kind, kv in spectrum_blocks:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .ewald import CorrectionResult
-from .lattice import CrystalCell
 
 __all__ = [
     "DefectRun",
@@ -41,8 +40,8 @@ class DefectRun:
     composition_delta maps species -> atoms added (+) or removed (-) relative
     to the bulk cell.  eigenvalues, when present, map a spin channel
     ("up" | "down" | "none") to a tuple of (energy_eV, occupation) pairs.
-    position is the defect location in fractional coordinates of `cell`,
-    the supercell the run was computed in.
+    position is the defect location in fractional coordinates of the
+    supercell the run was computed in.
     """
 
     label: str
@@ -52,7 +51,6 @@ class DefectRun:
     eigenvalues: tuple[tuple[str, tuple[tuple[float, float], ...]], ...] | None = None
     site_potentials: tuple[tuple[int, float], ...] | None = None
     position: tuple[float, float, float] | None = None
-    cell: CrystalCell | None = None
 
     def __post_init__(self):
         if abs(self.charge) > MAX_ABS_CHARGE:

@@ -3,9 +3,10 @@
 Everything here is built from first principles with plain numpy and no code
 from the package under test: a closed-form potential of a homogeneous box,
 a direct real-space image sum for periodic point charges, a radial
-quadrature for the hydrogenic 1s->2p_z dipole matrix element, and the
-original one-point-at-a-time raster assembly and CSV writer, which the
-whole-array versions must match bit for bit.
+quadrature for the hydrogenic 1s->2p_z dipole matrix element, the
+original one-point-at-a-time raster assembly, and CSV writers that format
+one value at a time with format(v, '.17g'), which the whole-array versions
+must match bit for bit.
 """
 
 import numpy as np
@@ -139,10 +140,42 @@ def raster_reference(points, tol_fraction=0.01):
     return xs, ys, grid, missing
 
 
+def _fmt(v):
+    return format(float(v), ".17g")
+
+
 def raster_csv_reference(xs, ys, values):
-    """Raster CSV text written one cell at a time with format(v, '.17g'); non-finite cells read 'nan'."""
-    out = ["y_um\\x_um," + ",".join(format(float(x), ".17g") for x in xs)]
+    """Raster CSV text written one cell at a time; non-finite cells read 'nan'."""
+    out = ["y_um\\x_um," + ",".join(_fmt(x) for x in xs)]
     for y, row in zip(ys, values):
-        cells = [format(float(v), ".17g") if np.isfinite(v) else "nan" for v in row]
-        out.append(format(float(y), ".17g") + "," + ",".join(cells))
+        cells = [_fmt(v) if np.isfinite(v) else "nan" for v in row]
+        out.append(_fmt(y) + "," + ",".join(cells))
+    return "\n".join(out) + "\n"
+
+
+def xy_csv_reference(header, x, y, head_lines=()):
+    """Two-column CSV: the head lines, the header, then one 'x,y' row per pair."""
+    out = [*head_lines, header] + [_fmt(a) + "," + _fmt(b) for a, b in zip(x, y)]
+    return "\n".join(out) + "\n"
+
+
+def spectrum_csv_reference(wavelength, counts, metadata=(), location=None):
+    """Spectrum CSV: '# key=value' for each (key, value) of metadata whose value is
+    not None, then '# location=...' when given, then the rows."""
+    head = [f"# {key}={_fmt(value)}" for key, value in metadata if value is not None]
+    if location is not None:
+        head.append(f"# location={location}")
+    return xy_csv_reference("wavelength_nm,counts", wavelength, counts, head)
+
+
+def decay_csv_reference(time, counts):
+    return xy_csv_reference("time_ns,counts", time, counts)
+
+
+def diagram_csv_reference(charges, fermi, energies, envelope, stable):
+    """Diagram CSV: energies holds one column per charge; stable one integer charge per row."""
+    out = ["fermi_eV," + ",".join(f"q={q:+d}" for q in charges) + ",envelope_eV,stable_q"]
+    for k, f in enumerate(fermi):
+        row = [_fmt(f)] + [_fmt(col[k]) for col in energies] + [_fmt(envelope[k]), str(int(stable[k]))]
+        out.append(",".join(row))
     return "\n".join(out) + "\n"

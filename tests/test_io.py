@@ -15,6 +15,8 @@ from defect_forge.optics import GridFunction
 from defect_forge.spectro import raster_map
 from defect_forge.thermo import FormationDiagram, HostReference, build_diagram
 
+from oracles import diagram_csv_reference
+
 
 # --- structure files -----------------------------------------------------------
 
@@ -46,6 +48,15 @@ def test_structure_mixed_species_grouping():
     ))
     back = io.parse_structure(io.write_structure(cell))
     assert sorted(s.species for s in back.sites) == ["C", "Si", "Si"]
+
+
+@pytest.mark.parametrize("comment", ["", "   ", "\n"])
+def test_structure_blank_comment_round_trip(comment):
+    cell = CrystalCell(np.eye(3) * 4.0, (Site("X", (0.5, 0.0, 0.25)),))
+    text = io.write_structure(cell, comment)
+    assert text.splitlines()[0] == "#"
+    assert io.parse_structure(text) == cell
+    assert io.parse_structure(io.write_structure(CrystalCell(np.eye(3) * 4.0), comment)) == CrystalCell(np.eye(3) * 4.0)
 
 
 def test_structure_truncated_file_errors():
@@ -281,6 +292,13 @@ def test_optics_records_round_trip():
     assert io.parse_optics_records(io.write_optics_records(records)) == records
 
 
+def test_optics_header_error_quotes_the_line():
+    with pytest.raises(ParseError) as err:
+        io.parse_optics_records("# table\nname,charge\nCi,0\n", source="t.csv")
+    assert str(err.value) == ("t.csv:2: expected header 'label,charge,spin,zpl_meV,tdm_debye2,shift_meV', "
+                              "got 'name,charge'")
+
+
 # --- diagram CSV -----------------------------------------------------------------------
 
 
@@ -301,16 +319,11 @@ def test_diagram_csv_round_trip():
     np.testing.assert_array_equal(envelope, energies.min(axis=1))
 
 
-def _write_diagram_per_row(diag):
-    """Reference writer: _fmt per value, stable_charge per row."""
+def write_diagram_per_row(diag):
+    """The diagram CSV by the per-value reference writer, stable_charge per row."""
     charges = [q for q, _ in diag.lines]
-    out = ["fermi_eV," + ",".join(f"q={q:+d}" for q in charges) + ",envelope_eV,stable_q"]
-    env = diag.envelope_at(diag.fermi)
-    cols = [diag.energy_of(q, diag.fermi) for q in charges]
-    for k, f in enumerate(diag.fermi):
-        row = [io._fmt(f)] + [io._fmt(c[k]) for c in cols] + [io._fmt(env[k]), str(diag.stable_charge(f))]
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"
+    return diagram_csv_reference(charges, diag.fermi, [diag.energy_of(q, diag.fermi) for q in charges],
+                                 diag.envelope_at(diag.fermi), [diag.stable_charge(f) for f in diag.fermi])
 
 
 @pytest.mark.parametrize("lines", [
@@ -328,7 +341,7 @@ def test_write_diagram_csv_stable_column(lines):
     diag = FormationDiagram(gap=1.0, fermi=fermi, lines=lines, intervals=(), transition_levels=(),
                             intrinsic_fermi=0.5, stable_at_intrinsic=0)
     text = io.write_diagram_csv(diag)
-    assert text == _write_diagram_per_row(diag)
+    assert text == write_diagram_per_row(diag)
     stable = io.parse_diagram_csv(text)[4]
     assert stable.tolist() == [diag.stable_charge(f) for f in fermi]
 
@@ -361,6 +374,17 @@ def test_eigenvalue_table_parses():
         parse_eigenvalues("down 1 0.5 1.0\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_eigenvalues("down 0 0.5 1.0\ndown 0 0.6 1.0\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# header\nup 0 0.1 1\nup 2 0.5 0\n", 3),
+    ("up 3 0.1 1\nup 0 0.1 1\n\nup 1 0.5 0\ndown 0 0.2 1\n", 1),
+    ("down 0 0.2 1\nup 1 0.5 0\nup 0 0.1 1\nup -1 0.1 1\n", 4),
+])
+def test_eigenvalue_gap_names_the_first_index_out_of_sequence(text, line):
+    with pytest.raises(ParseError, match="contiguous from 0") as err:
+        parse_eigenvalues(text, "x.eig")
+    assert err.value.line == line
 
 
 def test_site_potentials_parse():
@@ -445,7 +469,6 @@ def test_manifest_full_parse(tmp_path):
     assert entry.run.eigenvalues is not None
     assert entry.run.site_potentials is not None
     assert entry.run.position == (0.0, 0.0, 0.0)
-    assert entry.run.cell == manifest.cell
     by_label = manifest.runs_by_label()
     assert sorted(r.charge for r in by_label["Ci"]) == [-1, 0]
 

@@ -50,12 +50,13 @@ class _Out:
     def write(self, relpath: str, text: str):
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         self.log(f"wrote {relpath}")
 
     def finish(self):
         if self._log:
-            (self.root / "logs" / f"{self.command}.log").write_text("\n".join(self._log) + "\n")
+            (self.root / "logs" / f"{self.command}.log").write_text(
+                "\n".join(self._log) + "\n", encoding="utf-8")
 
 
 def _json(payload) -> str:
@@ -137,7 +138,7 @@ def _reference_from_records(records) -> float:
 
 
 def _cmd_check_table1(args, out: _Out) -> int:
-    text = resources.files("defect_forge.data").joinpath("ci_reference_table.csv").read_text()
+    text = (resources.files("defect_forge.data") / "ci_reference_table.csv").read_text(encoding="utf-8")
     records = io.parse_optics_records(text, source="ci_reference_table.csv")
     reference = _reference_from_records(records)
     out.log(f"bundled table: {len(records)} rows, reference ZPL {reference:g} meV")

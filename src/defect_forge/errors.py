@@ -2,7 +2,12 @@
 
 
 class ValidationError(ValueError):
-    """Input violates a documented precondition or invariant."""
+    """Input violates a documented precondition or invariant; `row` names the sample of a
+    series that breaks it (-1, the default, is the last: the series ends too early)."""
+
+    def __init__(self, message: str = "", row: int = -1):
+        super().__init__(message)
+        self.row = row
 
 
 class ParseError(ValidationError):

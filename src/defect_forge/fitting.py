@@ -56,6 +56,8 @@ def gauss_newton(residual, jacobian, x0, max_iter: int = 200, step_tol: float = 
     it = 0
     for it in range(1, max_iter + 1):
         jac = np.asarray(jacobian(x), dtype=float)
+        if not np.isfinite(jac).all():
+            break  # no usable descent direction; keep best so far
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         for _ in range(max_halvings):

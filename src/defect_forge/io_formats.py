@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .lattice import CrystalCell, Site
 from .optics import GridFunction, OpticsRecord, TableCheck
 from .spectro import DecayTrace, RasterMap, Spectrum
@@ -79,6 +80,25 @@ def _number(token: str, what: str, source: str, lineno: int) -> float:
     return value
 
 
+def _integer(token: str, what: str, source: str, lineno: int) -> int:
+    """int(token), or a ParseError at source:lineno when the token is not an integer."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got '{token}'", source, lineno) from None
+
+
+@contextmanager
+def _at(source: str, lineno: int):
+    """A ValidationError in the block becomes a ParseError at source:lineno; a ParseError passes."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except ValidationError as exc:
+        raise ParseError(str(exc), source, lineno) from None
+
+
 def _floats(token_line: str, n: int, source: str, lineno: int, what: str) -> list[float]:
     parts = token_line.split()
     if len(parts) != n:
@@ -109,10 +129,8 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
         for i in (1, 2, 3)
     ])
     if len(content) == 4:
-        try:
+        with _at(source, content[1][0]):
             return CrystalCell(lattice)
-        except Exception as exc:
-            raise ParseError(str(exc), source, content[1][0]) from None
     species = content[4][1].split()
     if not species:
         raise ParseError("species line is empty", source, content[4][0])
@@ -123,10 +141,7 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
             f"counts line has {len(parts)} entries for {len(species)} species",
             source, counts_no,
         )
-    try:
-        counts = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError("counts must be integers", source, counts_no) from None
+    counts = [_integer(p, "species count", source, counts_no) for p in parts]
     if any(c < 1 for c in counts):
         raise ParseError("species counts must be >= 1", source, counts_no)
 
@@ -150,14 +165,12 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
             no, ln = coord_lines[k]
             sites.append(Site(sp, _floats(ln, 3, source, no, "fractional coordinate")))
             k += 1
-    try:
+    with _at(source, content[1][0]):
         return CrystalCell(lattice, tuple(sites))
-    except Exception as exc:
-        raise ParseError(str(exc), source, content[1][0]) from None
 
 
 def write_structure(cell: CrystalCell, comment: str = "structure") -> str:
-    comment = comment.replace("\n", " ")
+    comment = " ".join((comment + "\n").splitlines())  # a space for each line break parsers see
     out = [comment if comment.strip() else "#"]  # a blank first line would not be read as the comment
     for row in cell.lattice:
         out.append(" ".join(_fmt(x) for x in row))
@@ -232,10 +245,7 @@ def _grid_header(header: str, source: str, no: int) -> tuple[tuple[int, int, int
     parts = header.split()
     if len(parts) != 5 or parts[0] != "GRID":
         raise ParseError("grid header must be 'GRID n1 n2 n3 complex|real'", source, no)
-    try:
-        dims = (int(parts[1]), int(parts[2]), int(parts[3]))
-    except ValueError:
-        raise ParseError("grid dims must be integers", source, no) from None
+    dims = tuple(_integer(p, "grid dim", source, no) for p in parts[1:4])
     kind = parts[4]
     if kind not in ("complex", "real"):
         raise ParseError(f"grid kind must be 'complex' or 'real', got '{kind}'", source, no)
@@ -249,10 +259,8 @@ def _grid_value_count(dims, kind: str) -> int:
 
 def _grid_function(arr, dims, kind, cell, source, header_no) -> GridFunction:
     values = arr[0::2] + 1j * arr[1::2] if kind == "complex" else arr.astype(complex)
-    try:
+    with _at(source, header_no):
         return GridFunction(dims, values, cell)
-    except Exception as exc:
-        raise ParseError(str(exc), source, header_no) from None
 
 
 def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction:
@@ -329,18 +337,11 @@ def _data_line(text: str, row: int) -> int:
 
 def _series(cls, arr: np.ndarray, text: str, source: str, **fields):
     """cls(first column, counts column, **fields); a constructor error is raised as a
-    ParseError at the data row it concerns."""
+    ParseError at the line of the row it names."""
     try:
         return cls(arr[:, 0], arr[:, 1], **fields)
-    except Exception as exc:
-        msg = str(exc)
-    if "strictly increasing" in msg:  # the first row not above its predecessor
-        row = int(np.argmin(np.diff(arr[:, 0]) > 0)) + 1
-    elif "must be >= 0" in msg:  # the first negative count
-        row = int(np.argmax(arr[:, 1] < 0))
-    else:  # too few samples: the file ends early
-        row = -1
-    raise ParseError(msg, source, _data_line(text, row))
+    except ValidationError as exc:
+        raise ParseError(str(exc), source, _data_line(text, exc.row)) from None
 
 
 _SPECTRUM_META_FLOAT = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_um")
@@ -438,19 +439,15 @@ def parse_optics_records(text: str, source: str = "<string>") -> list[OpticsReco
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 6:
             raise ParseError("expected 6 comma-separated fields", source, no)
-        try:
+        with _at(source, no):
             records.append(OpticsRecord(
                 defect=parts[0],
-                charge=int(parts[1]),
+                charge=_integer(parts[1], "charge", source, no),
                 spin=parts[2],
                 zpl_mev=_number(parts[3], "zpl_meV", source, no) if parts[3] else None,
                 tdm_debye2=_number(parts[4], "tdm_debye2", source, no) if parts[4] else None,
                 shift_mev=_number(parts[5], "shift_meV", source, no) if parts[5] else None,
             ))
-        except ParseError:
-            raise
-        except Exception as exc:
-            raise ParseError(str(exc), source, no) from None
     if not records:
         raise ParseError("table has no records", source, 1)
     return records
@@ -507,10 +504,7 @@ def parse_diagram_csv(text: str, source: str = "<string>"):
     cols = header.split(",")
     if len(cols) < 4 or cols[0] != "fermi_eV" or cols[-2] != "envelope_eV" or cols[-1] != "stable_q":
         raise ParseError("malformed diagram header", source, no)
-    try:
-        charges = [int(c.removeprefix("q=")) for c in cols[1:-2]]
-    except ValueError:
-        raise ParseError("malformed charge column in header", source, no) from None
+    charges = [_integer(c.removeprefix("q="), "charge column", source, no) for c in cols[1:-2]]
     fermi, energies, env, stable = [], [], [], []
     for no, ln in lines[1:]:
         parts = ln.split(",")
@@ -520,21 +514,28 @@ def parse_diagram_csv(text: str, source: str = "<string>"):
             fermi.append(float(parts[0]))
             energies.append([float(p) for p in parts[1:-2]])
             env.append(float(parts[-2]))
-            stable.append(int(parts[-1]))
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", source, no) from None
+        stable.append(_integer(parts[-1], "stable_q", source, no))
     return charges, np.array(fermi), np.array(energies), np.array(env), np.array(stable)
 
 
 # --- path helpers -----------------------------------------------------------------
 
 def _load(path, parser, *args):
-    path = Path(path)
+    """parser(text, *args, source=path): the one reader of input files, UTF-8 whatever the locale."""
+    source = str(Path(path))
     try:
-        text = path.read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", str(path)) from None
-    return parser(text, *args, source=str(path)) if args else parser(text, source=str(path))
+        raise ParseError(f"cannot read file: {exc}", source) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", source, lineno) from None
+    del data  # a grid file's bytes need not outlive its text
+    return parser(text, *args, source=source)
 
 
 def load_structure(path) -> CrystalCell:
@@ -542,7 +543,7 @@ def load_structure(path) -> CrystalCell:
 
 
 def save_structure(cell: CrystalCell, path, comment: str = "structure") -> None:
-    Path(path).write_text(write_structure(cell, comment))
+    Path(path).write_text(write_structure(cell, comment), encoding="utf-8")
 
 
 def load_grid(path, cell: CrystalCell) -> GridFunction:
@@ -550,7 +551,7 @@ def load_grid(path, cell: CrystalCell) -> GridFunction:
 
 
 def save_grid(grid: GridFunction, path) -> None:
-    Path(path).write_text(write_grid(grid))
+    Path(path).write_text(write_grid(grid), encoding="utf-8")
 
 
 def load_spectrum(path) -> Spectrum:
@@ -558,7 +559,7 @@ def load_spectrum(path) -> Spectrum:
 
 
 def save_spectrum(spec: Spectrum, path) -> None:
-    Path(path).write_text(write_spectrum(spec))
+    Path(path).write_text(write_spectrum(spec), encoding="utf-8")
 
 
 def load_decay(path) -> DecayTrace:
@@ -566,7 +567,7 @@ def load_decay(path) -> DecayTrace:
 
 
 def save_decay(trace: DecayTrace, path) -> None:
-    Path(path).write_text(write_decay(trace))
+    Path(path).write_text(write_decay(trace), encoding="utf-8")
 
 
 def load_xy(path, header: str):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .io_formats import _content, _number, load_structure
+from .io_formats import _at, _content, _integer, _load, _number, load_structure
 from .lattice import CrystalCell
 from .thermo import DefectRun, HostReference
 
@@ -74,10 +74,7 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
             species = key[len("delta."):]
             if not species:
                 raise ParseError("delta key needs a species, e.g. 'delta.C'", source, no)
-            try:
-                delta[species] = int(value)
-            except ValueError:
-                raise ParseError(f"composition delta must be an integer, got '{value}'", source, no) from None
+            delta[species] = _integer(value, "composition delta", source, no)
         elif key == "position":
             parts = value.split()
             if len(parts) != 3:
@@ -87,11 +84,7 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
             if value != label:
                 raise ParseError(f"label '{value}' contradicts manifest entry '{label}'", source, no)
         elif key == "charge":
-            try:
-                declared = int(value)
-            except ValueError:
-                raise ParseError(f"charge must be an integer, got '{value}'", source, no) from None
-            if declared != charge:
+            if _integer(value, "charge", source, no) != charge:
                 raise ParseError(f"charge {value} contradicts manifest entry {charge:+d}", source, no)
         else:
             warnings.warn(f"{source}:{no}: ignoring unknown key '{key}'")
@@ -99,11 +92,9 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
         raise ParseError("run record is missing 'e_total'", source, 1)
     if not delta:
         raise ParseError("run record declares no composition change (no delta.* keys)", source, 1)
-    try:
+    with _at(source, 1):
         return DefectRun(label=label, charge=charge, total_energy=e_total,
                          composition_delta=tuple(delta.items()), position=position)
-    except Exception as exc:
-        raise ParseError(str(exc), source, 1) from None
 
 
 def parse_eigenvalues(text: str, source: str = "<string>"):
@@ -116,10 +107,7 @@ def parse_eigenvalues(text: str, source: str = "<string>"):
         spin = parts[0]
         if spin not in ("up", "down", "none"):
             raise ParseError(f"spin must be up|down|none, got '{spin}'", source, no)
-        try:
-            idx = int(parts[1])
-        except ValueError:
-            raise ParseError(f"level index must be an integer, got '{parts[1]}'", source, no) from None
+        idx = _integer(parts[1], "level index", source, no)
         energy = _number(parts[2], "eigenvalue energy", source, no)
         occ = _number(parts[3], "occupation", source, no)
         chan = channels.setdefault(spin, {})
@@ -146,11 +134,8 @@ def parse_site_potentials(text: str, source: str = "<string>"):
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError("expected 'site_index delta_v'", source, no)
-        try:
-            index = int(parts[0])
-        except ValueError:
-            raise ParseError(f"site index must be an integer, got '{parts[0]}'", source, no) from None
-        rows.append((index, _number(parts[1], "site potential", source, no)))
+        rows.append((_integer(parts[0], "site index", source, no),
+                     _number(parts[1], "site potential", source, no)))
     if not rows:
         raise ParseError("site-potential file has no rows", source, 1)
     return tuple(rows)
@@ -176,10 +161,14 @@ def _sections(text: str, source: str):
 
 
 def _resolve(base: Path, rel: str, source: str, lineno: int) -> Path:
-    path = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-    if not path.is_file():
-        raise ParseError(f"referenced file does not exist: {path}", source, lineno)
-    return path
+    path = base / rel  # an absolute rel stands alone
+    try:
+        path = path if Path(rel).is_absolute() else path.resolve()
+        if path.is_file():
+            return path
+    except ValueError:  # a NUL byte, or a name the file-system encoding cannot represent
+        pass
+    raise ParseError(f"referenced file does not exist: {path}", source, lineno)
 
 
 def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest:
@@ -205,11 +194,7 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
         elif parts and parts[0] == "defect":
             if len(parts) != 3:
                 raise ParseError("defect section must be '[defect <label> <charge>]'", source, no)
-            try:
-                charge = int(parts[2])
-            except ValueError:
-                raise ParseError(f"defect charge must be an integer, got '{parts[2]}'", source, no) from None
-            defect_blocks.append((no, parts[1], charge, kv))
+            defect_blocks.append((no, parts[1], _integer(parts[2], "defect charge", source, no), kv))
         elif parts and parts[0] == "spectrum":
             if len(parts) != 2 or parts[1] not in SPECTRUM_KINDS:
                 raise ParseError(
@@ -251,22 +236,16 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
             eps = np.array(nums).reshape(3, 3)
         else:
             raise ParseError("dielectric must be 1, 3 or 9 numbers", source, no)
-        try:
+        with _at(source, no):
             cell = cell.with_dielectric(eps)
-        except Exception as exc:
-            raise ParseError(str(exc), source, no) from None
 
     def host_float(key):
         no, value = host_map[key]
         return _number(value, f"host.{key}", source, no)
 
-    try:
+    with _at(source, host_no):
         host = HostReference(e_bulk=host_float("e_bulk"), e_vbm=host_float("e_vbm"),
                              e_gap=host_float("e_gap"), chemical_potentials=tuple(mu.items()))
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(str(exc), source, host_no) from None
 
     seen: set[tuple[str, int]] = set()
     defects = []
@@ -287,11 +266,11 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
                 f"defect '{label}' ({charge:+d}) must name both wavefunction files or neither",
                 source, no,
             )
-        run = parse_defect_run(paths["energy"].read_text(), label, charge, str(paths["energy"]))
+        run = _load(paths["energy"], parse_defect_run, label, charge)
         eig_path = paths.get("eigenvalues")
         pot_path = paths.get("site_potentials")
-        eig = parse_eigenvalues(eig_path.read_text(), str(eig_path)) if eig_path else None
-        pots = parse_site_potentials(pot_path.read_text(), str(pot_path)) if pot_path else None
+        eig = _load(eig_path, parse_eigenvalues) if eig_path else None
+        pots = _load(pot_path, parse_site_potentials) if pot_path else None
         run = replace(run, eigenvalues=tuple(eig.items()) if eig else None, site_potentials=pots)
         psi = None
         if "wavefunction.i" in paths:
@@ -316,9 +295,4 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
 
 
 def load_manifest(path) -> RunManifest:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest: {exc}", str(path)) from None
-    return parse_manifest(text, path.parent, source=str(path))
+    return _load(path, parse_manifest, Path(path).parent)

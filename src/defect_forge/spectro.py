@@ -73,10 +73,11 @@ class Spectrum:
             raise ValidationError("wavelength and counts must be 1-D arrays of equal length")
         if len(wl) < MIN_SPECTRUM_SAMPLES:
             raise ValidationError(f"spectrum needs >= {MIN_SPECTRUM_SAMPLES} samples, got {len(wl)}")
-        if not np.all(np.diff(wl) > 0):
-            raise ValidationError("wavelength axis must be strictly increasing")
+        if not np.all(np.diff(wl) > 0):  # row: the first sample not above its predecessor
+            raise ValidationError("wavelength axis must be strictly increasing",
+                                  row=int(np.argmin(np.diff(wl) > 0)) + 1)
         if np.any(ct < 0):
-            raise ValidationError("counts must be >= 0")
+            raise ValidationError("counts must be >= 0", row=int(np.argmax(ct < 0)))
         wl.flags.writeable = False
         ct.flags.writeable = False
         object.__setattr__(self, "wavelength_nm", wl)
@@ -208,7 +209,8 @@ class DecayTrace:
         if t.ndim != 1 or t.shape != ct.shape:
             raise ValidationError("time and counts must be 1-D arrays of equal length")
         if not np.all(np.diff(t) > 0):
-            raise ValidationError("time axis must be strictly increasing")
+            raise ValidationError("time axis must be strictly increasing",
+                                  row=int(np.argmin(np.diff(t) > 0)) + 1)
         t.flags.writeable = False
         ct.flags.writeable = False
         object.__setattr__(self, "time_ns", t)

@@ -22,6 +22,67 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def write_command_inputs(root: Path) -> dict[str, list]:
+    """Small valid inputs of the eight commands that read files; command -> its arguments but --out.
+
+    The first path among each command's arguments is its main input.
+    """
+    manifest = write_demo_manifest(root)
+    cell = CrystalCell(np.eye(3) * 8.0)
+    io.save_structure(cell, root / "tdm.cell")
+    f = (np.arange(4) + 0.5) / 4
+    fx, fy, fz = np.meshgrid(f, f, f, indexing="ij")
+    envelope = np.exp(-8.0 * ((fx - 0.5) ** 2 + (fy - 0.5) ** 2 + (fz - 0.5) ** 2))
+    io.save_grid(GridFunction((4, 4, 4), envelope, cell), root / "psi_i.grid")
+    io.save_grid(GridFunction((4, 4, 4), (fz - 0.5) * envelope, cell), root / "psi_f.grid")
+    wl = np.linspace(1449.0, 1453.0, 81)
+    io.save_spectrum(Spectrum(wavelength_nm=wl, counts=peak_model(wl, [5.0, 1000.0, 1450.8, 0.3])),
+                     root / "peak.csv")
+    t = np.linspace(0, 30, 40)
+    io.save_decay(DecayTrace(time_ns=t, counts=decay_model(t, [1000.0, 3.0, 10.0])),
+                  root / "decay.csv")
+    p = np.geomspace(0.05, 3.0, 8)
+    (root / "sat.csv").write_text(io.write_xy(p, saturation_model(p, [5000.0, 0.7]),
+                                              "power_mW,intensity"))
+    (root / "table.csv").write_text("label,charge,spin,zpl_meV,tdm_debye2,shift_meV\n"
+                                    "A,0,none,569,0.1,\nB,-1,down,600,0.2,31\n,0,up,,0.3,90\n")
+    return {
+        "diagram": ["--manifest", manifest],
+        "optics": ["--table", root / "table.csv", "--reference", "569"],
+        "tdm": ["--psi-i", root / "psi_i.grid", "--psi-f", root / "psi_f.grid",
+                "--cell", root / "tdm.cell"],
+        "fitpl": ["--data", root / "peak.csv", "--max-peaks", "1"],
+        "lifetime": ["--data", root / "decay.csv"],
+        "saturation": ["--data", root / "sat.csv"],
+        "dose": ["--data", root / "dose.csv", "--classify", "16,30"],
+        "raster": ["--data", root / "raster.csv"],
+    }
+
+
+def test_command_inputs_are_valid(tmp_path):
+    for command, args in write_command_inputs(tmp_path / "inputs").items():
+        assert run_cli(command, *args, "--out", tmp_path / command) == 0, command
+
+
+@pytest.mark.parametrize("command, name", [
+    ("diagram", None), ("diagram", "ci_m1.run"), ("diagram", "host.cell"), ("optics", None),
+    ("tdm", None), ("tdm", "tdm.cell"), ("fitpl", None), ("lifetime", None), ("saturation", None),
+    ("dose", None), ("raster", None),
+])
+def test_byte_that_is_not_utf8_exit_2(tmp_path, capsys, command, name):
+    args = write_command_inputs(tmp_path / "inputs")[command]
+    path = tmp_path / "inputs" / name if name else next(a for a in args if isinstance(a, Path))
+    lines = path.read_bytes().split(b"\n")
+    lines[1] += b" \xff"
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    assert run_cli(command, *args, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}:2: not UTF-8 text: byte 0xff" in err
+    assert "Traceback" not in err
+    assert not list((out / "fits").iterdir()) + list((out / "optics").iterdir())
+
+
 def test_diagram_command(tmp_path, capsys):
     manifest = write_demo_manifest(tmp_path / "inputs")
     out = tmp_path / "out"
@@ -157,6 +218,15 @@ def test_optics_command(tmp_path):
     assert text.count("INCONSISTENT") == 1  # C: 700-569=131 != 90
 
 
+@pytest.mark.parametrize("reference", ["nan", "inf", "-inf"])
+def test_optics_non_finite_reference_exit_2(tmp_path, capsys, reference):
+    table = write_command_inputs(tmp_path / "inputs")["optics"][1]
+    out = tmp_path / "out"
+    assert run_cli("optics", "--table", table, f"--reference={reference}", "--out", out) == 2
+    assert f"reference ZPL must be finite and > 0 meV, got {reference}" in capsys.readouterr().err
+    assert not (out / "optics" / "table_check.csv").exists()
+
+
 def test_tdm_command(tmp_path):
     base = tmp_path
     cell = CrystalCell(np.eye(3) * 8.0)
@@ -216,6 +286,17 @@ def test_lifetime_rising_signal_exit_2(tmp_path):
     (tmp_path / "rise.csv").write_text(io.write_decay(
         DecayTrace(time_ns=t, counts=np.linspace(1, 100, 40))))
     assert run_cli("lifetime", "--data", tmp_path / "rise.csv", "--out", tmp_path / "out") == 2
+
+
+def test_lifetime_overflowing_decay_exit_3(tmp_path, capsys):
+    """A Jacobian that overflows ends the solve as not converged, without a traceback."""
+    counts = np.full(40, 1e300)
+    counts[0] = 1e308
+    (tmp_path / "big.csv").write_text(io.write_decay(
+        DecayTrace(time_ns=np.arange(40) * 0.1, counts=counts)))
+    with np.errstate(all="ignore"):
+        assert run_cli("lifetime", "--data", tmp_path / "big.csv", "--out", tmp_path / "out") == 3
+    assert "fit did not converge" in capsys.readouterr().err
 
 
 def test_saturation_command(tmp_path):
@@ -303,6 +384,26 @@ def test_repeated_runs_byte_identical(tmp_path):
     a, b = _tree_bytes(out1), _tree_bytes(out2)
     assert a.keys() == b.keys()
     assert a == b
+
+
+def test_diagram_tree_is_independent_of_the_locale(tmp_path):
+    """Inputs holding UTF-8 give the same tree under the C locale (ASCII, no UTF-8 mode) as by default."""
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    for path in (manifest, tmp_path / "inputs" / "ci_m1.run"):
+        path.write_text("# Cᵢ centre\n" + path.read_text(), encoding="utf-8")
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace("project = demo", "project = Cᵢ démo"),
+                        encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    c_env = dict(env, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    for name, run_env in (("default", env), ("c", c_env)):
+        result = subprocess.run([sys.executable, "-m", "defect_forge.cli", "diagram", "--manifest",
+                                 str(manifest), "--out", str(tmp_path / name)],
+                                env=run_env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+    default, c_locale = _tree_bytes(tmp_path / "default"), _tree_bytes(tmp_path / "c")
+    assert "project 'Cᵢ démo'".encode() in default["logs/diagram.log"]
+    assert default == c_locale
 
 
 def test_verbose_writes_log(tmp_path):

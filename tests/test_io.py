@@ -59,6 +59,16 @@ def test_structure_blank_comment_round_trip(comment):
     assert io.parse_structure(io.write_structure(CrystalCell(np.eye(3) * 4.0), comment)) == CrystalCell(np.eye(3) * 4.0)
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_structure_comment_line_break_round_trip(sep):
+    """Every line break str.splitlines knows is written as a space, so the comment stays one line."""
+    cell = CrystalCell(np.eye(3) * 4.0, (Site("X", (0.5, 0.0, 0.25)),))
+    text = io.write_structure(cell, f"a{sep}b")
+    assert text.splitlines()[0] == "a b"
+    assert io.parse_structure(text) == cell
+
+
 def test_structure_truncated_file_errors():
     with pytest.raises(ParseError, match="truncated structure"):
         io.parse_structure("comment\n1 0 0\n0 1 0\n", source="broken.cell")
@@ -299,6 +309,48 @@ def test_optics_header_error_quotes_the_line():
                               "got 'name,charge'")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (io.parse_structure, "c\n1 0 0\n0 1 0\n0 0 1\nX Y\n1 2.0\n0 0 0\n",
+     "f:6: species count must be an integer, got '2.0'"),
+    (lambda text, source: io.parse_grid(text, CrystalCell(np.eye(3)), source),
+     "GRID 2 x 1 real\n1 2\n", "f:1: grid dim must be an integer, got 'x'"),
+    (io.parse_optics_records, "label,charge,spin,zpl_meV,tdm_debye2,shift_meV\nCi,x,down,571,1,2\n",
+     "f:2: charge must be an integer, got 'x'"),
+    (io.parse_diagram_csv, "fermi_eV,q=a,envelope_eV,stable_q\n0,1,1,0\n",
+     "f:1: charge column must be an integer, got 'a'"),
+    (io.parse_diagram_csv, "fermi_eV,q=0,envelope_eV,stable_q\n0,1,1,0.5\n",
+     "f:2: stable_q must be an integer, got '0.5'"),
+])
+def test_integer_token_error_names_the_token(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, source="f")
+    assert str(err.value) == message
+
+
+def test_parse_error_raised_inside_a_constructor_block_keeps_one_prefix():
+    text = "label,charge,spin,zpl_meV,tdm_debye2,shift_meV\nCi,-1,down,nan,1,2\n"
+    with pytest.raises(ParseError) as err:
+        io.parse_optics_records(text, source="t.csv")
+    assert str(err.value) == "t.csv:2: non-finite value in zpl_meV: 'nan'"
+    with pytest.raises(ParseError) as err:
+        io.parse_optics_records(text.replace("nan", "-3"), source="t.csv")
+    assert str(err.value) == "t.csv:2: ZPL must be > 0 meV, got -3.0"
+
+
+@pytest.mark.parametrize("data, line, byte", [
+    (b"\xff", 1, "ff"),
+    (b"wavelength_nm,counts\n1,\xe9\n", 2, "e9"),
+    (b"a\r\nb\rc\nd \xff\n", 4, "ff"),
+    (b"\xc3\xa9\n\n\xe9t\xc3\xa9\n", 3, "e9"),
+])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line, byte):
+    path = tmp_path / "x.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        io.load_spectrum(path)
+    assert str(err.value) == f"{path}:{line}: not UTF-8 text: byte 0x{byte}"
+
+
 # --- diagram CSV -----------------------------------------------------------------------
 
 
@@ -531,6 +583,24 @@ def test_manifest_dangling_path(tmp_path):
     path = write_demo_manifest(tmp_path, dangling=True)
     with pytest.raises(ParseError, match="missing.run"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("name", ["ci_\0.run", "cᵢ_0.run"])
+def test_manifest_path_the_os_cannot_represent_is_a_missing_file(tmp_path, name):
+    """A NUL byte, or (under an ASCII file-system encoding) a non-ASCII name, names no file."""
+    path = write_demo_manifest(tmp_path)
+    text = path.read_text().replace("energy = ci_0.run", f"energy = {name}")
+    path.write_text(text, encoding="utf-8")
+    line = text[:text.index(name)].count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        load_manifest(path)
+    assert str(err.value).startswith(f"{path}:{line}: referenced file does not exist: ")
+
+
+def test_manifest_unreadable_file(tmp_path):
+    with pytest.raises(ParseError) as err:
+        load_manifest(tmp_path / "absent.manifest")
+    assert str(err.value).startswith(f"{tmp_path / 'absent.manifest'}: cannot read file: ")
 
 
 def test_manifest_unknown_keys_warn(tmp_path):

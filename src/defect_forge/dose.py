@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import fields_equal, readonly
 from .errors import ValidationError
 
 __all__ = ["DoseCurve", "Segment", "calibrate", "classify",
@@ -46,13 +47,11 @@ class DoseCurve:
     segments: tuple[Segment, ...]
     boundaries: tuple[float, ...]  # interior extrema
 
-    def __eq__(self, other):
-        if not isinstance(other, DoseCurve):
-            return NotImplemented
-        return (self.label == other.label
-                and np.array_equal(self.fluences, other.fluences)
-                and np.array_equal(self.intensities, other.intensities)
-                and self.segments == other.segments)
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        object.__setattr__(self, "fluences", readonly(self.fluences))
+        object.__setattr__(self, "intensities", readonly(self.intensities))
 
     def interpolate(self, fluence: float) -> float:
         if fluence < self.fluences[0] or fluence > self.fluences[-1]:
@@ -108,9 +107,6 @@ def calibrate(points, label: str = "") -> DoseCurve:
         segments.append(Segment(lo=float(flu[a]), hi=float(flu[b]), direction=direction,
                                 regime=regime))
     boundaries = tuple(s.hi for s in segments[:-1])
-
-    flu.flags.writeable = False
-    inten.flags.writeable = False
     return DoseCurve(label=label, fluences=flu, intensities=inten,
                      segments=tuple(segments), boundaries=boundaries)
 

@@ -43,6 +43,8 @@ from .units import COULOMB_EV_ANG
 
 __all__ = ["EwaldContext", "CorrectionResult", "ewald_potential", "lattice_energy", "finite_size_correction"]
 
+TAIL_TOLERANCE = 1e-8  # eV per unit q^2; each truncated tail must be bounded below it
+
 
 def _integer_vectors(rows: np.ndarray, cutoff: float, skip_zero: bool) -> np.ndarray:
     """All lattice combinations n @ rows with Cartesian norm <= cutoff."""
@@ -80,7 +82,6 @@ class EwaldContext:
     eta: float
     real_cutoff: float
     recip_cutoff: float
-    tail_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -88,15 +89,14 @@ class EwaldContext:
         real, recip = _tail_bounds(
             self.cell.volume, *self._eps_extremes, self.eta, self.real_cutoff, self.recip_cutoff
         )
-        if real > self.tail_tolerance or recip > self.tail_tolerance:
+        if real > TAIL_TOLERANCE or recip > TAIL_TOLERANCE:
             raise ValidationError(
                 "non-convergent cutoff settings: tail estimates "
-                f"(real {real:.2e}, recip {recip:.2e} eV) above tolerance {self.tail_tolerance:.1e}"
+                f"(real {real:.2e}, recip {recip:.2e} eV) above tolerance {TAIL_TOLERANCE:.1e}"
             )
 
     @classmethod
-    def for_cell(cls, cell: CrystalCell, eta: float | None = None,
-                 tail_tolerance: float = 1e-8) -> "EwaldContext":
+    def for_cell(cls, cell: CrystalCell, eta: float | None = None) -> "EwaldContext":
         """Context with the default splitting heuristic and auto-grown cutoffs.
 
         eta defaults to (pi * n_sites / V^2)^(1/6), a real/reciprocal work
@@ -112,11 +112,11 @@ class EwaldContext:
         recip_cutoff = 6.0 * eta / np.sqrt(lam_min)
         for _ in range(200):
             real, recip = _tail_bounds(volume, lam_min, lam_max, eta, real_cutoff, recip_cutoff)
-            if real <= tail_tolerance and recip <= tail_tolerance:
-                return cls(cell, eta, real_cutoff, recip_cutoff, tail_tolerance)
-            if real > tail_tolerance:
+            if real <= TAIL_TOLERANCE and recip <= TAIL_TOLERANCE:
+                return cls(cell, eta, real_cutoff, recip_cutoff)
+            if real > TAIL_TOLERANCE:
                 real_cutoff *= 1.2
-            if recip > tail_tolerance:
+            if recip > TAIL_TOLERANCE:
                 recip_cutoff *= 1.2
         raise ValidationError("cutoff growth did not converge; eta is badly scaled for this cell")
 
@@ -244,21 +244,15 @@ class CorrectionResult:
         return cls(0.0, 0.0, 0.0, 0.0, 0, 0.0)
 
 
-def finite_size_correction(
-    ctx: EwaldContext,
-    q: int,
-    site_potentials,
-    defect_position,
-    sampling_radius: float | None = None,
-) -> CorrectionResult:
+def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_position) -> CorrectionResult:
     """Point-charge + potential-alignment correction for charge q at defect_position.
 
     site_potentials: iterable of (site_index, delta_V) with delta_V the DFT
     defect-minus-bulk potential (V) at that site of ctx.cell.
     defect_position: fractional coordinates of the defect.
-    sampling_radius: only sites farther than this (minimum-image metric) enter
-    the alignment average; defaults to the radius of the sphere inscribed in
-    the Wigner-Seitz cell.
+    Only sites farther than the sampling radius (minimum-image metric) enter
+    the alignment average: the radius of the sphere inscribed in the
+    Wigner-Seitz cell (Kumagai & Oba, PRB 89, 195205 (2014)).
     """
     if abs(q - round(q)) > 1e-9:
         raise ValidationError(f"defect charge must be an integer, got {q}")
@@ -274,8 +268,7 @@ def finite_size_correction(
     for i, _ in pots:
         if not 0 <= i < n_sites:
             raise ValidationError(f"site index {i} out of range for cell with {n_sites} sites")
-    if sampling_radius is None:
-        sampling_radius = ws_inscribed_radius(cell)
+    sampling_radius = ws_inscribed_radius(cell)
     defect_frac = np.asarray(defect_position, dtype=float).reshape(3)
 
     disp = minimum_image(cell, cell.site_positions()[[i for i, _ in pots]] - defect_frac)

@@ -2,7 +2,7 @@
 
 One small deterministic solver backs every fitter in the package: solve
 J dx = -r by least squares, halve the step while the cost does not
-decrease, stop when the relative parameter step drops below `step_tol`.
+decrease, stop when the relative parameter step drops below STEP_TOL.
 Models supply value and Jacobian in closed form so gradient correctness is
 testable by finite differences.
 """
@@ -26,6 +26,9 @@ __all__ = [
     "saturation_jacobian",
 ]
 
+STEP_TOL = 1e-8    # converged when no parameter moves by more than this fraction
+MAX_HALVINGS = 30  # step halvings before a step counts as no descent
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -44,8 +47,7 @@ def _cost(r):
     return float(np.dot(r, r))
 
 
-def gauss_newton(residual, jacobian, x0, max_iter: int = 200, step_tol: float = 1e-8,
-                 max_halvings: int = 30) -> FitResult:
+def gauss_newton(residual, jacobian, x0, max_iter: int = 200) -> FitResult:
     """Minimize sum(residual(x)^2) from x0; returns best-so-far when not converged."""
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
@@ -60,7 +62,7 @@ def gauss_newton(residual, jacobian, x0, max_iter: int = 200, step_tol: float = 
             break  # no usable descent direction; keep best so far
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             cand = x + alpha * step
             r_new = np.asarray(residual(cand), dtype=float)
             c_new = _cost(r_new) if np.isfinite(r_new).all() else np.inf
@@ -73,7 +75,7 @@ def gauss_newton(residual, jacobian, x0, max_iter: int = 200, step_tol: float = 
         x = cand
         r = r_new
         cost = c_new
-        if rel.max() < step_tol:
+        if rel.max() < STEP_TOL:
             converged = True
             break
 

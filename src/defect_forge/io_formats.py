@@ -411,8 +411,8 @@ def write_raster_csv(rmap: RasterMap) -> str:
     return _csv([header], [rmap.ys, *cells.T])
 
 
-def write_raster_pgm(rmap: RasterMap, maxval: int = 65535) -> str:
-    """ASCII PGM quick-look; missing points render as 0."""
+def write_raster_pgm(rmap: RasterMap) -> str:
+    """ASCII PGM quick-look with maxval 65535; missing points render as 0."""
     vals = rmap.values.copy()
     finite = vals[np.isfinite(vals)]
     lo = float(finite.min()) if finite.size else 0.0
@@ -420,9 +420,9 @@ def write_raster_pgm(rmap: RasterMap, maxval: int = 65535) -> str:
     span = hi - lo if hi > lo else 1.0
     scaled = np.zeros_like(vals, dtype=int)
     mask = np.isfinite(vals)
-    scaled[mask] = np.rint((vals[mask] - lo) / span * maxval).astype(int)
+    scaled[mask] = np.rint((vals[mask] - lo) / span * 65535).astype(int)
     ny, nx = vals.shape
-    out = ["P2", f"{nx} {ny}", str(maxval)]
+    out = ["P2", f"{nx} {ny}", "65535"]
     for iy in range(ny):
         out.append(" ".join(str(v) for v in scaled[iy]))
     return "\n".join(out) + "\n"
@@ -510,12 +510,10 @@ def parse_diagram_csv(text: str, source: str = "<string>"):
         parts = ln.split(",")
         if len(parts) != len(cols):
             raise ParseError(f"expected {len(cols)} fields", source, no)
-        try:
-            fermi.append(float(parts[0]))
-            energies.append([float(p) for p in parts[1:-2]])
-            env.append(float(parts[-2]))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", source, no) from None
+        row = [_number(p, c, source, no) for p, c in zip(parts[:-1], cols[:-1])]
+        fermi.append(row[0])
+        energies.append(row[1:-1])
+        env.append(row[-1])
         stable.append(_integer(parts[-1], "stable_q", source, no))
     return charges, np.array(fermi), np.array(energies), np.array(env), np.array(stable)
 

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._record import fields_equal, readonly
 from .errors import ValidationError
 
 __all__ = [
@@ -42,15 +43,10 @@ class Site:
     species: str
     frac: np.ndarray
 
-    def __post_init__(self):
-        frac = wrap_frac(np.asarray(self.frac, dtype=float).reshape(3))
-        frac.flags.writeable = False
-        object.__setattr__(self, "frac", frac)
+    __eq__ = fields_equal
 
-    def __eq__(self, other):
-        if not isinstance(other, Site):
-            return NotImplemented
-        return self.species == other.species and np.array_equal(self.frac, other.frac)
+    def __post_init__(self):
+        object.__setattr__(self, "frac", readonly(wrap_frac(self.frac).reshape(3)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +62,10 @@ class CrystalCell:
     sites: tuple[Site, ...] = ()
     dielectric: np.ndarray = field(default_factory=lambda: np.eye(3))
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
-        lat = np.array(self.lattice, dtype=float).reshape(3, 3)
+        lat = readonly(self.lattice).reshape(3, 3)
         if not np.isfinite(lat).all():
             raise ValidationError("lattice contains non-finite entries")
         if np.linalg.det(lat) <= 0:
@@ -86,20 +84,9 @@ class CrystalCell:
             raise ValidationError("dielectric tensor must be symmetric")
         if np.linalg.eigvalsh(eps).min() <= 0:
             raise ValidationError("dielectric tensor must be positive-definite")
-        lat.flags.writeable = False
-        eps.flags.writeable = False
         object.__setattr__(self, "lattice", lat)
-        object.__setattr__(self, "dielectric", eps)
+        object.__setattr__(self, "dielectric", readonly(eps))
         object.__setattr__(self, "sites", tuple(self.sites))
-
-    def __eq__(self, other):
-        if not isinstance(other, CrystalCell):
-            return NotImplemented
-        return (
-            np.array_equal(self.lattice, other.lattice)
-            and np.array_equal(self.dielectric, other.dielectric)
-            and self.sites == other.sites
-        )
 
     @property
     def volume(self) -> float:

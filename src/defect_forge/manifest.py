@@ -10,6 +10,7 @@ returned as resolved paths; the command that reads one parses it.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -171,6 +172,20 @@ def _resolve(base: Path, rel: str, source: str, lineno: int) -> Path:
     raise ParseError(f"referenced file does not exist: {path}", source, lineno)
 
 
+def _label(label: str, source: str, lineno: int) -> str:
+    """label, or a ParseError unless it is one file-name component: `diagram` names files by it."""
+    # control characters: C0, DEL and C1 (Unicode category Cc)
+    bad = label in (".", "..") or any(c in "/\\" or ord(c) < 0x20 or 0x7f <= ord(c) <= 0x9f for c in label)
+    try:
+        os.fsencode(label)
+    except UnicodeEncodeError:
+        bad = True
+    if bad:
+        raise ParseError(f"defect label {label!r} must be one file-name component the file-system encoding "
+                         "holds, with no '/', '\\', control character, '.' or '..'", source, lineno)
+    return label
+
+
 def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest:
     base = Path(base_dir)
     sections = _sections(text, source)
@@ -194,7 +209,8 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
         elif parts and parts[0] == "defect":
             if len(parts) != 3:
                 raise ParseError("defect section must be '[defect <label> <charge>]'", source, no)
-            defect_blocks.append((no, parts[1], _integer(parts[2], "defect charge", source, no), kv))
+            defect_blocks.append((no, _label(parts[1], source, no),
+                                  _integer(parts[2], "defect charge", source, no), kv))
         elif parts and parts[0] == "spectrum":
             if len(parts) != 2 or parts[1] not in SPECTRUM_KINDS:
                 raise ParseError(

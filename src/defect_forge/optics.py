@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import fields_equal, readonly
 from .errors import ValidationError
 from .lattice import CrystalCell
 from .units import DEBYE_PER_E_ANG, HC_EV_NM, MEV_PER_EV
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 SPIN_CHANNELS = ("up", "down", "none")
+SHIFT_TOLERANCE_MEV = 0.5  # a stated shift further than this from ZPL - reference is flagged
+OVERLAP_TOLERANCE = 1e-3  # a larger |<f|i>| warns that the dipole depends on the origin
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,11 @@ class TableCheck:
     flagged: bool
 
 
-def table_consistency_check(records, reference_zpl_mev: float,
-                            tolerance_mev: float = 0.5) -> list[TableCheck]:
+def table_consistency_check(records, reference_zpl_mev: float) -> list[TableCheck]:
     """Cross-check stated ZPLs against stated shifts for every record.
 
-    A row is flagged when |stated shift - (ZPL - reference)| exceeds the
-    tolerance.  Rows with a missing ZPL are reconstructed as
+    A row is flagged when |stated shift - (ZPL - reference)| exceeds
+    SHIFT_TOLERANCE_MEV.  Rows with a missing ZPL are reconstructed as
     reference + shift and reported as such (not flagged: the reconstruction
     is consistent by construction).
     """
@@ -122,7 +124,7 @@ def table_consistency_check(records, reference_zpl_mev: float,
             out.append(TableCheck(rec, rec.zpl_mev, False, recomputed, 0.0, False))
             continue
         disc = abs(rec.shift_mev - recomputed)
-        out.append(TableCheck(rec, rec.zpl_mev, False, recomputed, disc, disc > tolerance_mev))
+        out.append(TableCheck(rec, rec.zpl_mev, False, recomputed, disc, disc > SHIFT_TOLERANCE_MEV))
     return out
 
 
@@ -151,11 +153,13 @@ class GridFunction:
     values: np.ndarray
     cell: CrystalCell
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
         if any(n < 1 for n in dims):
             raise ValidationError(f"grid dims must be positive, got {dims}")
-        vals = np.asarray(self.values, dtype=complex)
+        vals = readonly(self.values, dtype=complex)
         if vals.size != dims[0] * dims[1] * dims[2]:
             raise ValidationError(
                 f"value count {vals.size} does not match dims {dims} "
@@ -164,18 +168,15 @@ class GridFunction:
         vals = vals.reshape(dims)
         if not np.isfinite(vals.view(float)).all():
             raise ValidationError("grid values contain non-finite entries")
-        norm2 = float(np.sum(np.abs(vals) ** 2))
+        object.__setattr__(self, "dims", dims)
+        # the squared norm transition_dipole normalises by, which must not overflow there
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+            norm2 = float(np.sum(np.abs(vals) ** 2) * self.point_weight)
+        if not np.isfinite(norm2):
+            raise ValidationError("grid function L2 norm overflows (sum of |value|^2 * V/N is not finite)")
         if norm2 <= 0:
             raise ValidationError("grid function has zero L2 norm")
-        vals.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", vals)
-
-    def __eq__(self, other):
-        if not isinstance(other, GridFunction):
-            return NotImplemented
-        return (self.dims == other.dims and np.array_equal(self.values, other.values)
-                and self.cell == other.cell)
 
     @property
     def point_weight(self) -> float:
@@ -204,15 +205,14 @@ def _frac_grids(dims):
     return [np.arange(n) / n for n in dims]
 
 
-def transition_dipole(psi_i: GridFunction, psi_f: GridFunction,
-                      overlap_tolerance: float = 1e-3) -> TransitionDipole:
+def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDipole:
     """|<psi_f| r |psi_i>|^2 in Debye^2, per Cartesian component and total.
 
     Both states are normalized on their grid first.  Positions are measured
     from the charge-density centroid of the pair, wrapped by minimum image,
     so identical states give exactly zero and the result is invariant under
     global phases and (for orthogonal states) under the choice of origin.
-    Overlaps above `overlap_tolerance` only warn; the overlap is always
+    Overlaps above OVERLAP_TOLERANCE only warn; the overlap is always
     reported.
     """
     if psi_i.dims != psi_f.dims:
@@ -224,7 +224,7 @@ def transition_dipole(psi_i: GridFunction, psi_f: GridFunction,
     a = psi_i.values / np.sqrt(np.sum(np.abs(psi_i.values) ** 2) * w)
     b = psi_f.values / np.sqrt(np.sum(np.abs(psi_f.values) ** 2) * w)
     overlap = complex(np.sum(np.conj(b) * a) * w)
-    if abs(overlap) > overlap_tolerance:
+    if abs(overlap) > OVERLAP_TOLERANCE:
         warnings.warn(
             f"states are not orthogonal (|<f|i>| = {abs(overlap):.2e}); the length-gauge "
             "dipole retains an origin dependence of the same order"

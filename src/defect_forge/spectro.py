@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import fields_equal, readonly
 from .errors import FitNonConvergence, ValidationError
 from .fitting import (
     decay_jacobian,
@@ -45,6 +46,7 @@ MIN_SPECTRUM_SAMPLES = 16
 # measured reference point: 0.03 nm resolution at 1200 grooves/mm; scales
 # inversely with groove density
 RESOLUTION_NM_GPMM = 36.0
+PITCH_TOLERANCE = 0.01  # fraction of the median pitch a raster point may sit off its grid line
 
 
 def grating_resolution_nm(grating_gpmm: float) -> float:
@@ -66,9 +68,11 @@ class Spectrum:
     y_um: float | None = None
     location: str | None = None
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
-        wl = np.asarray(self.wavelength_nm, dtype=float)
-        ct = np.asarray(self.counts, dtype=float)
+        wl = readonly(self.wavelength_nm)
+        ct = readonly(self.counts)
         if wl.ndim != 1 or wl.shape != ct.shape:
             raise ValidationError("wavelength and counts must be 1-D arrays of equal length")
         if len(wl) < MIN_SPECTRUM_SAMPLES:
@@ -78,20 +82,8 @@ class Spectrum:
                                   row=int(np.argmin(np.diff(wl) > 0)) + 1)
         if np.any(ct < 0):
             raise ValidationError("counts must be >= 0", row=int(np.argmax(ct < 0)))
-        wl.flags.writeable = False
-        ct.flags.writeable = False
         object.__setattr__(self, "wavelength_nm", wl)
         object.__setattr__(self, "counts", ct)
-
-    def __eq__(self, other):
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return (np.array_equal(self.wavelength_nm, other.wavelength_nm)
-                and np.array_equal(self.counts, other.counts)
-                and (self.temperature_k, self.power_mw, self.grating_gpmm,
-                     self.x_um, self.y_um, self.location)
-                == (other.temperature_k, other.power_mw, other.grating_gpmm,
-                    other.x_um, other.y_um, other.location))
 
 
 @dataclass(frozen=True)
@@ -197,30 +189,23 @@ class DecayFit:
 
 @dataclass(frozen=True, eq=False)
 class DecayTrace:
-    """Time-resolved photon counts; fit carries the first-order decay result."""
+    """Time-resolved photon counts."""
 
     time_ns: np.ndarray
     counts: np.ndarray
-    fit: DecayFit | None = None
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
-        t = np.asarray(self.time_ns, dtype=float)
-        ct = np.asarray(self.counts, dtype=float)
+        t = readonly(self.time_ns)
+        ct = readonly(self.counts)
         if t.ndim != 1 or t.shape != ct.shape:
             raise ValidationError("time and counts must be 1-D arrays of equal length")
         if not np.all(np.diff(t) > 0):
             raise ValidationError("time axis must be strictly increasing",
                                   row=int(np.argmin(np.diff(t) > 0)) + 1)
-        t.flags.writeable = False
-        ct.flags.writeable = False
         object.__setattr__(self, "time_ns", t)
         object.__setattr__(self, "counts", ct)
-
-    def __eq__(self, other):
-        if not isinstance(other, DecayTrace):
-            return NotImplemented
-        return (np.array_equal(self.time_ns, other.time_ns)
-                and np.array_equal(self.counts, other.counts) and self.fit == other.fit)
 
 
 def fit_lifetime(trace: DecayTrace) -> DecayFit:
@@ -356,12 +341,11 @@ class RasterMap:
     values: np.ndarray
     missing: tuple[tuple[float, float], ...]
 
-    def __eq__(self, other):
-        if not isinstance(other, RasterMap):
-            return NotImplemented
-        return (np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
-                and np.array_equal(self.values, other.values, equal_nan=True)
-                and self.missing == other.missing)
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        for name in ("xs", "ys", "values"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 def _nearest(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -377,7 +361,7 @@ def _nearest(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(centers[right] - values) < np.abs(centers[left] - values), right, left)
 
 
-def _grid_axis(values: np.ndarray, tol_fraction: float):
+def _grid_axis(values: np.ndarray):
     vals = np.sort(values)
     # the sequential rules below compare each value with the last kept centre,
     # which a repeated value never changes, so they run over distinct values only
@@ -389,7 +373,7 @@ def _grid_axis(values: np.ndarray, tol_fraction: float):
     centers = np.array(centers)
     if len(centers) > 1:
         pitch = float(np.median(np.diff(centers)))
-        tol = tol_fraction * pitch
+        tol = PITCH_TOLERANCE * pitch
         merged = [centers[0]]
         for c in centers[1:].tolist():
             if c - merged[-1] <= tol:
@@ -402,12 +386,12 @@ def _grid_axis(values: np.ndarray, tol_fraction: float):
             worst = max(off.max(), spacing_dev.max())
             raise ValidationError(
                 "scan points do not sit on a uniform rectilinear grid "
-                f"(worst deviation {worst:g} exceeds {tol:g} = {tol_fraction:.0%} of pitch)"
+                f"(worst deviation {worst:g} exceeds {tol:g} = {PITCH_TOLERANCE:.0%} of pitch)"
             )
     return centers
 
 
-def raster_map(points, pitch_tolerance: float = 0.01) -> RasterMap:
+def raster_map(points) -> RasterMap:
     """Assemble (x_um, y_um, counts) scan points into a dense row-major grid.
 
     points is an (n, 3) array or any iterable of triples.  Each point goes to
@@ -420,8 +404,8 @@ def raster_map(points, pitch_tolerance: float = 0.01) -> RasterMap:
         raise ValidationError("raster points must be (x, y, counts) triples")
     if not np.isfinite(pts[:, :2]).all():
         raise ValidationError("raster point coordinates must be finite")
-    xs = _grid_axis(pts[:, 0], pitch_tolerance)
-    ys = _grid_axis(pts[:, 1], pitch_tolerance)
+    xs = _grid_axis(pts[:, 0])
+    ys = _grid_axis(pts[:, 1])
     cell = _nearest(ys, pts[:, 1]) * len(xs) + _nearest(xs, pts[:, 0])
     # numpy leaves the order of repeated indices in one assignment unspecified,
     # so pick each cell's last point first: the first in reversed order
@@ -432,7 +416,4 @@ def raster_map(points, pitch_tolerance: float = 0.01) -> RasterMap:
     grid = grid.reshape(len(ys), len(xs))
     iy, ix = np.nonzero(np.isnan(grid))
     missing = tuple(zip(xs[ix].tolist(), ys[iy].tolist()))
-    xs.flags.writeable = False
-    ys.flags.writeable = False
-    grid.flags.writeable = False
     return RasterMap(xs=xs, ys=ys, values=grid, missing=missing)

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 MAX_ABS_CHARGE = 3  # charge states handled by the diagrams
+MAX_FERMI_GRID = 10**6  # Fermi levels per diagram; a larger grid is refused before it is allocated
 
 
 @dataclass(frozen=True)
@@ -193,25 +194,22 @@ def _lowest_line(lines, fermi):
     return np.array([q for q, _ in ranked])[np.argmax(vals <= best + tol, axis=0)]
 
 
-def build_diagram(
-    runs,
-    host: HostReference,
-    corrections=None,
-    n_fermi: int = 2001,
-    intrinsic_fermi: float | None = None,
-) -> FormationDiagram:
+def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 2001) -> FormationDiagram:
     """Assemble the stability diagram for one defect over E_F in [0, gap].
 
     corrections maps charge -> CorrectionResult | float.  Duplicate charge
     states keep the lowest total energy (with a warning), mirroring the
-    handling of metastable configurations.  intrinsic_fermi defaults to
-    mid-gap, the neutral undoped-host marker.
+    handling of metastable configurations.  n_fermi in [2, MAX_FERMI_GRID]
+    Fermi levels sample the gap; the intrinsic one is mid-gap, the neutral
+    undoped-host marker.
     """
     runs = list(runs)
     if not runs:
         raise ValidationError("build_diagram requires at least one run")
     if n_fermi < 2:
         raise ValidationError("n_fermi must be >= 2")
+    if n_fermi > MAX_FERMI_GRID:
+        raise ValidationError(f"n_fermi must be <= {MAX_FERMI_GRID}, got {n_fermi}")
     corrections = dict(corrections) if corrections else {}
 
     by_charge: dict[int, DefectRun] = {}
@@ -258,8 +256,7 @@ def build_diagram(
         for a, b in zip(intervals[:-1], intervals[1:])
     )
 
-    if intrinsic_fermi is None:
-        intrinsic_fermi = 0.5 * gap
+    intrinsic_fermi = 0.5 * gap
     fermi = np.linspace(0.0, gap, int(n_fermi))
     stable_mid = next(iv.charge for iv in intervals if iv.lo <= intrinsic_fermi <= iv.hi)
     return FormationDiagram(

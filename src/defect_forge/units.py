@@ -19,5 +19,4 @@ DEBYE_PER_E_ANG = 4.80320
 # Bohr radius in Angstrom (used only by analytic test fixtures).
 BOHR_ANG = 0.529177210903
 
-EV_PER_MEV = 1e-3
 MEV_PER_EV = 1e3

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,37 @@ def test_diagram_non_finite_energy_exit_2(tmp_path, capsys, bad):
         assert not any(word in path.read_text() for word in ("NaN", "nan", "Infinity"))
 
 
+@pytest.mark.parametrize("label", ["../../escaped", "a/b", "a\\b", ".", "..", "C\x00i", "C\x7fi", "C\x9bi"])
+def test_diagram_refuses_a_label_that_is_not_one_file_name(tmp_path, capsys, label):
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    text = manifest.read_text()
+    manifest.write_text(text.replace("[defect Ci -1]", f"[defect {label} -1]"), encoding="utf-8")
+    line = text[:text.index("[defect Ci -1]")].count("\n") + 1
+    out = tmp_path / "a" / "b" / "out"
+    assert run_cli("diagram", "--manifest", manifest, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {manifest}:{line}: defect label {label!r} must be one file-name component" in err
+    assert "Traceback" not in err
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and not p.is_relative_to(tmp_path / "inputs")]
+    assert written == [out / "logs" / "diagram.log"]
+
+
+def test_diagram_refuses_a_label_the_c_locale_cannot_encode(tmp_path):
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    text = manifest.read_text()
+    manifest.write_text(text.replace("[defect Ci 0]", "[defect Cé 0]"), encoding="utf-8")
+    line = text[:text.index("[defect Ci 0]")].count("\n") + 1
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    result = subprocess.run([sys.executable, "-m", "defect_forge.cli", "diagram", "--manifest",
+                             str(manifest), "--out", str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, errors="replace", timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert f"error: {manifest}:{line}: defect label 'C\\xe9' must be one file-name component" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not list((tmp_path / "out" / "diagrams").iterdir())
+
+
 def test_diagram_leaves_spectrum_and_grid_files_unparsed(tmp_path):
     """diagram reads the defect records only; a broken PL file or grid pair cannot fail it."""
     clean = write_demo_manifest(tmp_path / "clean")
@@ -162,6 +194,19 @@ def test_diagram_evaluates_site_potentials_once_per_position(tmp_path, monkeypat
     assert "Ci q=-1:" in log and "Ci q=-2:" in log and "Cs q=-1:" in log
     assert len(evaluated) == len(set(evaluated)) == sampled[0] + 1
     assert np.zeros(3).tobytes() in evaluated  # the self potential at the charge site
+
+
+def test_diagram_fermi_grid_above_the_bound_exit_2(tmp_path, capsys, monkeypatch):
+    manifest = write_demo_manifest(tmp_path / "inputs")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the Fermi grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "out"
+    assert run_cli("diagram", "--manifest", manifest, "--out", out, "--fermi-grid", "1000001") == 2
+    assert "error: n_fermi must be <= 1000000, got 1000001" in capsys.readouterr().err
+    assert not list((out / "diagrams").iterdir())
 
 
 def test_diagram_green_region_topology(tmp_path):
@@ -246,6 +291,21 @@ def test_tdm_command(tmp_path):
     payload = json.loads((out / "optics" / "tdm.json").read_text())
     assert payload["squared_total_debye2"] > 0
     assert abs(payload["overlap"]["re"]) < 1e-6
+
+
+def test_tdm_overflowing_grid_exit_2(tmp_path, capsys):
+    args = write_command_inputs(tmp_path / "inputs")["tdm"]
+    grid = tmp_path / "inputs" / "psi_i.grid"
+    header, first, rest = grid.read_text().split("\n", 2)
+    grid.write_text("\n".join([header, "1e308 " + first.split(" ", 1)[1], rest]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal must be the only message
+        assert run_cli("tdm", *args, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {grid}:1: grid function L2 norm overflows" in err
+    assert "Traceback" not in err
+    assert not (out / "optics" / "tdm.json").exists()
 
 
 def test_fitpl_command(tmp_path):

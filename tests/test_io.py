@@ -175,19 +175,18 @@ def _write_grid_per_value(grid, per_line):
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_write_grid_matches_per_value_format(rng, per_line, dims, complex_values):
     n = dims[0] * dims[1] * dims[2]
-    specials = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0]
-    vals = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    # magnitudes up to 1e150 keep the L2 norm finite, as GridFunction requires
+    specials = [-0.0, 5e-324, -2.5e-310, 1e150, -1e150, 0.1, 1.0 / 3.0]
+    vals = rng.normal(size=n) * 10.0 ** rng.integers(-300, 150, n)
     vals[:min(n, len(specials))] = specials[:n]
     if n == 1:
         vals[0] = 1.0 / 3.0
     if complex_values:
         vals = vals + 1j * np.roll(vals, 1)
-    with np.errstate(over="ignore"):  # 1e308 overflows the L2 norm, which only needs to be > 0
-        grid = GridFunction(dims, vals, CrystalCell(np.eye(3)))
+    grid = GridFunction(dims, vals, CrystalCell(np.eye(3)))
     text = io.write_grid(grid, per_line)
     assert text == _write_grid_per_value(grid, per_line)
-    with np.errstate(over="ignore"):
-        assert io.parse_grid(text, grid.cell) == grid
+    assert io.parse_grid(text, grid.cell) == grid
 
 
 # --- measurement CSVs ---------------------------------------------------------------
@@ -369,6 +368,18 @@ def test_diagram_csv_round_trip():
     assert set(stable) == {0, -1, -2}
     # envelope column is the pointwise minimum of the line columns
     np.testing.assert_array_equal(envelope, energies.min(axis=1))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("nan,1,1,0", "non-finite value in fermi_eV: 'nan'"),
+    ("0,inf,1,0", "non-finite value in q=+0: 'inf'"),
+    ("0,1,-inf,0", "non-finite value in envelope_eV: '-inf'"),
+    ("0,x,1,0", "non-numeric value in q=+0: 'x'"),
+])
+def test_diagram_csv_refuses_a_value_that_is_not_a_finite_number(row, message):
+    with pytest.raises(ParseError) as err:
+        io.parse_diagram_csv(f"fermi_eV,q=+0,envelope_eV,stable_q\n0,1,1,0\n{row}\n", source="d.csv")
+    assert str(err.value) == f"d.csv:3: {message}"
 
 
 def write_diagram_per_row(diag):

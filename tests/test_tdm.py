@@ -140,3 +140,13 @@ def test_degenerate_grid_rejected():
         GridFunction((4, 4, 4), np.ones(63), cell)
     with pytest.raises(ValidationError):
         GridFunction((4, 4, 4), np.full(64, np.nan), cell)
+
+
+@pytest.mark.parametrize("peak, side", [(1e308, 1.0), (4e153, 10.0)])
+def test_grid_whose_l2_norm_overflows_is_rejected(peak, side):
+    """|value|^2 summed, times the cell volume per point, must be finite: here it overflows
+    in the square, and in the weight of 125 A^3 per point."""
+    values = np.full(8, 1e-3)
+    values[0] = peak
+    with np.errstate(over="raise"), pytest.raises(ValidationError, match="L2 norm overflows"):
+        GridFunction((2, 2, 2), values, cube_cell(side))

@@ -12,6 +12,7 @@ from defect_forge import (
     build_diagram,
     delta_ks,
     formation_energy,
+    thermo,
     transition_level,
 )
 
@@ -127,6 +128,20 @@ def test_stable_charge_rejects_non_finite_fermi(fermi):
     diag = build_diagram([run_with_intercept(1.0, -1), run_with_intercept(0.5, 0)], host())
     with pytest.raises(ValidationError, match="finite"):
         diag.stable_charge(fermi)
+
+
+def test_diagram_refuses_a_fermi_grid_above_the_bound_before_allocating(monkeypatch):
+    runs = [run_with_intercept(1.0, -1), run_with_intercept(0.5, 0)]
+    assert len(build_diagram(runs, host(), n_fermi=thermo.MAX_FERMI_GRID).fermi) == 10**6
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the Fermi grid was allocated")
+
+    monkeypatch.setattr(thermo.np, "linspace", no_grid)
+    with pytest.raises(ValidationError, match="n_fermi must be <= 1000000, got 1000001"):
+        build_diagram(runs, host(), n_fermi=10**6 + 1)
+    with pytest.raises(ValidationError, match="n_fermi must be >= 2"):
+        build_diagram(runs, host(), n_fermi=1)
 
 
 def test_diagram_topology_fixture():

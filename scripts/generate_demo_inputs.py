@@ -1,136 +1,40 @@
 #!/usr/bin/env python3
-"""Generate a synthetic demo project exercising every pipeline input format.
+"""Write the demo project and run every command of the demo workload on it once.
 
 Usage: python scripts/generate_demo_inputs.py [target_dir]
 
-Creates a host cell, defect run records (with model-generated site
-potentials so the finite-size correction has realistic input), measured-data
-CSVs and a run manifest wiring it all together.
+The inputs are those of the benchmark's `demo` workload at a fixed seed
+(benchmark/workloads.py): a host cell with one defect in three charge states,
+a grid state pair, PL, TR-PL, saturation, dose and raster data, a ZPL/TDM
+record table and a run manifest.  The artifacts land in target_dir/out.
 """
 
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
+from workloads import demo  # noqa: E402
 
-from defect_forge import CrystalCell, EwaldContext, GridFunction, Site, Spectrum, DecayTrace
-from defect_forge import io_formats as io
-from defect_forge.fitting import decay_model, peak_model, saturation_model
-from defect_forge.lattice import minimum_image
-from defect_forge.units import COULOMB_EV_ANG
+from defect_forge.cli import main as cli  # noqa: E402
 
-RNG = np.random.default_rng(7)
-
-
-def host_cell(n=4, a=10.86):
-    sites = tuple(Site("Si", (i / n, j / n, k / n))
-                  for i in range(n) for j in range(n) for k in range(n))
-    return CrystalCell(np.eye(3) * a, sites, dielectric=11.7)
-
-
-def site_potential_rows(cell, charge, defect_frac, noise=2e-4):
-    """Model potentials plus a constant offset and a little noise."""
-    ctx = EwaldContext.for_cell(cell)
-    rows = []
-    for idx, site in enumerate(cell.sites):
-        disp = minimum_image(cell, site.frac - np.asarray(defect_frac))
-        if np.linalg.norm(disp) < 1e-6:
-            continue
-        v = COULOMB_EV_ANG * charge * float(ctx.potential_terms(disp[None, :])[0])
-        rows.append((idx, v - 0.031 + RNG.normal(0.0, noise)))
-    return rows
+SEED = 7
 
 
 def main(target: Path) -> int:
     target.mkdir(parents=True, exist_ok=True)
-    cell = host_cell()
-    io.save_structure(cell, target / "host.cell", comment="silicon host model cell")
-
-    # defect charge states: intercepts chosen to give a neutral window plus
-    # acceptor transitions within the gap
-    runs = {0: 1.0, -1: 1.45, -2: 2.2}
-    for q, e_tot in runs.items():
-        lines = [f"e_total = {e_tot}", "delta.C = 1", "position = 0.5 0.5 0.5"]
-        (target / f"ci_q{q}.run").write_text("\n".join(lines) + "\n")
-        if q != 0:
-            rows = site_potential_rows(cell, q, (0.5, 0.5, 0.5))
-            (target / f"ci_q{q}.pot").write_text(
-                "\n".join(f"{i} {v:.10f}" for i, v in rows) + "\n")
-    (target / "ci_q0.eig").write_text(
-        "down 0 0.100 1.0\ndown 1 0.917 0.0\nup 0 0.120 1.0\nup 1 0.940 0.0\n")
-
-    # five-line PL spectrum, narrow ZPLs on a weak baseline
-    wl = np.arange(1410.0, 1460.0, 0.01)
-    params = [15.0]
-    for amp, center in ((420.0, 1415.4), (900.0, 1441.7), (600.0, 1444.3),
-                        (1200.0, 1450.8), (800.0, 1453.6)):
-        params += [amp, center, 0.30]
-    counts = peak_model(wl, params, "lorentzian") + RNG.normal(0.0, 2.0, len(wl)).clip(-10, None)
-    io.save_spectrum(Spectrum(wavelength_nm=wl, counts=np.clip(counts, 0.0, None),
-                              temperature_k=6.0, power_mw=0.5, grating_gpmm=150.0),
-                     target / "pl.csv")
-
-    # TR-PL decay, 3 ns lifetime with Poisson counting noise
-    t = np.linspace(0.0, 30.0, 600)
-    trace = RNG.poisson(decay_model(t, [1200.0, 3.0, 12.0])).astype(float)
-    io.save_decay(DecayTrace(time_ns=t, counts=trace), target / "trpl.csv")
-
-    # saturation curve around a 0.7 mW knee
-    p = np.geomspace(0.05, 3.0, 18)
-    sat = saturation_model(p, [5200.0, 0.7]) * RNG.normal(1.0, 0.015, len(p))
-    (target / "saturation.csv").write_text(io.write_xy(p, sat, "power_mW,intensity"))
-
-    # dose curve: write, erase, rewrite
-    flu = [10.0, 16.0, 22.0, 30.0, 38.0, 44.5]
-    inten = [150.0, 1000.0, 500.0, 60.0, 420.0, 900.0]
-    (target / "dose.csv").write_text(io.write_xy(flu, inten, "fluence_mJcm2,intensity"))
-
-    # raster scan, fluence increasing row by row, one dead pixel
-    pts = []
-    for iy in range(8):
-        for ix in range(10):
-            if (ix, iy) == (4, 3):
-                continue
-            pts.append(f"{ix * 2.0},{iy * 2.0},{50.0 * (iy + 1) + RNG.normal(0, 3.0):.3f}")
-    (target / "raster.csv").write_text("x_um,y_um,counts\n" + "\n".join(pts) + "\n")
-
-    # orthogonal s / p_z pair on a grid, for the tdm command
-    box = CrystalCell(np.eye(3) * 12.0)
-    io.save_structure(box, target / "box.cell", comment="bare box for grid states")
-    n = 24
-    idx = np.arange(n) / n
-    fx, fy, fz = np.meshgrid(idx, idx, idx, indexing="ij")
-    d2 = (fx - 0.5) ** 2 + (fy - 0.5) ** 2 + (fz - 0.5) ** 2
-    io.save_grid(GridFunction((n, n, n), np.exp(-d2 * 40.0), box), target / "psi_i.grid")
-    io.save_grid(GridFunction((n, n, n), (fz - 0.5) * np.exp(-d2 * 40.0), box),
-                 target / "psi_f.grid")
-
-    manifest = [
-        "project = demo",
-        "",
-        "[host]",
-        "cell = host.cell",
-        "e_bulk = 0.0",
-        "e_vbm = 0.0",
-        "e_gap = 1.17",
-        "dielectric = 11.7",
-        "mu.C = 0.0",
-        "",
-    ]
-    for q in runs:
-        manifest += [f"[defect Ci {q}]", f"energy = ci_q{q}.run"]
-        if q == 0:
-            manifest.append("eigenvalues = ci_q0.eig")
-        else:
-            manifest.append(f"site_potentials = ci_q{q}.pot")
-        manifest.append("")
-    manifest += ["[spectrum pl]", "file = pl.csv",
-                 "[spectrum trpl]", "file = trpl.csv",
-                 "[spectrum dose]", "file = dose.csv",
-                 "[spectrum raster]", "file = raster.csv"]
-    (target / "run.manifest").write_text("\n".join(manifest) + "\n")
-    print(f"demo inputs written to {target}/")
-    return 0
+    workload = demo(target, SEED)
+    codes = []
+    cwd = os.getcwd()
+    os.chdir(target)  # the workload's commands name their inputs relative to it
+    try:
+        for _, argv in workload.commands:
+            print(f"\n$ defect-forge {' '.join(argv)} --out out")
+            codes.append(cli([*argv, "--out", "out"]))
+    finally:
+        os.chdir(cwd)
+    print(f"\nartifacts under {target / 'out'}/")
+    return next((code for code in codes if code), 0)
 
 
 if __name__ == "__main__":

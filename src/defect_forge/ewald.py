@@ -21,12 +21,13 @@ Angstrom.  Summation cutoffs are auto-grown until analytic Gaussian tail
 bounds fall below a tolerance, which makes results parameter-free: energies
 are independent of the splitting parameter eta to well below 1e-7 eV.
 finite_size_correction finds the minimum images of all sampled sites in one
-call.  The context memoises the terms of each home-cell point by its bytes,
-so a point shared by charge states or by defects on equivalent host sites is
-evaluated once per context (the model potential is C * q times terms of the
-reduced point alone).  The context is otherwise immutable and all operations
-are pure, so (charge, position) evaluations can run concurrently; at worst a
-concurrent caller misses the memo and computes the same term again.
+call.  potential_terms memoises the terms of each home-cell point by its
+bytes, so a point shared by charge states or by defects on equivalent host
+sites is evaluated once per context (the model potential is C * q times terms
+of the reduced point alone); the self potential is computed apart, once.  The
+context is otherwise immutable and all operations are pure, so (charge,
+position) evaluations can run concurrently; at worst a concurrent caller
+misses the memo and computes the same term again.
 """
 
 from __future__ import annotations
@@ -156,9 +157,17 @@ class EwaldContext:
         """Gauge-fixed periodic potential per unit (C*q) at Cartesian points.
 
         Points are reduced into the home cell first (pure translation, the
-        potential is periodic).  Shape (n,) output for (n, 3) input.
+        potential is periodic), and each distinct reduced point is evaluated
+        once per context.  Shape (n,) output for (n, 3) input.
         """
-        return np.array([self._point_term(p) for p in self._home_cell(points)])
+        memo = self.__dict__.setdefault("_term_memo", {})
+        terms = []
+        for p in self._home_cell(points):
+            key = p.tobytes()
+            if key not in memo:
+                memo[key] = self._point_term(p)
+            terms.append(memo[key])
+        return np.array(terms)
 
     def _home_cell(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -179,21 +188,10 @@ class EwaldContext:
         recip = (4.0 * np.pi / volume) * float(np.sum(gweights * np.cos(gvecs @ p)))
         return real + recip - np.pi / (volume * self.eta * self.eta)
 
-    def _far_site_terms(self, disp: np.ndarray) -> np.ndarray:
-        """potential_terms(disp), evaluating each distinct home-cell point once per context."""
-        memo = self.__dict__.setdefault("_term_memo", {})
-        terms = []
-        for p in self._home_cell(disp):
-            key = p.tobytes()
-            if key not in memo:
-                memo[key] = self._point_term(p)
-            terms.append(memo[key])
-        return np.array(terms)
-
     @cached_property
     def self_potential_per_q(self) -> float:
         """Madelung potential at the charge site per unit (C*q), own charge removed."""
-        base = float(self.potential_terms(np.zeros((1, 3)))[0])
+        base = self._point_term(np.zeros(3))
         return base - 2.0 * self.eta / (np.sqrt(np.pi) * self._sqrt_det_eps)
 
 
@@ -280,7 +278,7 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
             f"{sampling_radius:.3f} A; at least 4 are required for a meaningful alignment"
         )
 
-    v_model = COULOMB_EV_ANG * q * ctx._far_site_terms(far_disp)
+    v_model = COULOMB_EV_ANG * q * ctx.potential_terms(far_disp)
     far_dv = np.array([v for _, v in pots])[far]
     delta_phi = float(np.mean(far_dv - v_model))
     e_pc = -lattice_energy(ctx, q)

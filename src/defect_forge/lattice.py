@@ -68,9 +68,11 @@ class CrystalCell:
         lat = readonly(self.lattice).reshape(3, 3)
         if not np.isfinite(lat).all():
             raise ValidationError("lattice contains non-finite entries")
-        if np.linalg.det(lat) <= 0:
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(lat)
+        if not (np.isfinite(det) and det > 0):
             raise ValidationError(
-                f"lattice determinant must be > 0 (got {np.linalg.det(lat):g}); "
+                f"lattice determinant must be finite and > 0 (got {det:g}); "
                 "rows must form a right-handed, non-degenerate basis"
             )
         eps = np.array(self.dielectric, dtype=float)

@@ -187,11 +187,16 @@ class FormationDiagram:
 def _lowest_line(lines, fermi):
     """Charge of the lowest (q, intercept) line at each fermi; near-ties go to the lower |q|, then q."""
     ranked = sorted(lines, key=lambda line: (abs(line[0]), line[0]))
-    vals = np.stack([c + q * np.asarray(fermi) for q, c in ranked])
-    best = vals.min(axis=0)
-    tol = 1e-12 * np.maximum(1.0, np.abs(best))
-    # the first line in tie-rule order that lies within tol of the minimum
-    return np.array([q for q, _ in ranked])[np.argmax(vals <= best + tol, axis=0)]
+    # near the largest float a line may overflow to +-inf, and so may the
+    # limit (nan when best is -inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.stack([c + q * np.asarray(fermi) for q, c in ranked])
+        best = vals.min(axis=0)
+        limit = best + 1e-12 * np.maximum(1.0, np.abs(best))
+    # the first line in tie-rule order that lies within the tolerance of the
+    # minimum; a line that overflowed to inf never ties a finite minimum
+    ties = (vals == best) | ((vals <= limit) & np.isfinite(vals))
+    return np.array([q for q, _ in ranked])[np.argmax(ties, axis=0)]
 
 
 def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 2001) -> FormationDiagram:

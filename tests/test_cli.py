@@ -308,6 +308,18 @@ def test_tdm_overflowing_grid_exit_2(tmp_path, capsys):
     assert not (out / "optics" / "tdm.json").exists()
 
 
+def test_tdm_cell_whose_volume_overflows_exit_2(tmp_path, capsys):
+    args = write_command_inputs(tmp_path / "inputs")["tdm"]
+    cell = tmp_path / "inputs" / "big.cell"
+    cell.write_text("big box\n1e120 0 0\n0 1e120 0\n0 0 1e120\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("tdm", *args[:-1], cell, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"error: {cell}:2: lattice determinant must be finite and > 0 (got inf)" in err
+    assert "Traceback" not in err
+
+
 def test_fitpl_command(tmp_path):
     wl = np.arange(1449.0, 1453.0, 0.004)
     counts = peak_model(wl, [5.0, 1000.0, 1450.8, 0.03], "lorentzian")

@@ -114,19 +114,34 @@ def test_parsers_return_or_raise_parse_error(demo, name, edits):
             pass
 
 
-def _check_command(demo, command, name, edits):
-    """The command on the demo inputs with `name` mutated exits 0, 2 or 3, with no traceback
-    and no non-finite number in its JSON."""
+def _check_command(demo, command, name, edits, options=(), label=None):
+    """The command on a copy of the demo inputs, with `name` mutated, `options` appended and,
+    given a label, the defect label replaced, exits 0, 2 or 3 (argparse's exit counts), with no
+    traceback, writes only under --out and puts no non-finite number in its JSON."""
     root, commands = demo
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = _copy_with(root, name, edits, Path(tmp))
+        tmp = Path(tmp)
+        inputs = _copy_with(root, name, edits, tmp)
+        if label is not None:
+            manifest = inputs / "run.manifest"
+            text = manifest.read_text(encoding="utf-8")
+            manifest.write_text(text.replace("[defect Ci ", f"[defect {label} "), encoding="utf-8")
         args = [inputs / a.name if isinstance(a, Path) else a for a in commands[command]]
+        # --out sits four levels below tmp, so a path that climbs out of it still lands in
+        # tmp; argparse keeps the last value of an option given twice
+        out = tmp / "1" / "2" / "3" / "out"
+        before = set(tmp.rglob("*"))
         err = text_io.StringIO()
         with contextlib.redirect_stdout(text_io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, *map(str, args), "--out", str(Path(tmp) / "out")])
+            try:
+                code = main([command, *map(str, args), *options, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
-        for json_path in (Path(tmp) / "out").rglob("*.json*"):
+        written = [p for p in set(tmp.rglob("*")) - before if p.is_file()]
+        assert all(out in p.parents for p in written), written
+        for json_path in out.rglob("*.json*"):
             text = json_path.read_text(encoding="utf-8")
             assert not any(word in text for word in ("NaN", "nan", "Infinity")), json_path.name
 
@@ -153,3 +168,54 @@ def test_commands_on_mutated_inputs_keep_the_cli_contract(demo, command, name, e
 @given(edits=MUTATIONS)
 def test_fitpl_on_mutated_inputs_keeps_the_cli_contract(demo, edits):
     _check_command(demo, "fitpl", "peak.csv", edits)
+
+
+# --- arguments and defect labels -----------------------------------------------------
+
+# the text of a numeric option: plain values in the range the demo inputs
+# accept, any float, any modest integer, and overflow, not-a-number, signed
+# zero, empty, hexadecimal and junk
+PLAIN = st.floats(0.0, 1e3).map(repr)
+NUMBER_TEXT = st.one_of(PLAIN, PLAIN, st.floats().map(repr), st.integers(-10**9, 10**9).map(str),
+                        st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "", "0x10", "x", "1,2"]))
+# small grids, and grids above the 10^6 bound, which are refused before allocation
+FERMI_GRIDS = st.one_of(st.integers(-3, 64), st.integers(10**6 + 1, 10**18)).map(str)
+# a plain label, or one made of path parts, NUL, controls (ESC, NEL), a line
+# separator and non-ASCII
+LABELS = st.one_of(st.sampled_from(["Ci", "Cé", "X-1"]),
+                   st.lists(st.sampled_from(["..", ".", "/", "\\", "\x00", "\x1b", "\x85", "\u2028",
+                                             "é", "Ω", "Ci", "-"]),
+                            min_size=1, max_size=6).map("".join))
+
+
+def _option(name: str, value: str, joined: bool) -> list[str]:
+    """`--name=value` reaches the option's converter even for '-inf'; `--name value` may not."""
+    return [f"{name}={value}"] if joined else [name, value]
+
+
+@FUZZ_SETTINGS
+@given(grid=FERMI_GRIDS, label=LABELS, joined=st.booleans())
+def test_diagram_fermi_grid_and_labels_keep_the_cli_contract(demo, grid, label, joined):
+    _check_command(demo, "diagram", "run.manifest", [], _option("--fermi-grid", grid, joined), label)
+
+
+@FUZZ_SETTINGS
+@given(reference=NUMBER_TEXT, joined=st.booleans())
+def test_optics_reference_keeps_the_cli_contract(demo, reference, joined):
+    _check_command(demo, "optics", "table.csv", [], _option("--reference", reference, joined))
+
+
+@settings(FUZZ_SETTINGS, max_examples=6)  # the peak fit is the slowest command
+@given(max_peaks=st.one_of(st.integers(-2, 8), st.integers(9, 10**9)).map(str) | NUMBER_TEXT,
+       joined=st.booleans())
+def test_fitpl_max_peaks_keeps_the_cli_contract(demo, max_peaks, joined):
+    _check_command(demo, "fitpl", "peak.csv", [], _option("--max-peaks", max_peaks, joined))
+
+
+@FUZZ_SETTINGS
+@given(classify=st.lists(NUMBER_TEXT, min_size=1, max_size=3).map(",".join),
+       threshold=NUMBER_TEXT, label=LABELS, joined=st.booleans())
+def test_dose_options_keep_the_cli_contract(demo, classify, threshold, label, joined):
+    options = (_option("--classify", classify, joined) + _option("--damage-threshold", threshold, joined)
+               + _option("--label", label, joined))
+    _check_command(demo, "dose", "dose.csv", [], options)

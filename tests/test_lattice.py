@@ -1,5 +1,7 @@
 """Lattice algebra, wrapping, supercells, coordinate conversions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,13 @@ def test_singular_lattice_rejected():
 def test_left_handed_lattice_rejected():
     with pytest.raises(ValidationError):
         CrystalCell(-np.eye(3))
+
+
+def test_lattice_whose_volume_overflows_is_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal must be the only message
+        with pytest.raises(ValidationError, match=r"must be finite and > 0 \(got inf\)"):
+            CrystalCell(np.eye(3) * 1e120)
 
 
 def test_dielectric_validation():

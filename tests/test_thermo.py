@@ -1,5 +1,7 @@
 """Formation energies, transition levels, stability envelopes, Kohn-Sham gaps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from defect_forge import (
     DefectRun,
+    FormationDiagram,
     HostReference,
     ValidationError,
     build_diagram,
@@ -128,6 +131,18 @@ def test_stable_charge_rejects_non_finite_fermi(fermi):
     diag = build_diagram([run_with_intercept(1.0, -1), run_with_intercept(0.5, 0)], host())
     with pytest.raises(ValidationError, match="finite"):
         diag.stable_charge(fermi)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stable_charge_when_a_line_overflows(sign):
+    """Both lines at +max (or -max) float; at E_F = -1e293 the q=-1 line overflows to +inf
+    (or the q=+1 line to -inf), so q=+1 is the lowest line either way."""
+    top = sign * np.finfo(float).max
+    diag = FormationDiagram(gap=1.0, fermi=np.zeros(1), lines=((-1, top), (1, top)), intervals=(),
+                            transition_levels=(), intrinsic_fermi=0.5, stable_at_intrinsic=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diag.stable_charge(-1e293) == 1
 
 
 def test_diagram_refuses_a_fermi_grid_above_the_bound_before_allocating(monkeypatch):

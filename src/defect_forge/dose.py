@@ -11,8 +11,9 @@ regardless of the calibration.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -87,25 +88,20 @@ def calibrate(points, label: str = "") -> DoseCurve:
             last = "falling"
         directions.append(last)
 
-    # merge runs of equal direction into segments
-    seg_spans = []
-    start = 0
-    for k in range(1, len(directions)):
-        if directions[k] != directions[k - 1]:
-            seg_spans.append((start, k, directions[k - 1]))
-            start = k
-    seg_spans.append((start, len(directions), directions[-1]))
-
+    # one segment per run of equal direction
     segments = []
     seen_fall = False
-    for a, b, direction in seg_spans:
+    start = 0
+    for direction, run in groupby(directions):
+        end = start + len(list(run))
         if direction == "rising":
             regime = REGIME_REWRITE if seen_fall else REGIME_WRITE
         else:
             regime = REGIME_ERASE
             seen_fall = True
-        segments.append(Segment(lo=float(flu[a]), hi=float(flu[b]), direction=direction,
+        segments.append(Segment(lo=float(flu[start]), hi=float(flu[end]), direction=direction,
                                 regime=regime))
+        start = end
     boundaries = tuple(s.hi for s in segments[:-1])
     return DoseCurve(label=label, fluences=flu, intensities=inten,
                      segments=tuple(segments), boundaries=boundaries)
@@ -136,8 +132,6 @@ def classify_with_segment(curve: DoseCurve, fluence: float, damage_threshold: fl
         return REGIME_DAMAGE, None
     if fluence < curve.fluences[0]:
         return REGIME_BELOW, None
-    idx = min(bisect_right([s.lo for s in curve.segments], fluence) - 1,
-              len(curve.segments) - 1)
-    if fluence == curve.segments[idx].lo and idx > 0:
-        idx -= 1
+    # the first segment that ends at or above the fluence: a boundary belongs to the segment on its left
+    idx = min(bisect_left([s.hi for s in curve.segments], fluence), len(curve.segments) - 1)
     return curve.segments[idx].regime, idx

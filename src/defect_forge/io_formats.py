@@ -52,6 +52,16 @@ def _content(text: str):
             yield no, ln
 
 
+def _keys(entries, source: str, what: str, known, prefix: str = ""):
+    """The (line, key, value) entries whose key is in `known` or has `prefix`, in file order;
+    any other key is warned about at its line and skipped."""
+    for no, key, value in entries:
+        if key in known or (prefix and key.startswith(prefix)):
+            yield no, key, value
+        else:
+            warnings.warn(f"{source}:{no}: ignoring unknown {what}key '{key}'")
+
+
 def _table(text: str, source: str, header: str):
     """The (line number, line) data rows of a CSV whose first content line must be `header`."""
     rows = _content(text)
@@ -270,12 +280,7 @@ def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction
         raise ParseError("empty grid file", source, 1)
     no, header = lines[0]
     dims, kind = _grid_header(header, source, no)
-    tokens: list[float] = []
-    for no, ln in lines[1:]:
-        try:
-            tokens.extend(float(t) for t in ln.split())
-        except ValueError as exc:
-            raise ParseError(f"non-numeric grid value: {exc}", source, no) from None
+    tokens = [_number(t, "grid", source, no) for no, ln in lines[1:] for t in ln.split()]
     need = _grid_value_count(dims, kind)
     if len(tokens) != need:
         raise ParseError(
@@ -349,23 +354,20 @@ _SPECTRUM_META_FLOAT = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_
 
 def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
     arr = _parse_csv_body(text, source, "wavelength_nm,counts", "spectrum")
-    meta: dict[str, tuple[int, str]] = {}  # '# key=value' comment -> (line number, value)
+    entries = []  # (line number, key, value) of each '# key=value' comment
     for no, ln in enumerate(text.splitlines(), start=1):
         ln = ln.strip()
         if ln.startswith("#") and "=" in ln:
             key, _, value = ln[1:].partition("=")
-            meta[key.strip()] = (no, value.strip())
-    known = dict.fromkeys(_SPECTRUM_META_FLOAT)
-    for key, (no, value) in meta.items():
-        if key in known:
-            known[key] = _number(value, f"metadata '{key}'", source, no)
-        elif key != "location":
-            warnings.warn(f"{source}: ignoring unknown metadata key '{key}'")
+            entries.append((no, key.strip(), value.strip()))
+    meta = dict.fromkeys((*_SPECTRUM_META_FLOAT, "location"))
+    for no, key, value in _keys(entries, source, "metadata ", meta):
+        meta[key] = value if key == "location" else _number(value, f"metadata '{key}'", source, no)
     return _series(
         Spectrum, arr, text, source,
-        temperature_k=known["temperature_K"], power_mw=known["power_mW"],
-        grating_gpmm=known["grating_gpmm"], x_um=known["x_um"], y_um=known["y_um"],
-        location=meta["location"][1] if "location" in meta else None,
+        temperature_k=meta["temperature_K"], power_mw=meta["power_mW"],
+        grating_gpmm=meta["grating_gpmm"], x_um=meta["x_um"], y_um=meta["y_um"],
+        location=meta["location"],
     )
 
 

@@ -11,14 +11,13 @@ returned as resolved paths; the command that reads one parses it.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .io_formats import _at, _content, _integer, _load, _number, load_structure
+from .io_formats import _at, _content, _integer, _keys, _load, _number, load_structure
 from .lattice import CrystalCell
 from .thermo import DefectRun, HostReference
 
@@ -60,22 +59,30 @@ class RunManifest:
 
 # --- key=value record files ---------------------------------------------------
 
+def _entry(no: int, ln: str, source: str, expected: str) -> tuple[int, str, str]:
+    """(line, key, value) of a 'key = value' line; any other line is a ParseError."""
+    if "=" not in ln:
+        raise ParseError(f"expected {expected}, got '{ln}'", source, no)
+    key, _, value = (p.strip() for p in ln.partition("="))
+    return no, key, value
+
+
+def _species(key: str, prefix: str, source: str, no: int) -> str:
+    """The species a 'delta.<species>' or 'mu.<species>' key names; a ParseError when it names none."""
+    if key == prefix:
+        raise ParseError(f"{prefix[:-1]} key needs a species, e.g. '{prefix}C'", source, no)
+    return key[len(prefix):]
+
+
 def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>") -> DefectRun:
     """Defect run record: e_total, delta.<species> entries, optional position."""
     e_total = None
     delta: dict[str, int] = {}
     position = None
-    for no, ln in _content(text):
-        if "=" not in ln:
-            raise ParseError(f"expected 'key = value', got '{ln}'", source, no)
-        key, _, value = (p.strip() for p in ln.partition("="))
+    entries = (_entry(no, ln, source, "'key = value'") for no, ln in _content(text))
+    for no, key, value in _keys(entries, source, "", ("e_total", "position", "label", "charge"), "delta."):
         if key == "e_total":
             e_total = _number(value, "e_total", source, no)
-        elif key.startswith("delta."):
-            species = key[len("delta."):]
-            if not species:
-                raise ParseError("delta key needs a species, e.g. 'delta.C'", source, no)
-            delta[species] = _integer(value, "composition delta", source, no)
         elif key == "position":
             parts = value.split()
             if len(parts) != 3:
@@ -88,7 +95,7 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
             if _integer(value, "charge", source, no) != charge:
                 raise ParseError(f"charge {value} contradicts manifest entry {charge:+d}", source, no)
         else:
-            warnings.warn(f"{source}:{no}: ignoring unknown key '{key}'")
+            delta[_species(key, "delta.", source, no)] = _integer(value, "composition delta", source, no)
     if e_total is None:
         raise ParseError("run record is missing 'e_total'", source, 1)
     if not delta:
@@ -145,6 +152,7 @@ def parse_site_potentials(text: str, source: str = "<string>"):
 # --- manifest proper ------------------------------------------------------------
 
 _HOST_REQUIRED = ("cell", "e_bulk", "e_vbm", "e_gap")
+_DEFECT_FILES = ("energy", "eigenvalues", "site_potentials", "wavefunction.i", "wavefunction.f")
 
 
 def _sections(text: str, source: str):
@@ -154,10 +162,7 @@ def _sections(text: str, source: str):
         if ln.startswith("[") and ln.endswith("]"):
             sections.append((ln[1:-1].strip(), no, []))
             continue
-        if "=" not in ln:
-            raise ParseError(f"expected 'key = value' or a [section] header, got '{ln}'", source, no)
-        key, _, value = (p.strip() for p in ln.partition("="))
-        sections[-1][2].append((no, key, value))
+        sections[-1][2].append(_entry(no, ln, source, "'key = value' or a [section] header"))
     return sections
 
 
@@ -187,127 +192,100 @@ def _label(label: str, source: str, lineno: int) -> str:
 
 
 def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest:
+    """The manifest, read section by section in file order: the first fault in the file is reported."""
     base = Path(base_dir)
-    sections = _sections(text, source)
-
-    project = "unnamed"
-    for no, key, value in sections[0][2]:
-        if key == "project":
-            project = value
-        else:
-            warnings.warn(f"{source}:{no}: ignoring unknown top-level key '{key}'")
-
-    host_kv = None
-    defect_blocks = []
-    spectrum_blocks = []
-    for header, no, kv in sections[1:]:
-        parts = header.split()
-        if parts and parts[0] == "host":
-            if host_kv is not None:
+    (_, _, preamble), *sections = _sections(text, source)
+    top = {key: value for _, key, value in _keys(preamble, source, "top-level ", ("project",))}
+    cell = host = None
+    defects: dict[tuple[str, int], DefectEntry] = {}
+    spectra: list[SpectrumEntry] = []
+    for header, no, entries in sections:
+        kind, *args = header.split() or [""]
+        if kind == "host":
+            if host is not None:
                 raise ParseError("duplicate [host] section", source, no)
-            host_kv = (no, kv)
-        elif parts and parts[0] == "defect":
-            if len(parts) != 3:
-                raise ParseError("defect section must be '[defect <label> <charge>]'", source, no)
-            defect_blocks.append((no, _label(parts[1], source, no),
-                                  _integer(parts[2], "defect charge", source, no), kv))
-        elif parts and parts[0] == "spectrum":
-            if len(parts) != 2 or parts[1] not in SPECTRUM_KINDS:
-                raise ParseError(
-                    f"spectrum section must be '[spectrum <kind>]' with kind in {SPECTRUM_KINDS}",
-                    source, no,
-                )
-            spectrum_blocks.append((no, parts[1], kv))
+            cell, host = _host(entries, base, source, no)
+        elif kind == "defect":
+            entry = _defect(args, entries, defects, base, source, no)
+            defects[entry.label, entry.charge] = entry
+        elif kind == "spectrum":
+            spectra.append(_spectrum(args, entries, base, source, no))
         else:
             raise ParseError(f"unknown section '[{header}]'", source, no)
-
-    if host_kv is None:
+    if host is None:
         raise ParseError("manifest is missing the [host] section", source, 1)
-    host_no, host_entries = host_kv
-    host_map: dict[str, tuple[int, str]] = {}
-    mu: dict[str, float] = {}
-    for no, key, value in host_entries:
-        if key.startswith("mu."):
-            species = key[len("mu."):]
-            mu[species] = _number(value, f"chemical potential {key}", source, no)
-        elif key in (*_HOST_REQUIRED, "dielectric"):
-            host_map[key] = (no, value)
-        else:
-            warnings.warn(f"{source}:{no}: ignoring unknown host key '{key}'")
-    for req in _HOST_REQUIRED:
-        if req not in host_map:
-            raise ParseError(f"host.{req} required", source, host_no)
+    return RunManifest(project=top.get("project", "unnamed"), cell=cell, host=host,
+                       defects=tuple(defects.values()), spectra=tuple(spectra))
 
-    cell_path = _resolve(base, host_map["cell"][1], source, host_map["cell"][0])
-    cell = load_structure(cell_path)
-    if "dielectric" in host_map:
-        no, value = host_map["dielectric"]
-        parts = value.split()
-        nums = [_number(p, "dielectric", source, no) for p in parts]
-        if len(nums) == 1:
-            eps = nums[0]
-        elif len(nums) == 3:
-            eps = np.diag(nums)
-        elif len(nums) == 9:
-            eps = np.array(nums).reshape(3, 3)
+
+def _host(entries, base: Path, source: str, header_no: int) -> tuple[CrystalCell, HostReference]:
+    """The [host] block: every entry is read at its line, and a repeated key keeps its last value."""
+    values: dict[str, object] = {}  # key -> the value read from its last line
+    mu: dict[str, float] = {}
+    for no, key, value in _keys(entries, source, "host ", (*_HOST_REQUIRED, "dielectric"), "mu."):
+        if key.startswith("mu."):
+            mu[_species(key, "mu.", source, no)] = _number(value, f"chemical potential {key}", source, no)
+        elif key == "cell":
+            values[key] = load_structure(_resolve(base, value, source, no))
+        elif key == "dielectric":  # a scalar, the diagonal or the full tensor, as CrystalCell takes them
+            nums = [_number(p, "dielectric", source, no) for p in value.split()]
+            if len(nums) not in (1, 3, 9):
+                raise ParseError("dielectric must be 1, 3 or 9 numbers", source, no)
+            values[key] = (no, np.reshape(nums, {1: (), 3: (3,), 9: (3, 3)}[len(nums)]))
         else:
-            raise ParseError("dielectric must be 1, 3 or 9 numbers", source, no)
+            values[key] = _number(value, f"host.{key}", source, no)
+    for req in _HOST_REQUIRED:
+        if req not in values:
+            raise ParseError(f"host.{req} required", source, header_no)
+    cell = values["cell"]
+    if "dielectric" in values:
+        no, eps = values["dielectric"]
         with _at(source, no):
             cell = cell.with_dielectric(eps)
+    with _at(source, header_no):
+        return cell, HostReference(e_bulk=values["e_bulk"], e_vbm=values["e_vbm"], e_gap=values["e_gap"],
+                                   chemical_potentials=tuple(mu.items()))
 
-    def host_float(key):
-        no, value = host_map[key]
-        return _number(value, f"host.{key}", source, no)
 
-    with _at(source, host_no):
-        host = HostReference(e_bulk=host_float("e_bulk"), e_vbm=host_float("e_vbm"),
-                             e_gap=host_float("e_gap"), chemical_potentials=tuple(mu.items()))
+def _defect(args, entries, defects, base: Path, source: str, no: int) -> DefectEntry:
+    """A [defect <label> <charge>] block, unless `defects` holds that pair; its record files are parsed here."""
+    if len(args) != 2:
+        raise ParseError("defect section must be '[defect <label> <charge>]'", source, no)
+    label = _label(args[0], source, no)
+    charge = _integer(args[1], "defect charge", source, no)
+    if (label, charge) in defects:
+        raise ParseError(f"duplicate defect entry '{label}' with charge {charge:+d}", source, no)
+    paths = {key: _resolve(base, value, source, kno)
+             for kno, key, value in _keys(entries, source, "defect ", _DEFECT_FILES)}
+    if "energy" not in paths:
+        raise ParseError(f"defect '{label}' ({charge:+d}) is missing the 'energy' file", source, no)
+    if ("wavefunction.i" in paths) != ("wavefunction.f" in paths):
+        raise ParseError(
+            f"defect '{label}' ({charge:+d}) must name both wavefunction files or neither",
+            source, no,
+        )
+    run = _load(paths["energy"], parse_defect_run, label, charge)
+    eig = _load(paths["eigenvalues"], parse_eigenvalues) if "eigenvalues" in paths else None
+    pots = _load(paths["site_potentials"], parse_site_potentials) if "site_potentials" in paths else None
+    run = replace(run, eigenvalues=tuple(eig.items()) if eig else None, site_potentials=pots)
+    psi = None
+    if "wavefunction.i" in paths:
+        psi = (str(paths["wavefunction.i"]), str(paths["wavefunction.f"]))
+    return DefectEntry(label=label, charge=charge, run=run, wavefunction_paths=psi)
 
-    seen: set[tuple[str, int]] = set()
-    defects = []
-    for no, label, charge, kv in defect_blocks:
-        if (label, charge) in seen:
-            raise ParseError(f"duplicate defect entry '{label}' with charge {charge:+d}", source, no)
-        seen.add((label, charge))
-        paths: dict[str, Path] = {}
-        for kno, key, value in kv:
-            if key in ("energy", "eigenvalues", "site_potentials", "wavefunction.i", "wavefunction.f"):
-                paths[key] = _resolve(base, value, source, kno)
-            else:
-                warnings.warn(f"{source}:{kno}: ignoring unknown defect key '{key}'")
-        if "energy" not in paths:
-            raise ParseError(f"defect '{label}' ({charge:+d}) is missing the 'energy' file", source, no)
-        if ("wavefunction.i" in paths) != ("wavefunction.f" in paths):
-            raise ParseError(
-                f"defect '{label}' ({charge:+d}) must name both wavefunction files or neither",
-                source, no,
-            )
-        run = _load(paths["energy"], parse_defect_run, label, charge)
-        eig_path = paths.get("eigenvalues")
-        pot_path = paths.get("site_potentials")
-        eig = _load(eig_path, parse_eigenvalues) if eig_path else None
-        pots = _load(pot_path, parse_site_potentials) if pot_path else None
-        run = replace(run, eigenvalues=tuple(eig.items()) if eig else None, site_potentials=pots)
-        psi = None
-        if "wavefunction.i" in paths:
-            psi = (str(paths["wavefunction.i"]), str(paths["wavefunction.f"]))
-        defects.append(DefectEntry(label=label, charge=charge, run=run, wavefunction_paths=psi))
 
-    spectra = []
-    for no, kind, kv in spectrum_blocks:
-        path = None
-        meta = []
-        for kno, key, value in kv:
-            if key == "file":
-                path = _resolve(base, value, source, kno)
-            else:
-                meta.append((key, value))  # free-form entry metadata, passed through
-        if path is None:
-            raise ParseError(f"[spectrum {kind}] is missing the 'file' key", source, no)
-        spectra.append(SpectrumEntry(kind=kind, path=str(path), metadata=tuple(meta)))
-
-    return RunManifest(project=project, cell=cell, host=host, defects=tuple(defects),
-                       spectra=tuple(spectra))
+def _spectrum(args, entries, base: Path, source: str, no: int) -> SpectrumEntry:
+    """A [spectrum <kind>] block: the 'file' path plus free-form metadata, passed through."""
+    if len(args) != 1 or args[0] not in SPECTRUM_KINDS:
+        raise ParseError(
+            f"spectrum section must be '[spectrum <kind>]' with kind in {SPECTRUM_KINDS}",
+            source, no,
+        )
+    paths = [_resolve(base, value, source, kno) for kno, key, value in entries if key == "file"]
+    if not paths:
+        raise ParseError(f"[spectrum {args[0]}] is missing the 'file' key", source, no)
+    return SpectrumEntry(kind=args[0], path=str(paths[-1]),
+                         metadata=tuple((key, value) for _, key, value in entries if key != "file"))
 
 
 def load_manifest(path) -> RunManifest:

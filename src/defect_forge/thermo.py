@@ -12,7 +12,8 @@ charge transition levels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -226,9 +227,8 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
                 f"duplicate charge state {run.charge:+d} for '{run.label}': keeping the "
                 f"lower-energy run ({keep.total_energy:g} eV), dropping {drop.total_energy:g} eV"
             )
-            by_charge[run.charge] = keep
-        else:
-            by_charge[run.charge] = run
+            run = keep
+        by_charge[run.charge] = run
 
     lines = tuple(
         (q, formation_energy(by_charge[q], host, 0.0, corrections.get(q)))
@@ -237,24 +237,16 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
 
     gap = host.e_gap
     # breakpoints = pairwise crossings that fall inside the gap
-    cuts = {0.0, gap}
-    qs = [q for q, _ in lines]
-    cmap = dict(lines)
-    for i, q1 in enumerate(qs):
-        for q2 in qs[i + 1:]:
-            x = (cmap[q1] - cmap[q2]) / (q2 - q1)
-            if 0.0 < x < gap:
-                cuts.add(float(x))
-    edges = sorted(cuts)
+    crossings = (float((c1 - c2) / (q2 - q1)) for (q1, c1), (q2, c2) in combinations(lines, 2))
+    edges = sorted({0.0, gap, *(x for x in crossings if 0.0 < x < gap)})
 
-    raw = [(lo, hi, int(_lowest_line(lines, 0.5 * (lo + hi)))) for lo, hi in zip(edges[:-1], edges[1:])]
-    merged: list[list] = []
-    for lo, hi, q in raw:
-        if merged and merged[-1][2] == q:
-            merged[-1][1] = hi
+    intervals: list[StabilityInterval] = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        q = int(_lowest_line(lines, 0.5 * (lo + hi)))
+        if intervals and intervals[-1].charge == q:
+            intervals[-1] = replace(intervals[-1], hi=hi)
         else:
-            merged.append([lo, hi, q])
-    intervals = tuple(StabilityInterval(lo, hi, q) for lo, hi, q in merged)
+            intervals.append(StabilityInterval(lo, hi, q))
 
     levels = tuple(
         ((a.charge, b.charge), a.hi)
@@ -262,16 +254,14 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
     )
 
     intrinsic_fermi = 0.5 * gap
-    fermi = np.linspace(0.0, gap, int(n_fermi))
-    stable_mid = next(iv.charge for iv in intervals if iv.lo <= intrinsic_fermi <= iv.hi)
     return FormationDiagram(
         gap=gap,
-        fermi=fermi,
+        fermi=np.linspace(0.0, gap, int(n_fermi)),
         lines=lines,
-        intervals=intervals,
+        intervals=tuple(intervals),
         transition_levels=levels,
         intrinsic_fermi=float(intrinsic_fermi),
-        stable_at_intrinsic=stable_mid,
+        stable_at_intrinsic=int(_lowest_line(lines, intrinsic_fermi)),
     )
 
 

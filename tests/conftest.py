@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmark"))  # make `workloads` and `checks` importable
 
-from defect_forge import CrystalCell, Site
+# Hypothesis mixes the numeric literals of every loaded local module into its
+# draws, so every module any test loads is imported before the first test runs:
+# the examples of a test then do not depend on which tests ran before it.
+import defect_forge.cli  # noqa: E402, F401
+import workloads  # noqa: E402, F401
+from defect_forge import CrystalCell, Site  # noqa: E402
 
 
 @pytest.fixture

@@ -230,6 +230,27 @@ def test_diagram_green_region_topology(tmp_path):
     assert levels["stable_at_intrinsic"] == -1
 
 
+def test_diagram_mid_gap_tie_goes_to_the_lower_abs_charge(tmp_path, capsys):
+    """q=0 and q=+1 cross exactly at mid-gap: the levels JSON, stdout and the CSV row agree on 0."""
+    base = tmp_path / "inputs"
+    base.mkdir()
+    io.save_structure(CrystalCell(np.eye(3) * 10.0), base / "host.cell")
+    for q, c in ((0, 1.0), (1, 0.5)):
+        (base / f"q{q}.run").write_text(f"e_total = {c}\ndelta.C = 1\n")
+    lines = ["[host]", "cell = host.cell", "e_bulk = 0.0", "e_vbm = 0.0", "e_gap = 1.0", "mu.C = 0.0"]
+    for q in (0, 1):
+        lines += [f"[defect Ci {q}]", f"energy = q{q}.run"]
+    (base / "m.txt").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("diagram", "--manifest", base / "m.txt", "--out", out, "--fermi-grid", "3") == 0
+    assert "Ci: stable charge at intrinsic Fermi level = +0" in capsys.readouterr().out
+    levels = json.loads((out / "diagrams" / "Ci_levels.json").read_text())
+    assert levels["stable_at_intrinsic"] == 0
+    _, fermi, _, _, stable = io.load_diagram_csv(out / "diagrams" / "Ci.csv")
+    assert fermi.tolist() == [0.0, 0.5, 1.0]
+    assert stable.tolist() == [1, 0, 0]
+
+
 def test_check_table1_command(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("check-table1", "--out", out) == 0

@@ -76,6 +76,17 @@ def test_classify_with_segment_indices():
     assert classify_with_segment(curve, 1.0, 100.0) == (REGIME_BELOW, None)
 
 
+def test_every_calibration_fluence_classifies_into_the_segment_that_ends_there():
+    """A boundary (the apex at 16 and the trough at 30) belongs to the segment on its left;
+    the first fluence opens the first segment."""
+    curve = g_center_fixture()
+    indices = [classify_with_segment(curve, float(f), 100.0)[1] for f in curve.fluences]
+    assert indices == [0, 0, 1, 1, 2, 2]
+    for f, idx in zip(curve.fluences[1:], indices[1:]):
+        assert curve.segments[idx].lo < f <= curve.segments[idx].hi
+    assert [classify_with_segment(curve, b, 100.0)[1] for b in curve.boundaries] == [0, 1]
+
+
 def test_interpolation_reproduces_calibration_points():
     curve = g_center_fixture()
     for f, i in zip(curve.fluences, curve.intensities):

@@ -127,15 +127,16 @@ def test_grid_header_and_count_errors():
 
 
 @pytest.mark.parametrize("text, line, match", [
-    ("GRID 3 1 1 real\n1.0 2.0\n3.0 abc\n", 3, "non-numeric grid value"),
+    ("GRID 3 1 1 real\n1.0 2.0\n3.0 abc\n", 3, "non-numeric value in grid: 'abc'"),
     ("# comment\n\nGRID 2 1 1 real\n1\n2\n3\n", 6, "count mismatch: header promises 2 numbers"),
     ("GRID 2 1 1 complex\n1 0\n2 0 9\n", 3, "found 5"),
     ("GRID 2 1 1 complex\n1 0\n2\n\n", 3, "found 3"),
-    ("GRID 2 1 1 real\n1 nan(1)\n", 2, "non-numeric grid value"),
-    ("GRID 2 1 1 real\n\n1 inf\n", 1, "non-finite"),
+    ("GRID 2 1 1 real\n1 nan(1)\n", 2, r"non-numeric value in grid: 'nan\(1\)'"),
+    ("GRID 2 1 1 real\n\n1 inf\n", 3, "non-finite value in grid: 'inf'"),
+    ("GRID 1 1 2 real\n1.0\nnan\n", 3, "non-finite value in grid: 'nan'"),
     ("\nGRID 1 1 1 real\n   \n", 2, "found 0"),
-    ("GRID 1 1 1 real\n1 # trailing\n", 2, "non-numeric grid value"),
-    ("GRID 1 1 1 real\n0x1p3\n", 2, "non-numeric grid value"),
+    ("GRID 1 1 1 real\n1 # trailing\n", 2, "non-numeric value in grid: '#'"),
+    ("GRID 1 1 1 real\n0x1p3\n", 2, "non-numeric value in grid: '0x1p3'"),
 ])
 def test_grid_parse_errors_name_their_line(text, line, match):
     with pytest.raises(ParseError, match=match) as err:
@@ -620,6 +621,63 @@ def test_manifest_unknown_keys_warn(tmp_path):
     path.write_text(text)
     with pytest.warns(UserWarning, match="color"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("name, after, entry, what", [
+    ("run.manifest", "project = demo", "color = blue", "top-level "),
+    ("run.manifest", "[host]", "color = blue", "host "),
+    ("run.manifest", "[defect Ci 0]", "color = blue", "defect "),
+    ("ci_0.run", "e_total = 1.0", "color = blue", ""),
+    ("pl.csv", "# temperature_K=6", "# color=blue", "metadata "),
+])
+def test_unknown_key_warns_at_its_line(tmp_path, name, after, entry, what):
+    manifest = write_demo_manifest(tmp_path)
+    path = tmp_path / name
+    text = path.read_text()
+    assert text.count(after + "\n") == 1
+    text = text.replace(after + "\n", f"{after}\n{entry}\n")
+    path.write_text(text)
+    line = text[:text.index(entry)].count("\n") + 1
+    with pytest.warns(UserWarning) as record:
+        io.load_spectrum(path) if name == "pl.csv" else load_manifest(manifest)
+    source = path.resolve() if name.endswith(".run") else path
+    assert [str(w.message) for w in record] == [f"{source}:{line}: ignoring unknown {what}key 'color'"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mu.C = 0.0", "mu.C = x\nmu.C = 0.0", "non-numeric value in chemical potential mu.C: 'x'"),
+    ("energy = ci_0.run", "energy = missing.run\nenergy = ci_0.run", "referenced file does not exist: "),
+    ("cell = host.cell", "cell = missing.cell\ncell = host.cell", "referenced file does not exist: "),
+])
+def test_manifest_checks_every_occurrence_of_a_repeated_key(tmp_path, old, new, message):
+    path = write_demo_manifest(tmp_path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    path.write_text(text)
+    line = text[:text.index(new)].count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        load_manifest(path)
+    assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+def test_manifest_repeated_key_keeps_its_last_value(tmp_path):
+    path = write_demo_manifest(tmp_path)
+    text = path.read_text().replace("mu.C = 0.0", "mu.C = 7.5\nmu.C = 0.0")
+    path.write_text(text.replace("energy = ci_0.run", "energy = ci_m1.run\nenergy = ci_0.run"))
+    manifest = load_manifest(path)
+    assert manifest.host.mu == {"C": 0.0}
+    assert next(e for e in manifest.defects if e.charge == 0).run.total_energy == 1.0
+
+
+def test_manifest_mu_key_needs_a_species(tmp_path):
+    path = write_demo_manifest(tmp_path)
+    text = path.read_text().replace("mu.C = 0.0", "mu.C = 0.0\nmu. = 2.0")
+    path.write_text(text)
+    line = text[:text.index("mu. = 2.0")].count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}:{line}: mu key needs a species, e.g. 'mu.C'"
 
 
 def test_manifest_duplicate_entries_rejected(tmp_path):

@@ -145,6 +145,13 @@ def test_stable_charge_when_a_line_overflows(sign):
         assert diag.stable_charge(-1e293) == 1
 
 
+def test_mid_gap_tie_goes_to_the_lower_abs_charge():
+    """q=0 and q=+1 cross exactly at mid-gap: stable_at_intrinsic follows the tie rule of stable_charge."""
+    diag = build_diagram([run_with_intercept(1.0, 0), run_with_intercept(0.5, 1)], host(gap=1.0))
+    assert [(iv.lo, iv.hi, iv.charge) for iv in diag.intervals] == [(0.0, 0.5, 1), (0.5, 1.0, 0)]
+    assert diag.stable_at_intrinsic == diag.stable_charge(0.5) == 0
+
+
 def test_diagram_refuses_a_fermi_grid_above_the_bound_before_allocating(monkeypatch):
     runs = [run_with_intercept(1.0, -1), run_with_intercept(0.5, 0)]
     assert len(build_diagram(runs, host(), n_fermi=thermo.MAX_FERMI_GRID).fermi) == 10**6

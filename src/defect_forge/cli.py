@@ -73,14 +73,10 @@ def _cmd_diagram(args, out: _Out) -> int:
         corrections = {}
         for run in runs:
             if run.site_potentials is not None and run.charge != 0:
-                if run.position is None:
-                    out.log(f"{label} q={run.charge:+d}: site potentials given but no "
-                            "defect position; skipping the finite-size correction")
-                    continue
                 if ctx is None:
                     ctx = EwaldContext.for_cell(manifest.cell)
                 corr = finite_size_correction(ctx, run.charge, run.site_potentials, run.position)
-                corrections[run.charge] = corr
+                corrections[run.charge] = corr.total
                 out.log(
                     f"{label} q={run.charge:+d}: E_pc={corr.point_charge_energy:.6f} eV, "
                     f"alignment={corr.alignment_energy:.6f} eV over {corr.n_sampled} sites"
@@ -100,7 +96,7 @@ def _cmd_diagram(args, out: _Out) -> int:
             ],
             "intrinsic_fermi_eV": diag.intrinsic_fermi,
             "stable_at_intrinsic": diag.stable_at_intrinsic,
-            "corrections_eV": {str(q): c.total for q, c in corrections.items()},
+            "corrections_eV": {str(q): c for q, c in corrections.items()},
         }
         out.write(f"diagrams/{label}_levels.json", _json(summary))
         print(f"{label}: stable charge at intrinsic Fermi level = {diag.stable_at_intrinsic:+d}")

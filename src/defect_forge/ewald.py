@@ -245,8 +245,8 @@ class CorrectionResult:
 def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_position) -> CorrectionResult:
     """Point-charge + potential-alignment correction for charge q at defect_position.
 
-    site_potentials: iterable of (site_index, delta_V) with delta_V the DFT
-    defect-minus-bulk potential (V) at that site of ctx.cell.
+    site_potentials: (n, 2) array or any iterable of (site_index, delta_V) pairs,
+    delta_V the DFT defect-minus-bulk potential (V) at that site of ctx.cell.
     defect_position: fractional coordinates of the defect.
     Only sites farther than the sampling radius (minimum-image metric) enter
     the alignment average: the radius of the sphere inscribed in the
@@ -255,21 +255,24 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
     if abs(q - round(q)) > 1e-9:
         raise ValidationError(f"defect charge must be an integer, got {q}")
     q = int(round(q))
-    pots = [(int(i), float(v)) for i, v in site_potentials]
+    pots = np.asarray(site_potentials if isinstance(site_potentials, np.ndarray) else list(site_potentials),
+                      dtype=float)
+    if pots.ndim != 2 or pots.shape[1] != 2:
+        raise ValidationError("site potentials must be (site_index, delta_V) pairs")
     if q == 0:
-        if any(v != 0.0 for _, v in pots):
+        if np.any(pots[:, 1] != 0.0):
             warnings.warn("q=0 with nonzero site potentials: correction is identically zero")
         return CorrectionResult.zero()
 
     cell = ctx.cell
     n_sites = len(cell.sites)
-    for i, _ in pots:
-        if not 0 <= i < n_sites:
-            raise ValidationError(f"site index {i} out of range for cell with {n_sites} sites")
+    bad = pots[~((pots[:, 0] >= 0) & (pots[:, 0] < n_sites)), 0]
+    if bad.size:
+        raise ValidationError(f"site index {bad[0]:g} out of range for cell with {n_sites} sites")
     sampling_radius = ws_inscribed_radius(cell)
     defect_frac = np.asarray(defect_position, dtype=float).reshape(3)
 
-    disp = minimum_image(cell, cell.site_positions()[[i for i, _ in pots]] - defect_frac)
+    disp = minimum_image(cell, cell.site_positions()[pots[:, 0].astype(int)] - defect_frac)
     far = np.linalg.norm(disp, axis=1) > sampling_radius
     far_disp = disp[far]
     if len(far_disp) < 4:
@@ -279,7 +282,7 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
         )
 
     v_model = COULOMB_EV_ANG * q * ctx.potential_terms(far_disp)
-    far_dv = np.array([v for _, v in pots])[far]
+    far_dv = pots[far, 1]
     delta_phi = float(np.mean(far_dv - v_model))
     e_pc = -lattice_energy(ctx, q)
     alignment = -q * delta_phi

@@ -3,9 +3,9 @@
 A manifest names the host reference block (bulk energy, VBM, gap, chemical
 potentials, dielectric tensor, cell file) plus any number of defect entries
 and measurement files.  parse_manifest checks that every referenced file
-exists and parses the cell and each defect's record files (.run, .eig,
-.pot), which is all `diagram` reads.  Spectrum and wavefunction entries are
-returned as resolved paths; the command that reads one parses it.
+exists and parses the cell and each defect's .run and .pot records, which
+is all `diagram` reads.  Eigenvalue tables, spectrum and wavefunction
+entries are returned as resolved paths; whatever reads one parses it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._record import readonly
 from .errors import ParseError
 from .io_formats import _at, _content, _integer, _keys, _load, _number, load_structure
 from .lattice import CrystalCell
@@ -29,9 +30,8 @@ SPECTRUM_KINDS = ("pl", "trpl", "dose", "raster")
 
 @dataclass(frozen=True)
 class DefectEntry:
-    label: str
-    charge: int
     run: DefectRun
+    eigenvalue_path: str | None = None
     wavefunction_paths: tuple[str, str] | None = None  # (initial, final)
 
 
@@ -53,7 +53,7 @@ class RunManifest:
     def runs_by_label(self) -> dict[str, list[DefectRun]]:
         grouped: dict[str, list[DefectRun]] = {}
         for entry in self.defects:
-            grouped.setdefault(entry.label, []).append(entry.run)
+            grouped.setdefault(entry.run.label, []).append(entry.run)
         return grouped
 
 
@@ -135,18 +135,22 @@ def parse_eigenvalues(text: str, source: str = "<string>"):
     return out
 
 
-def parse_site_potentials(text: str, source: str = "<string>"):
-    """Site-potential rows: 'site_index delta_v_volts' (defect minus bulk)."""
-    rows = []
+def parse_site_potentials(text: str, source: str = "<string>") -> np.ndarray:
+    """Site-potential rows 'site_index delta_v_volts' (defect minus bulk), one per site: a read-only (n, 2) array."""
+    rows: dict[int, float] = {}
     for no, ln in _content(text):
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError("expected 'site_index delta_v'", source, no)
-        rows.append((_integer(parts[0], "site index", source, no),
-                     _number(parts[1], "site potential", source, no)))
+        i = _integer(parts[0], "site index", source, no)
+        if not 0 <= i < 2**53:  # the indices a float array holds exactly
+            raise ParseError(f"site index {i} must lie in [0, 2**53)", source, no)
+        if i in rows:
+            raise ParseError(f"duplicate site index {i}", source, no)
+        rows[i] = _number(parts[1], "site potential", source, no)
     if not rows:
         raise ParseError("site-potential file has no rows", source, 1)
-    return tuple(rows)
+    return readonly(list(rows.items()))
 
 
 # --- manifest proper ------------------------------------------------------------
@@ -202,12 +206,14 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
     for header, no, entries in sections:
         kind, *args = header.split() or [""]
         if kind == "host":
+            if args:
+                raise ParseError("host section must be '[host]'", source, no)
             if host is not None:
                 raise ParseError("duplicate [host] section", source, no)
             cell, host = _host(entries, base, source, no)
         elif kind == "defect":
             entry = _defect(args, entries, defects, base, source, no)
-            defects[entry.label, entry.charge] = entry
+            defects[entry.run.label, entry.run.charge] = entry
         elif kind == "spectrum":
             spectra.append(_spectrum(args, entries, base, source, no))
         else:
@@ -248,14 +254,14 @@ def _host(entries, base: Path, source: str, header_no: int) -> tuple[CrystalCell
 
 
 def _defect(args, entries, defects, base: Path, source: str, no: int) -> DefectEntry:
-    """A [defect <label> <charge>] block, unless `defects` holds that pair; its record files are parsed here."""
+    """A [defect <label> <charge>] block, unless `defects` holds that pair; its .run and .pot files are parsed here."""
     if len(args) != 2:
         raise ParseError("defect section must be '[defect <label> <charge>]'", source, no)
     label = _label(args[0], source, no)
     charge = _integer(args[1], "defect charge", source, no)
     if (label, charge) in defects:
         raise ParseError(f"duplicate defect entry '{label}' with charge {charge:+d}", source, no)
-    paths = {key: _resolve(base, value, source, kno)
+    paths = {key: str(_resolve(base, value, source, kno))
              for kno, key, value in _keys(entries, source, "defect ", _DEFECT_FILES)}
     if "energy" not in paths:
         raise ParseError(f"defect '{label}' ({charge:+d}) is missing the 'energy' file", source, no)
@@ -265,13 +271,15 @@ def _defect(args, entries, defects, base: Path, source: str, no: int) -> DefectE
             source, no,
         )
     run = _load(paths["energy"], parse_defect_run, label, charge)
-    eig = _load(paths["eigenvalues"], parse_eigenvalues) if "eigenvalues" in paths else None
-    pots = _load(paths["site_potentials"], parse_site_potentials) if "site_potentials" in paths else None
-    run = replace(run, eigenvalues=tuple(eig.items()) if eig else None, site_potentials=pots)
+    if "site_potentials" in paths:
+        if charge != 0 and run.position is None:
+            raise ParseError(f"defect '{label}' ({charge:+d}) names site_potentials but its run record "
+                             "has no 'position', which the finite-size correction needs", source, no)
+        run = replace(run, site_potentials=_load(paths["site_potentials"], parse_site_potentials))
     psi = None
     if "wavefunction.i" in paths:
-        psi = (str(paths["wavefunction.i"]), str(paths["wavefunction.f"]))
-    return DefectEntry(label=label, charge=charge, run=run, wavefunction_paths=psi)
+        psi = (paths["wavefunction.i"], paths["wavefunction.f"])
+    return DefectEntry(run=run, eigenvalue_path=paths.get("eigenvalues"), wavefunction_paths=psi)
 
 
 def _spectrum(args, entries, base: Path, source: str, no: int) -> SpectrumEntry:

@@ -267,7 +267,7 @@ class SaturationFit:
 
 
 def fit_saturation(powers_mw, intensities) -> SaturationFit:
-    """Fit I(P) = I_sat * P / (P + P_sat).
+    """Fit I(P) = I_sat * P / (P + P_sat); FitNonConvergence when the fit does not converge.
 
     The knee is constrained by the data only when it lies inside the measured
     power range.  A P_sat above the highest power (every point in the linear
@@ -290,6 +290,11 @@ def fit_saturation(powers_mw, intensities) -> SaturationFit:
         lambda q: saturation_jacobian(p, q),
         np.array([i_sat0, p_sat0]),
     )
+    if not result.converged:
+        raise FitNonConvergence(
+            f"saturation fit did not converge in {result.n_iter} iterations "
+            f"(residual rms {result.residual_rms:g})"
+        )
     i_sat, p_sat = result.params
     identifiable = bool(np.min(p) <= p_sat <= np.max(p))
     return SaturationFit(

@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
+from ._record import fields_equal, readonly
 from .errors import ValidationError
-from .ewald import CorrectionResult
 
 __all__ = [
     "DefectRun",
@@ -35,13 +35,13 @@ MAX_ABS_CHARGE = 3  # charge states handled by the diagrams
 MAX_FERMI_GRID = 10**6  # Fermi levels per diagram; a larger grid is refused before it is allocated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectRun:
     """One first-principles calculation record for a defect charge state.
 
     composition_delta maps species -> atoms added (+) or removed (-) relative
-    to the bulk cell.  eigenvalues, when present, map a spin channel
-    ("up" | "down" | "none") to a tuple of (energy_eV, occupation) pairs.
+    to the bulk cell.  site_potentials, when present, is a read-only (n, 2)
+    array of (site index, delta_V) rows, as parse_site_potentials returns it.
     position is the defect location in fractional coordinates of the
     supercell the run was computed in.
     """
@@ -50,9 +50,10 @@ class DefectRun:
     charge: int
     total_energy: float
     composition_delta: tuple[tuple[str, int], ...] = ()
-    eigenvalues: tuple[tuple[str, tuple[tuple[float, float], ...]], ...] | None = None
-    site_potentials: tuple[tuple[int, float], ...] | None = None
+    site_potentials: np.ndarray | None = None
     position: tuple[float, float, float] | None = None
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         if abs(self.charge) > MAX_ABS_CHARGE:
@@ -62,25 +63,14 @@ class DefectRun:
             )
         object.__setattr__(self, "composition_delta",
                            tuple((str(s), int(n)) for s, n in dict(self.composition_delta).items()))
-        if self.eigenvalues is not None:
-            object.__setattr__(self, "eigenvalues", tuple(
-                (str(spin), tuple((float(e), float(o)) for e, o in channel))
-                for spin, channel in dict(self.eigenvalues).items()
-            ))
         if self.site_potentials is not None:
-            object.__setattr__(self, "site_potentials",
-                               tuple((int(i), float(v)) for i, v in self.site_potentials))
+            object.__setattr__(self, "site_potentials", readonly(self.site_potentials))
         if self.position is not None:
             object.__setattr__(self, "position", tuple(float(x) for x in self.position))
 
     @property
     def delta(self) -> dict[str, int]:
         return dict(self.composition_delta)
-
-    def eigenvalue_channel(self, spin: str):
-        if self.eigenvalues is None:
-            return None
-        return dict(self.eigenvalues).get(spin)
 
 
 @dataclass(frozen=True)
@@ -103,18 +93,9 @@ class HostReference:
         return dict(self.chemical_potentials)
 
 
-def _correction_value(corr) -> float:
-    if corr is None:
-        return 0.0
-    if isinstance(corr, CorrectionResult):
-        return corr.total
-    return float(corr)
+def formation_energy(run: DefectRun, host: HostReference, fermi: float, corr: float = 0.0) -> float:
+    """E_f (eV) at Fermi level `fermi` (eV, relative to the VBM), with `corr` (eV) added.
 
-
-def formation_energy(run: DefectRun, host: HostReference, fermi: float, corr=None) -> float:
-    """E_f (eV) at Fermi level `fermi` (eV, relative to the VBM).
-
-    `corr` may be a CorrectionResult, a plain float (eV), or None.
     fermi is accepted in [-0.5, gap + 0.5] with a warning outside [0, gap]
     (useful for plotting margins); values beyond that band are rejected.
     """
@@ -130,16 +111,15 @@ def formation_energy(run: DefectRun, host: HostReference, fermi: float, corr=Non
         raise ValidationError(f"missing chemical potential(s) for species: {', '.join(missing)}")
     reservoir = sum(n * mu[s] for s, n in run.delta.items())
     return (run.total_energy - host.e_bulk - reservoir
-            + run.charge * (host.e_vbm + fermi) + _correction_value(corr))
+            + run.charge * (host.e_vbm + fermi) + corr)
 
 
-def transition_level(run1: DefectRun, run2: DefectRun, host: HostReference,
-                     corr1=None, corr2=None) -> float:
+def transition_level(run1: DefectRun, run2: DefectRun, host: HostReference) -> float:
     """Fermi level (eV vs VBM) where charge states q1 and q2 cross; symmetric in arguments."""
     if run1.charge == run2.charge:
         raise ValidationError("transition level requires two distinct charge states")
-    e1 = formation_energy(run1, host, 0.0, corr1)
-    e2 = formation_energy(run2, host, 0.0, corr2)
+    e1 = formation_energy(run1, host, 0.0)
+    e2 = formation_energy(run2, host, 0.0)
     return (e1 - e2) / (run2.charge - run1.charge)
 
 
@@ -203,7 +183,7 @@ def _lowest_line(lines, fermi):
 def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 2001) -> FormationDiagram:
     """Assemble the stability diagram for one defect over E_F in [0, gap].
 
-    corrections maps charge -> CorrectionResult | float.  Duplicate charge
+    corrections maps charge -> correction (eV).  Duplicate charge
     states keep the lowest total energy (with a warning), mirroring the
     handling of metastable configurations.  n_fermi in [2, MAX_FERMI_GRID]
     Fermi levels sample the gap; the intrinsic one is mid-gap, the neutral
@@ -231,7 +211,7 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
         by_charge[run.charge] = run
 
     lines = tuple(
-        (q, formation_energy(by_charge[q], host, 0.0, corrections.get(q)))
+        (q, formation_energy(by_charge[q], host, 0.0, corrections.get(q, 0.0)))
         for q in sorted(by_charge)
     )
 
@@ -265,18 +245,18 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
     )
 
 
-def delta_ks(run: DefectRun, from_level: int, to_level: int, spin: str = "none") -> float:
+def delta_ks(eigenvalues, from_level: int, to_level: int, spin: str = "none") -> float:
     """Kohn-Sham eigenvalue difference (eV): target level minus source level.
 
+    eigenvalues maps a spin channel ("up" | "down" | "none") to its
+    (energy_eV, occupation) levels, as parse_eigenvalues returns them.
     A cheap zero-phonon-line estimate.  The source is expected to be occupied
     and the target empty; an inverted pair only warns, since partially
     converged occupations are common in constrained runs.
     """
-    if run.eigenvalues is None:
-        raise ValidationError(f"run '{run.label}' carries no eigenvalue table")
-    channel = run.eigenvalue_channel(spin)
+    channel = eigenvalues.get(spin)
     if channel is None:
-        raise ValidationError(f"no eigenvalues for spin channel '{spin}' in run '{run.label}'")
+        raise ValidationError(f"no eigenvalues for spin channel '{spin}'")
     if from_level == to_level:
         raise ValidationError("source and target levels must differ")
     n = len(channel)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -153,13 +154,27 @@ def test_diagram_refuses_a_label_the_c_locale_cannot_encode(tmp_path):
 
 
 def test_diagram_leaves_spectrum_and_grid_files_unparsed(tmp_path):
-    """diagram reads the defect records only; a broken PL file or grid pair cannot fail it."""
+    """diagram reads the .run and .pot records only; a broken PL file, grid pair or .eig table
+    cannot fail it."""
     clean = write_demo_manifest(tmp_path / "clean")
     broken = write_demo_manifest(tmp_path / "broken", grid_text="GRID 2 2 2 complex\n1 2 3\n")
     (tmp_path / "broken" / "pl.csv").write_text("wavelength_nm,counts\n1450,abc\n")
+    (tmp_path / "broken" / "ci_m1.eig").write_text("down 0 abc 1.0\n")
     for manifest, out in ((clean, tmp_path / "o1"), (broken, tmp_path / "o2")):
         assert run_cli("diagram", "--manifest", manifest, "--out", out) == 0
     assert _tree_bytes(tmp_path / "o1" / "diagrams") == _tree_bytes(tmp_path / "o2" / "diagrams")
+
+
+def write_two_label_manifest(inputs: Path) -> Path:
+    """The demo manifest plus Ci -2 at the origin and Cs -1 on the host site (0.25, 0, 0)."""
+    manifest = write_demo_manifest(inputs)
+    (inputs / "ci_m2.run").write_text("e_total = 0.2\ndelta.C = 1\nposition = 0 0 0\n")
+    (inputs / "ci_m2.pot").write_text("\n".join(f"{i} 0.002" for i in range(64)) + "\n")
+    (inputs / "cs_m1.run").write_text("e_total = 0.6\ndelta.C = 1\nposition = 0.25 0 0\n")
+    with open(manifest, "a") as fh:
+        fh.write("[defect Ci -2]\nenergy = ci_m2.run\nsite_potentials = ci_m2.pot\n"
+                 "[defect Cs -1]\nenergy = cs_m1.run\nsite_potentials = ci_m1.pot\n")
+    return manifest
 
 
 def test_diagram_evaluates_site_potentials_once_per_position(tmp_path, monkeypatch):
@@ -171,14 +186,7 @@ def test_diagram_evaluates_site_potentials_once_per_position(tmp_path, monkeypat
     """
     from defect_forge.ewald import EwaldContext
 
-    inputs = tmp_path / "inputs"
-    manifest = write_demo_manifest(inputs)
-    (inputs / "ci_m2.run").write_text("e_total = 0.2\ndelta.C = 1\nposition = 0 0 0\n")
-    (inputs / "ci_m2.pot").write_text("\n".join(f"{i} 0.002" for i in range(64)) + "\n")
-    (inputs / "cs_m1.run").write_text("e_total = 0.6\ndelta.C = 1\nposition = 0.25 0 0\n")
-    with open(manifest, "a") as fh:
-        fh.write("[defect Ci -2]\nenergy = ci_m2.run\nsite_potentials = ci_m2.pot\n"
-                 "[defect Cs -1]\nenergy = cs_m1.run\nsite_potentials = ci_m1.pot\n")
+    manifest = write_two_label_manifest(tmp_path / "inputs")
     evaluated = []
     original = EwaldContext._point_term
 
@@ -194,6 +202,36 @@ def test_diagram_evaluates_site_potentials_once_per_position(tmp_path, monkeypat
     assert "Ci q=-1:" in log and "Ci q=-2:" in log and "Cs q=-1:" in log
     assert len(evaluated) == len(set(evaluated)) == sampled[0] + 1
     assert np.zeros(3).tobytes() in evaluated  # the self potential at the charge site
+
+
+def test_diagram_section_order_does_not_change_the_diagrams(tmp_path):
+    """The sections in file order, and reversed with [host] last, give the same diagrams/ tree."""
+    manifest = write_two_label_manifest(tmp_path / "inputs")
+    preamble, *sections = re.split(r"\n(?=\[)", manifest.read_text().rstrip("\n"))
+    assert sections[0].startswith("[host]\n")
+    reversed_manifest = tmp_path / "inputs" / "reversed.manifest"
+    reversed_manifest.write_text("\n".join([preamble, *sections[::-1]]) + "\n")
+    for path, out in ((manifest, tmp_path / "o1"), (reversed_manifest, tmp_path / "o2")):
+        assert run_cli("diagram", "--manifest", path, "--out", out) == 0
+    assert _tree_bytes(tmp_path / "o1" / "diagrams") == _tree_bytes(tmp_path / "o2" / "diagrams")
+    assert sorted(_tree_bytes(tmp_path / "o1" / "diagrams")) == [
+        "Ci.csv", "Ci_levels.json", "Cs.csv", "Cs_levels.json"]
+
+
+@pytest.mark.parametrize("name, edit, at, message", [
+    ("ci_m1.pot", lambda text: text + "0 0.5\n", "ci_m1.pot:65", "duplicate site index 0"),
+    ("ci_m1.run", lambda text: text.replace("position = 0 0 0\n", ""), "run.manifest:11",
+     "defect 'Ci' (-1) names site_potentials but its run record has no 'position'"),
+], ids=["repeated-site-index", "no-position"])
+def test_diagram_refuses_input_its_correction_would_get_wrong(tmp_path, capsys, name, edit, at, message):
+    """A site counted twice, or a correction with no position to be computed at, exits 2."""
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    path = tmp_path / "inputs" / name
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "out"
+    assert run_cli("diagram", "--manifest", manifest, "--out", out) == 2
+    assert f"error: {tmp_path / 'inputs' / at}: {message}" in capsys.readouterr().err
+    assert not list((out / "diagrams").iterdir())
 
 
 def test_diagram_fermi_grid_above_the_bound_exit_2(tmp_path, capsys, monkeypatch):
@@ -401,6 +439,18 @@ def test_saturation_command(tmp_path):
     payload = json.loads((out / "fits" / "sat_saturation.json").read_text())
     assert payload["p_sat_mW"] == pytest.approx(0.7, rel=1e-6)
     assert payload["identifiable"] is True
+
+
+def test_saturation_fit_that_does_not_converge_exit_3(tmp_path, capsys):
+    rows = [(0.273, 46.4), (0.913, 1019.1), (2.164, 2923.9), (2.826, 4782.2), (3.661, 5709.2),
+            (4.897, 1965.6)]
+    (tmp_path / "sat.csv").write_text(io.write_xy(*zip(*rows), "power_mW,intensity"))
+    out = tmp_path / "out"
+    assert run_cli("saturation", "--data", tmp_path / "sat.csv", "--out", out) == 3
+    captured = capsys.readouterr()
+    assert "fit did not converge: saturation fit did not converge" in captured.err
+    assert "P_sat" not in captured.out
+    assert not list((out / "fits").iterdir())
 
 
 def test_saturation_flat_curve_unidentifiable(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from defect_forge import ParseError
 from defect_forge import io_formats as io
 from defect_forge.cli import main
-from defect_forge.manifest import load_manifest
+from defect_forge.manifest import load_manifest, parse_eigenvalues
 
 from test_cli import write_command_inputs
 
@@ -67,13 +67,13 @@ def _through_manifest(path: Path):
     return load_manifest(path.parent / "run.manifest")
 
 
-# every input file of the demo, with the loader that reads it; the defect
-# records are read by the manifest
+# every input file of the demo, with the loader that reads it; the .run and
+# .pot records are read by the manifest, which leaves the .eig table unparsed
 LOADERS = {
     "run.manifest": load_manifest,
     "host.cell": io.load_structure,
     "ci_m1.run": _through_manifest,
-    "ci_m1.eig": _through_manifest,
+    "ci_m1.eig": lambda path: io._load(path, parse_eigenvalues),
     "ci_m1.pot": _through_manifest,
     "tdm.cell": io.load_structure,
     "psi_i.grid": lambda path: io.load_grid(path, io.load_structure(path.parent / "tdm.cell")),

@@ -453,7 +453,8 @@ def test_eigenvalue_gap_names_the_first_index_out_of_sequence(text, line):
 
 def test_site_potentials_parse():
     rows = parse_site_potentials("0 0.01\n5 -0.02\n")
-    assert rows == ((0, 0.01), (5, -0.02))
+    np.testing.assert_array_equal(rows, [[0, 0.01], [5, -0.02]])
+    assert rows.dtype == float and not rows.flags.writeable
     with pytest.raises(ParseError):
         parse_site_potentials("0\n")
 
@@ -529,9 +530,9 @@ def test_manifest_full_parse(tmp_path):
     assert len(manifest.defects) == 2
     assert len(manifest.spectra) == 4
     np.testing.assert_allclose(manifest.cell.dielectric, 11.7 * np.eye(3))
-    entry = next(e for e in manifest.defects if e.charge == -1)
-    assert entry.run.eigenvalues is not None
-    assert entry.run.site_potentials is not None
+    entry = next(e for e in manifest.defects if e.run.charge == -1)
+    assert entry.eigenvalue_path == str((tmp_path / "ci_m1.eig").resolve())
+    assert entry.run.site_potentials.shape == (64, 2)
     assert entry.run.position == (0.0, 0.0, 0.0)
     by_label = manifest.runs_by_label()
     assert sorted(r.charge for r in by_label["Ci"]) == [-1, 0]
@@ -551,6 +552,8 @@ def test_manifest_full_parse(tmp_path):
     ("host.cell", "\n0 10 0\n", "\n0 {} 0\n", "lattice row 2"),
 ])
 def test_manifest_non_finite_number_names_its_line(tmp_path, name, old, new, what, bad):
+    """Each record the manifest parses names the line; an .eig table, which it leaves unparsed, is
+    read through parse_eigenvalues."""
     manifest = write_demo_manifest(tmp_path)
     path = tmp_path / name
     text = path.read_text()
@@ -559,7 +562,7 @@ def test_manifest_non_finite_number_names_its_line(tmp_path, name, old, new, wha
     path.write_text(text)
     line = text[:text.index(new.format(bad).strip())].count("\n") + 1
     with pytest.raises(ParseError) as err:
-        load_manifest(manifest)
+        io._load(path, parse_eigenvalues) if name.endswith(".eig") else load_manifest(manifest)
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert f"non-finite value in {what}: '{bad}'" in str(err.value)
 
@@ -667,7 +670,7 @@ def test_manifest_repeated_key_keeps_its_last_value(tmp_path):
     path.write_text(text.replace("energy = ci_0.run", "energy = ci_m1.run\nenergy = ci_0.run"))
     manifest = load_manifest(path)
     assert manifest.host.mu == {"C": 0.0}
-    assert next(e for e in manifest.defects if e.charge == 0).run.total_energy == 1.0
+    assert next(e for e in manifest.defects if e.run.charge == 0).run.total_energy == 1.0
 
 
 def test_manifest_mu_key_needs_a_species(tmp_path):
@@ -691,7 +694,7 @@ def test_manifest_duplicate_entries_rejected(tmp_path):
 def test_manifest_wavefunction_paths(tmp_path):
     path = write_demo_manifest(tmp_path, grid_text="GRID 2 2 2 real\n")  # not parsed here
     manifest = load_manifest(path)
-    by_charge = {e.charge: e for e in manifest.defects}
+    by_charge = {e.run.charge: e for e in manifest.defects}
     assert by_charge[-1].wavefunction_paths == (str((tmp_path / "psi_i.grid").resolve()),
                                                 str((tmp_path / "psi_f.grid").resolve()))
     assert by_charge[0].wavefunction_paths is None

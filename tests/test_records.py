@@ -1,4 +1,4 @@
-"""The record rule, for each of the seven records that hold arrays: a record copies
+"""The record rule, for each of the eight records that hold arrays: a record copies
 every array it is given, stores it read-only and compares it by value."""
 
 import dataclasses
@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from defect_forge import CrystalCell, DecayTrace, Site, Spectrum
+from defect_forge import CrystalCell, DecayTrace, DefectRun, Site, Spectrum
 from defect_forge.dose import REGIME_WRITE, DoseCurve, Segment
 from defect_forge.optics import GridFunction
 from defect_forge.spectro import RasterMap
@@ -30,6 +30,10 @@ def _raster(xs, ys, values):
     return RasterMap(xs, ys, values, ((1.0, 0.0),))
 
 
+def _run(site_potentials):
+    return DefectRun("Ci", -1, 0.45, (("C", 1),), site_potentials, (0.0, 0.0, 0.0))
+
+
 def _dose(fluences, intensities):
     return DoseCurve("G", fluences, intensities, (Segment(10.0, 30.0, "rising", REGIME_WRITE),), ())
 
@@ -48,6 +52,7 @@ RECORDS = {
                                     "values": np.array([[1.0, 2.0], [np.nan, 4.0]])}, "values"),
     "DoseCurve": (_dose, lambda: {"fluences": np.array([10.0, 16.0, 30.0]),
                                   "intensities": np.array([100.0, 900.0, 1000.0])}, "intensities"),
+    "DefectRun": (_run, lambda: {"site_potentials": np.array([[0.0, 0.01], [5.0, -0.02]])}, "site_potentials"),
 }
 
 

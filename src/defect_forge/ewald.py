@@ -266,9 +266,10 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
 
     cell = ctx.cell
     n_sites = len(cell.sites)
-    bad = pots[~((pots[:, 0] >= 0) & (pots[:, 0] < n_sites)), 0]
-    if bad.size:
-        raise ValidationError(f"site index {bad[0]:g} out of range for cell with {n_sites} sites")
+    bad = ~((pots[:, 0] >= 0) & (pots[:, 0] < n_sites))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(f"site index {pots[k, 0]:g} out of range for cell with {n_sites} sites", row=k)
     sampling_radius = ws_inscribed_radius(cell)
     defect_frac = np.asarray(defect_position, dtype=float).reshape(3)
 

@@ -2,7 +2,9 @@
 
 One small deterministic solver backs every fitter in the package: solve
 J dx = -r by least squares, halve the step while the cost does not
-decrease, stop when the relative parameter step drops below STEP_TOL.
+decrease, stop when the relative parameter step drops below STEP_TOL.  A
+fit that gets there in no more than MAX_ITER steps is returned; any other
+raises FitNonConvergence here, so no fitter sees parameters that did not converge.
 Models supply value and Jacobian in closed form so gradient correctness is
 testable by finite differences.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FitNonConvergence, ValidationError
 
 __all__ = [
     "FitResult",
@@ -28,38 +30,33 @@ __all__ = [
 
 STEP_TOL = 1e-8    # converged when no parameter moves by more than this fraction
 MAX_HALVINGS = 30  # step halvings before a step counts as no descent
+MAX_ITER = 200     # Gauss-Newton steps before a fit counts as not converged
 
 
 @dataclass(frozen=True)
 class FitResult:
     params: np.ndarray
-    converged: bool
     n_iter: int
     residual_rms: float
     param_stderr: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
-        object.__setattr__(self, "param_stderr", np.asarray(self.param_stderr, dtype=float))
 
 
 def _cost(r):
     return float(np.dot(r, r))
 
 
-def gauss_newton(residual, jacobian, x0, max_iter: int = 200) -> FitResult:
-    """Minimize sum(residual(x)^2) from x0; returns best-so-far when not converged."""
+def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
+    """Minimize sum(residual(x)^2) from x0, or raise FitNonConvergence naming the `what` fit."""
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
     if not np.isfinite(r).all():
         raise ValidationError("residuals are non-finite at the starting point")
     cost = _cost(r)
     converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         jac = np.asarray(jacobian(x), dtype=float)
         if not np.isfinite(jac).all():
-            break  # no usable descent direction; keep best so far
+            break  # no usable descent direction
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
@@ -70,7 +67,7 @@ def gauss_newton(residual, jacobian, x0, max_iter: int = 200) -> FitResult:
                 break
             alpha *= 0.5
         else:
-            break  # no descent direction left; keep best so far
+            break  # no descent direction left
         rel = np.abs(alpha * step) / np.maximum(np.abs(x), 1e-30)
         x = cand
         r = r_new
@@ -81,6 +78,8 @@ def gauss_newton(residual, jacobian, x0, max_iter: int = 200) -> FitResult:
 
     m, n = len(r), len(x)
     rms = float(np.sqrt(cost / m))
+    if not converged:
+        raise FitNonConvergence(f"{what} fit did not converge in {it} iterations (residual rms {rms:g})")
     stderr = np.full(n, np.nan)
     if m > n:
         jac = np.asarray(jacobian(x), dtype=float)
@@ -90,8 +89,7 @@ def gauss_newton(residual, jacobian, x0, max_iter: int = 200) -> FitResult:
             stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
         except np.linalg.LinAlgError:
             pass
-    return FitResult(params=x, converged=converged, n_iter=it, residual_rms=rms,
-                     param_stderr=stderr)
+    return FitResult(params=x, n_iter=it, residual_rms=rms, param_stderr=stderr)
 
 
 # --- spectral line shapes -------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .lattice import CrystalCell, Site
 from .optics import GridFunction, OpticsRecord, TableCheck
-from .spectro import DecayTrace, RasterMap, Spectrum
+from .spectro import DecayTrace, RasterMap, Spectrum, grating_resolution_nm
 from .thermo import FormationDiagram, _lowest_line
 
 __all__ = [
@@ -363,6 +363,9 @@ def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
     meta = dict.fromkeys((*_SPECTRUM_META_FLOAT, "location"))
     for no, key, value in _keys(entries, source, "metadata ", meta):
         meta[key] = value if key == "location" else _number(value, f"metadata '{key}'", source, no)
+        if key == "grating_gpmm":  # the groove-density rule of fit_peaks, refused at this line
+            with _at(source, no):
+                grating_resolution_nm(meta[key])
     return _series(
         Spectrum, arr, text, source,
         temperature_k=meta["temperature_K"], power_mw=meta["power_mW"],

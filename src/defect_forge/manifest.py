@@ -32,6 +32,7 @@ SPECTRUM_KINDS = ("pl", "trpl", "dose", "raster")
 class DefectEntry:
     run: DefectRun
     eigenvalue_path: str | None = None
+    site_potential_path: str | None = None
     wavefunction_paths: tuple[str, str] | None = None  # (initial, final)
 
 
@@ -279,7 +280,8 @@ def _defect(args, entries, defects, base: Path, source: str, no: int) -> DefectE
     psi = None
     if "wavefunction.i" in paths:
         psi = (paths["wavefunction.i"], paths["wavefunction.f"])
-    return DefectEntry(run=run, eigenvalue_path=paths.get("eigenvalues"), wavefunction_paths=psi)
+    return DefectEntry(run=run, eigenvalue_path=paths.get("eigenvalues"),
+                       site_potential_path=paths.get("site_potentials"), wavefunction_paths=psi)
 
 
 def _spectrum(args, entries, base: Path, source: str, no: int) -> SpectrumEntry:

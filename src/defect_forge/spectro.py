@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._record import fields_equal, readonly
-from .errors import FitNonConvergence, ValidationError
+from .errors import ValidationError
 from .fitting import (
     decay_jacobian,
     decay_model,
@@ -95,7 +95,6 @@ class PeakFit:
     model: str
     residual_rms: float
     resolution_limited: bool | None
-    converged: bool
 
 
 def _seed_peaks(spec: Spectrum, max_peaks: int):
@@ -135,8 +134,8 @@ def _halfmax_width(spec: Spectrum, i: int, baseline: float) -> float:
 def fit_peaks(spec: Spectrum, model: str = "lorentzian", max_peaks: int = 1) -> list[PeakFit]:
     """Find up to max_peaks peaks and refine them jointly with a shared baseline.
 
-    Peaks are returned sorted by amplitude (descending).  Non-convergence
-    returns the best-so-far parameters with converged=False.
+    Peaks are returned sorted by amplitude (descending).  A fit that does not
+    converge raises FitNonConvergence and returns no peak.
     """
     if max_peaks < 1:
         raise ValidationError(f"max_peaks must be >= 1, got {max_peaks}")
@@ -154,9 +153,10 @@ def fit_peaks(spec: Spectrum, model: str = "lorentzian", max_peaks: int = 1) -> 
         lambda p: peak_model(wl, p, model) - ct,
         lambda p: peak_jacobian(wl, p, model),
         x0,
+        "peak",
     )
     fitted_baseline = float(result.params[0])
-    floor = grating_resolution_nm(spec.grating_gpmm) if spec.grating_gpmm else None
+    floor = None if spec.grating_gpmm is None else grating_resolution_nm(spec.grating_gpmm)
     fits = []
     for a, c, wdt in result.params[1:].reshape(-1, 3):
         wdt = abs(float(wdt))
@@ -171,7 +171,6 @@ def fit_peaks(spec: Spectrum, model: str = "lorentzian", max_peaks: int = 1) -> 
             model=model,
             residual_rms=result.residual_rms,
             resolution_limited=limited,
-            converged=result.converged,
         ))
     fits.sort(key=lambda f: f.amplitude, reverse=True)
     return fits
@@ -184,7 +183,6 @@ class DecayFit:
     background: float
     tau_stderr_ns: float
     residual_rms: float
-    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +235,8 @@ def fit_lifetime(trace: DecayTrace) -> DecayFit:
         lambda p: decay_model(t, p) - ct,
         lambda p: decay_jacobian(t, p),
         np.array([a0, tau0, b0]),
+        "lifetime",
     )
-    if not result.converged:
-        raise FitNonConvergence(
-            f"lifetime fit did not converge in {result.n_iter} iterations "
-            f"(residual rms {result.residual_rms:g})"
-        )
     a, tau, b = result.params
     if tau <= 0:
         raise ValidationError(f"fitted lifetime is non-positive ({tau:g} ns)")
@@ -252,7 +246,6 @@ def fit_lifetime(trace: DecayTrace) -> DecayFit:
         background=float(b),
         tau_stderr_ns=float(result.param_stderr[1]),
         residual_rms=result.residual_rms,
-        converged=result.converged,
     )
 
 
@@ -289,12 +282,8 @@ def fit_saturation(powers_mw, intensities) -> SaturationFit:
         lambda q: saturation_model(p, q) - i,
         lambda q: saturation_jacobian(p, q),
         np.array([i_sat0, p_sat0]),
+        "saturation",
     )
-    if not result.converged:
-        raise FitNonConvergence(
-            f"saturation fit did not converge in {result.n_iter} iterations "
-            f"(residual rms {result.residual_rms:g})"
-        )
     i_sat, p_sat = result.params
     identifiable = bool(np.min(p) <= p_sat <= np.max(p))
     return SaturationFit(

@@ -18,6 +18,7 @@ from defect_forge.fitting import decay_model, peak_model, saturation_model
 from defect_forge.optics import GridFunction
 
 from test_io import write_demo_manifest
+from test_spectro import noise_only_spectrum
 
 
 def run_cli(*argv):
@@ -204,14 +205,19 @@ def test_diagram_evaluates_site_potentials_once_per_position(tmp_path, monkeypat
     assert np.zeros(3).tobytes() in evaluated  # the self potential at the charge site
 
 
+def _host_last(manifest: Path) -> Path:
+    """A copy of the manifest with its sections reversed, so that [host] comes last."""
+    preamble, *sections = re.split(r"\n(?=\[)", manifest.read_text().rstrip("\n"))
+    assert sections[0].startswith("[host]\n")
+    reversed_manifest = manifest.with_name("reversed.manifest")
+    reversed_manifest.write_text("\n".join([preamble, *sections[::-1]]) + "\n")
+    return reversed_manifest
+
+
 def test_diagram_section_order_does_not_change_the_diagrams(tmp_path):
     """The sections in file order, and reversed with [host] last, give the same diagrams/ tree."""
     manifest = write_two_label_manifest(tmp_path / "inputs")
-    preamble, *sections = re.split(r"\n(?=\[)", manifest.read_text().rstrip("\n"))
-    assert sections[0].startswith("[host]\n")
-    reversed_manifest = tmp_path / "inputs" / "reversed.manifest"
-    reversed_manifest.write_text("\n".join([preamble, *sections[::-1]]) + "\n")
-    for path, out in ((manifest, tmp_path / "o1"), (reversed_manifest, tmp_path / "o2")):
+    for path, out in ((manifest, tmp_path / "o1"), (_host_last(manifest), tmp_path / "o2")):
         assert run_cli("diagram", "--manifest", path, "--out", out) == 0
     assert _tree_bytes(tmp_path / "o1" / "diagrams") == _tree_bytes(tmp_path / "o2" / "diagrams")
     assert sorted(_tree_bytes(tmp_path / "o1" / "diagrams")) == [
@@ -230,6 +236,24 @@ def test_diagram_refuses_input_its_correction_would_get_wrong(tmp_path, capsys, 
     path.write_text(edit(path.read_text()))
     out = tmp_path / "out"
     assert run_cli("diagram", "--manifest", manifest, "--out", out) == 2
+    assert f"error: {tmp_path / 'inputs' / at}: {message}" in capsys.readouterr().err
+    assert not list((out / "diagrams").iterdir())
+
+
+@pytest.mark.parametrize("host_last", [False, True], ids=["host-first", "host-last"])
+@pytest.mark.parametrize("edit, at, message", [
+    (lambda text: text + "600 0.01\n", "ci_m1.pot:65", "site index 600 out of range for cell with 64 sites"),
+    # sites 34, 40 and 42 lie farther than the 5 A sampling radius from the defect at site 0; 0 and 1 do not
+    (lambda text: "".join(ln + "\n" for ln in text.splitlines() if ln.split()[0] in ("0", "1", "34", "40", "42")),
+     "ci_m1.pot:5", "only 3 sampled sites lie outside the sampling radius 5.000 A"),
+], ids=["site-index-out-of-range", "too-few-far-sites"])
+def test_diagram_names_the_pot_file_its_correction_refuses(tmp_path, capsys, edit, at, message, host_last):
+    """A .pot the finite-size correction cannot use is named, with the line of the row at fault."""
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    path = tmp_path / "inputs" / "ci_m1.pot"
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "out"
+    assert run_cli("diagram", "--manifest", _host_last(manifest) if host_last else manifest, "--out", out) == 2
     assert f"error: {tmp_path / 'inputs' / at}: {message}" in capsys.readouterr().err
     assert not list((out / "diagrams").iterdir())
 
@@ -400,6 +424,17 @@ def test_fitpl_flat_spectrum_exit_2(tmp_path):
     wl = np.linspace(1400, 1460, 100)
     io.save_spectrum(Spectrum(wavelength_nm=wl, counts=np.full(100, 7.0)), tmp_path / "flat.csv")
     assert run_cli("fitpl", "--data", tmp_path / "flat.csv", "--out", tmp_path / "out") == 2
+
+
+def test_fitpl_fit_that_does_not_converge_exit_3(tmp_path, capsys):
+    """A fit that does not converge prints and writes no peak."""
+    io.save_spectrum(noise_only_spectrum(), tmp_path / "flat.csv")
+    out = tmp_path / "out"
+    assert run_cli("fitpl", "--data", tmp_path / "flat.csv", "--max-peaks", "2", "--out", out) == 3
+    captured = capsys.readouterr()
+    assert "fit did not converge: peak fit did not converge" in captured.err
+    assert "peak at" not in captured.out
+    assert not list((out / "fits").iterdir())
 
 
 def test_lifetime_command(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from defect_forge import FitNonConvergence, fitting
 from defect_forge.fitting import (
     decay_jacobian,
     decay_model,
@@ -58,8 +59,8 @@ def test_gauss_newton_exact_recovery():
         lambda p: decay_model(t, p) - data,
         lambda p: decay_jacobian(t, p),
         np.array([500.0, 2.0, 0.0]),
+        "decay",
     )
-    assert result.converged
     np.testing.assert_allclose(result.params, truth, rtol=1e-7)
     assert result.residual_rms < 1e-8
 
@@ -73,8 +74,8 @@ def test_gauss_newton_damping_survives_bad_start():
         lambda p: decay_model(t, p) - data,
         lambda p: decay_jacobian(t, p),
         np.array([10.0, 35.0, 500.0]),
+        "decay",
     )
-    assert result.converged
     np.testing.assert_allclose(result.params, truth, rtol=1e-6)
 
 
@@ -86,22 +87,24 @@ def test_gauss_newton_deterministic():
         lambda p: decay_model(t, p) - data,
         lambda p: decay_jacobian(t, p),
         np.array([500.0, 2.0, 0.0]),
+        "decay",
     )
     a, b = run(), run()
     assert np.array_equal(a.params, b.params)
     assert a.n_iter == b.n_iter
 
 
-def test_gauss_newton_reports_nonconvergence():
+def test_gauss_newton_reports_nonconvergence(monkeypatch):
     t = np.linspace(0.0, 40.0, 60)
     data = decay_model(t, [800.0, 5.0, 20.0])
-    result = gauss_newton(
-        lambda p: decay_model(t, p) - data,
-        lambda p: decay_jacobian(t, p),
-        np.array([500.0, 2.0, 0.0]),
-        max_iter=2,
-    )
-    assert not result.converged
+    monkeypatch.setattr(fitting, "MAX_ITER", 2)
+    with pytest.raises(FitNonConvergence, match=r"^decay fit did not converge in 2 iterations \(residual rms "):
+        gauss_newton(
+            lambda p: decay_model(t, p) - data,
+            lambda p: decay_jacobian(t, p),
+            np.array([500.0, 2.0, 0.0]),
+            "decay",
+        )
 
 
 def test_gauss_newton_stderr_scale():
@@ -115,6 +118,7 @@ def test_gauss_newton_stderr_scale():
             lambda p: decay_model(t, p) - data,
             lambda p: decay_jacobian(t, p),
             np.array([700.0, 4.0, 10.0]),
+            "decay",
         )
         outs.append(res.param_stderr[1])
     assert outs[1] < outs[0]

@@ -5,6 +5,7 @@ import pytest
 
 from defect_forge import (
     DecayTrace,
+    FitNonConvergence,
     Spectrum,
     ValidationError,
     fit_lifetime,
@@ -31,7 +32,6 @@ def narrow_line_spectrum(center=1450.8, fwhm=0.03, amplitude=1000.0, baseline=5.
 def test_noiseless_lorentzian_recovery():
     spec = narrow_line_spectrum()
     peak = fit_peaks(spec, max_peaks=1)[0]
-    assert peak.converged
     assert peak.center_nm == pytest.approx(1450.8, abs=0.002)
     assert peak.fwhm_nm == pytest.approx(0.03, rel=0.03)
     assert peak.resolution_limited is True   # 0.03 nm at 1200 g/mm is the floor
@@ -104,7 +104,6 @@ def test_noise_maximum_on_a_tall_line_does_not_displace_a_weak_line(seed):
     """Seeds on which ranking local maxima by height seeded a tall line twice and missed a line."""
     spec, centers = _demo_pl_spectrum(seed)
     peaks = fit_peaks(spec, max_peaks=5)
-    assert all(p.converged for p in peaks)
     assert peaks[0].residual_rms < 5.0  # the noise is 2 counts
     np.testing.assert_allclose(sorted(p.center_nm for p in peaks), sorted(centers), atol=0.02)
 
@@ -281,6 +280,18 @@ def test_temperature_series_order_independent():
     a = temperature_series(spectra)
     b = temperature_series(list(reversed(spectra)))
     assert a == b
+
+
+def noise_only_spectrum(**meta):
+    """Flat noise whose strongest maximum passes the seeding threshold: its one-line fit does not converge."""
+    wl = np.linspace(1440.0, 1460.0, 2001)
+    counts = np.clip(50.0 + np.random.default_rng(11).normal(0.0, 2.0, 2001), 0.0, None)
+    return make_spectrum(wl, counts, **meta)
+
+
+def test_temperature_series_refuses_a_fit_that_does_not_converge():
+    with pytest.raises(FitNonConvergence, match="^peak fit did not converge"):
+        temperature_series([thermal_spectrum(6.0, 500.0), noise_only_spectrum(temperature_k=12.0)])
 
 
 def test_temperature_series_requires_metadata():

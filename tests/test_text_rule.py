@@ -124,6 +124,8 @@ CASES = {
     "spectrum": (lambda t: io.parse_spectrum(t, "s.csv"), _SPECTRUM, [
         _SPECTRUM.replace("\n1444,4\n", "\n1444,-4\n"),
         _SPECTRUM.replace("power_mW=0.5", "power_mW=inf"),
+        _SPECTRUM.replace("power_mW=0.5", "power_mW=0.5\n# grating_gpmm=0"),  # a resolution floor needs > 0
+        _SPECTRUM.replace("power_mW=0.5", "power_mW=0.5\n# grating_gpmm=-150"),
         "\n".join(_SPECTRUM.splitlines()[:-1]) + "\n",
     ]),
     "decay": (lambda t: io.parse_decay(t, "d.csv"), "time_ns,counts\n0,5\n1,4\n2,3\n", [

@@ -202,24 +202,34 @@ def write_structure(cell: CrystalCell, comment: str = "structure") -> str:
 
 # --- grid function files ----------------------------------------------------
 
-def parse_grid(text: str, cell: CrystalCell, source: str = "<string>") -> GridFunction:
+def parse_grid(text: str | bytes, cell: CrystalCell, source: str = "<string>", *,
+               head: str = "") -> GridFunction:
     """Grid file: header 'GRID n1 n2 n3 complex|real', then values (fastest index n3).
+
+    The file is head + text.  load_grid passes the lines through the header as
+    head and the rest of an ASCII file as bytes, which numpy converts with no
+    decoded copy; other bytes are decoded as UTF-8, and an undecodable byte is
+    reported as for any input file.
 
     The value block is converted in one numpy call.  A file that call cannot
     take whole (comments in the block, a wrong count, a token float() reads
     differently, a non-finite value) goes through the per-line reader, which
     reports the offending line.
     """
-    split = _grid_split(text)
-    if split is not None:
-        header, header_no, block = split
-        values = _block_values(block)
-        del split, block  # drop the copy of the text before the grid arrays are built
+    if isinstance(text, bytes) and not (head and text.isascii()):
+        text, head = _decode(head.encode("utf-8") + text, source), ""
+    split = _grid_split(head or text)
+    if split is not None and not (head and split[2]):
+        header, header_no, rest = split
+        values = _block_values(text if head else rest)
+        del split, rest  # drop the copy of the text before the grid arrays are built
         if values is not None:
             dims, kind = _grid_header(header, source, header_no)
             if len(values) == _grid_value_count(dims, kind):
-                return _grid_function(values, dims, kind, cell, source, header_no)
-    return _parse_grid_lines(text, cell, source)
+                del text  # the bytes from load_grid, whose only reference this call holds
+                values = _complex_values(values, kind)  # and the floats, before GridFunction copies the values
+                return _grid_function(dims, values, cell, source, header_no)
+    return _parse_grid_lines(head + (text.decode("ascii") if isinstance(text, bytes) else text), cell, source)
 
 
 def _grid_split(text: str):
@@ -236,11 +246,11 @@ def _grid_split(text: str):
     return None
 
 
-def _block_values(block: str):
+def _block_values(block: str | bytes):
     """Every number of a value block from one numpy call, or None to leave the block to the per-line reader."""
     # numpy reads a whitespace-only block as [-1.0], and takes tokens such as
     # 'nan(1)' that float() rejects; '#' lines are comments to the per-line reader
-    if "#" in block or not block or block.isspace():
+    if (b"#" if isinstance(block, bytes) else "#") in block or not block or block.isspace():
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # "could not be read to its end"
@@ -267,8 +277,24 @@ def _grid_value_count(dims, kind: str) -> int:
     return 2 * n if kind == "complex" else n
 
 
-def _grid_function(arr, dims, kind, cell, source, header_no) -> GridFunction:
-    values = arr[0::2] + 1j * arr[1::2] if kind == "complex" else arr.astype(complex)
+def _complex_values(arr: np.ndarray, kind: str) -> np.ndarray:
+    """The grid values of a block's numbers: for a complex grid, arr[0::2] + 1j * arr[1::2] bit for bit,
+    signed zeros included, built in one array."""
+    if kind == "real":
+        return arr.astype(complex)
+    re, im = arr[0::2], arr[1::2]
+    values = np.empty(len(re), dtype=complex)
+    # numpy forms 1j * im as (0*im - 0) + (im + 0)j and adds re + 0j to it; taking +0.0 from a
+    # number changes no bit, and adding it changes only -0.0, so the real part is re + 0*im and
+    # the imaginary part im + 0.0, signs of zero included (a view of arr as complex keeps -0.0
+    # where the expression gives +0.0)
+    np.multiply(im, 0.0, out=values.real)
+    values.real += re
+    np.add(im, 0.0, out=values.imag)
+    return values
+
+
+def _grid_function(dims, values, cell, source, header_no) -> GridFunction:
     with _at(source, header_no):
         return GridFunction(dims, values, cell)
 
@@ -288,7 +314,8 @@ def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction
             f"({dims[0] * dims[1] * dims[2]} {kind} values), found {len(tokens)}",
             source, lines[-1][0],
         )
-    return _grid_function(np.array(tokens), dims, kind, cell, source, lines[0][0])
+    values = _complex_values(np.array(tokens), kind)
+    return _grid_function(dims, values, cell, source, lines[0][0])
 
 
 def write_grid(grid: GridFunction, per_line: int = 3) -> str:
@@ -532,13 +559,18 @@ def _load(path, parser, *args):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", source) from None
+    text = _decode(data, source)
+    del data  # a grid file's bytes need not outlive its text
+    return parser(text, *args, source=source)
+
+
+def _decode(data: bytes, source: str) -> str:
+    """data as UTF-8 text, or a ParseError at the line of its first undecodable byte."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[:exc.start].decode("utf-8") + ".").splitlines())
         raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", source, lineno) from None
-    del data  # a grid file's bytes need not outlive its text
-    return parser(text, *args, source=source)
 
 
 def load_structure(path) -> CrystalCell:
@@ -550,7 +582,35 @@ def save_structure(cell: CrystalCell, path, comment: str = "structure") -> None:
 
 
 def load_grid(path, cell: CrystalCell) -> GridFunction:
+    """The grid file at path.  Its lines through the header are read first; when they
+    are ASCII, the rest of the file follows as one bytes object for parse_grid."""
+    try:
+        # unbuffered: after readline, a buffered read would copy the rest of the file once more
+        with open(path, "rb", buffering=0) as f:
+            head = _read_head(f)
+            if head is not None and head.isascii():
+                # the bytes are a call argument with no name here, so that parse_grid
+                # holds their only reference and frees them once they are converted
+                # (CPython 3.11 and later move call arguments into the callee)
+                return parse_grid(f.readall(), cell, str(Path(path)), head=head.decode("ascii"))
+    except OSError:
+        pass  # raised by open or a read, never by parse_grid; _load reports it
     return _load(path, parse_grid, cell)
+
+
+def _read_head(f) -> bytes | None:
+    """The lines of a binary file through the first that is neither blank nor a '#'
+    comment, or None when that line does not end within the first 4096 bytes."""
+    limit = 4096
+    head = b""
+    while len(head) < limit:
+        line = f.readline(limit - len(head))
+        if not line.endswith(b"\n"):
+            return None
+        head += line
+        if line.strip() and not line.lstrip().startswith(b"#"):
+            return head
+    return None
 
 
 def save_grid(grid: GridFunction, path) -> None:

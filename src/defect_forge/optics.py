@@ -13,7 +13,7 @@ dependence for nearly-orthogonal pairs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,6 +152,8 @@ class GridFunction:
     dims: tuple[int, int, int]
     values: np.ndarray
     cell: CrystalCell
+    # sum of |value|^2 over the grid, the squared norm transition_dipole normalises by
+    sum_abs2: float = field(init=False, repr=False)
 
     __eq__ = fields_equal
 
@@ -169,14 +171,15 @@ class GridFunction:
         if not np.isfinite(vals.view(float)).all():
             raise ValidationError("grid values contain non-finite entries")
         object.__setattr__(self, "dims", dims)
-        # the squared norm transition_dipole normalises by, which must not overflow there
         with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
-            norm2 = float(np.sum(np.abs(vals) ** 2) * self.point_weight)
+            sum_abs2 = float(np.sum(np.abs(vals) ** 2))
+        norm2 = sum_abs2 * self.point_weight
         if not np.isfinite(norm2):
             raise ValidationError("grid function L2 norm overflows (sum of |value|^2 * V/N is not finite)")
         if norm2 <= 0:
             raise ValidationError("grid function has zero L2 norm")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "sum_abs2", sum_abs2)
 
     @property
     def point_weight(self) -> float:
@@ -201,10 +204,6 @@ class TransitionDipole:
     centroid_frac: np.ndarray
 
 
-def _frac_grids(dims):
-    return [np.arange(n) / n for n in dims]
-
-
 def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDipole:
     """|<psi_f| r |psi_i>|^2 in Debye^2, per Cartesian component and total.
 
@@ -220,34 +219,43 @@ def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDip
     if not np.allclose(psi_i.cell.lattice, psi_f.cell.lattice, atol=1e-10):
         raise ValidationError("states live on different cells")
 
+    # each step works in place where it can, so that besides the two inputs only the
+    # kernel, the pair density and one (n1, n2, n3, 3) coordinate array are held at once
     w = psi_i.point_weight
-    a = psi_i.values / np.sqrt(np.sum(np.abs(psi_i.values) ** 2) * w)
-    b = psi_f.values / np.sqrt(np.sum(np.abs(psi_f.values) ** 2) * w)
-    overlap = complex(np.sum(np.conj(b) * a) * w)
+    a = psi_i.values / np.sqrt(psi_i.sum_abs2 * w)
+    b = psi_f.values / np.sqrt(psi_f.sum_abs2 * w)
+    rho = np.abs(a) ** 2 + np.abs(b) ** 2
+    kernel = np.conjugate(b, out=b)
+    kernel *= a
+    del a, b
+    overlap = complex(np.sum(kernel) * w)
     if abs(overlap) > OVERLAP_TOLERANCE:
         warnings.warn(
             f"states are not orthogonal (|<f|i>| = {abs(overlap):.2e}); the length-gauge "
             "dipole retains an origin dependence of the same order"
         )
+    kernel *= w
 
     dims = psi_i.dims
-    fx, fy, fz = _frac_grids(dims)
-    frac = np.stack(np.meshgrid(fx, fy, fz, indexing="ij"), axis=-1)  # (n1,n2,n3,3)
-
-    rho = np.abs(a) ** 2 + np.abs(b) ** 2
-    ref_idx = np.unravel_index(int(np.argmax(rho)), dims)
-    ref = frac[ref_idx]
+    disp = np.empty((*dims, 3))  # fractional coordinates of every grid point
+    for c, n in enumerate(dims):
+        disp[..., c] = (np.arange(n) / n).reshape([n if k == c else 1 for k in range(3)])
+    ref = disp[np.unravel_index(int(np.argmax(rho)), dims)].copy()
     # unwrap every point once around the pair-density maximum; measuring the
     # dipole from the centroid of the same unwrapped coordinates makes the
     # diagonal element vanish identically
-    disp = frac - ref
-    disp -= np.round(disp)
+    disp -= ref
+    for c in range(3):
+        axis = disp[..., c]
+        axis -= np.round(axis)
     offset = np.einsum("xyz,xyzc->c", rho, disp) / np.sum(rho)
+    del rho
     centroid = ref + offset
 
-    cart = (disp - offset) @ psi_i.cell.lattice
-    kernel = np.conj(b) * a * w
-    components = DEBYE_PER_E_ANG * np.einsum("xyz,xyzc->c", kernel, cart)
+    disp -= offset
+    for plane in disp:  # to Cartesian one x-plane at a time: the same (n3, 3) @ (3, 3) batches
+        plane[...] = plane @ psi_i.cell.lattice
+    components = DEBYE_PER_E_ANG * np.einsum("xyz,xyzc->c", kernel, disp)
     squared = np.abs(components) ** 2
     return TransitionDipole(
         components_debye=components,

@@ -4,10 +4,13 @@ Everything here is built from first principles with plain numpy and no code
 from the package under test: a closed-form potential of a homogeneous box,
 a direct real-space image sum for periodic point charges, a radial
 quadrature for the hydrogenic 1s->2p_z dipole matrix element, the
-original one-point-at-a-time raster assembly, and CSV writers that format
-one value at a time with format(v, '.17g'), which the whole-array versions
+original one-point-at-a-time raster assembly, the original out-of-place
+transition dipole arithmetic, and CSV writers that format one value at a
+time with format(v, '.17g'), which the whole-array and in-place versions
 must match bit for bit.
 """
+
+import warnings
 
 import numpy as np
 
@@ -92,6 +95,42 @@ def hydrogenic_1s_2pz_squared_tdm():
     d_bohr = (1.0 / np.sqrt(np.pi)) * (1.0 / (4.0 * np.sqrt(2.0 * np.pi))) * angular * radial
     d_debye = d_bohr * A0 * DEBYE
     return d_debye * d_debye
+
+
+def transition_dipole_reference(psi_i, psi_f, debye_per_e_ang, overlap_tolerance):
+    """(components, squared components, squared total, overlap, centroid) of the length-gauge
+    dipole between two grid states, by the original arithmetic: one new array per step.
+
+    psi_i and psi_f need dims, values, point_weight and cell.lattice; the unit factor and
+    the overlap warning threshold are passed in, so the result can match bit for bit.
+    """
+    w = psi_i.point_weight
+    a = psi_i.values / np.sqrt(np.sum(np.abs(psi_i.values) ** 2) * w)
+    b = psi_f.values / np.sqrt(np.sum(np.abs(psi_f.values) ** 2) * w)
+    overlap = complex(np.sum(np.conj(b) * a) * w)
+    if abs(overlap) > overlap_tolerance:
+        warnings.warn(
+            f"states are not orthogonal (|<f|i>| = {abs(overlap):.2e}); the length-gauge "
+            "dipole retains an origin dependence of the same order"
+        )
+
+    dims = psi_i.dims
+    fx, fy, fz = [np.arange(n) / n for n in dims]
+    frac = np.stack(np.meshgrid(fx, fy, fz, indexing="ij"), axis=-1)  # (n1,n2,n3,3)
+
+    rho = np.abs(a) ** 2 + np.abs(b) ** 2
+    ref_idx = np.unravel_index(int(np.argmax(rho)), dims)
+    ref = frac[ref_idx]
+    disp = frac - ref
+    disp -= np.round(disp)
+    offset = np.einsum("xyz,xyzc->c", rho, disp) / np.sum(rho)
+    centroid = ref + offset
+
+    cart = (disp - offset) @ psi_i.cell.lattice
+    kernel = np.conj(b) * a * w
+    components = debye_per_e_ang * np.einsum("xyz,xyzc->c", kernel, cart)
+    squared = np.abs(components) ** 2
+    return components, squared, float(squared.sum()), overlap, centroid
 
 
 def raster_reference(points, tol_fraction=0.01):

@@ -7,11 +7,12 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from defect_forge import ParseError
+from defect_forge import CrystalCell, ParseError
 from defect_forge import io_formats as io
 from defect_forge.cli import main
 from defect_forge.manifest import load_manifest, parse_eigenvalues
@@ -112,6 +113,31 @@ def test_parsers_return_or_raise_parse_error(demo, name, edits):
             LOADERS[name](inputs / name)
         except ParseError:
             pass
+
+
+def _outcome(load, path):
+    try:
+        grid = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return grid.dims, grid.values.tobytes()
+
+
+_GRID_FILE = (b"# signed zeros, a subnormal, a large value\nGRID 2 2 2 complex\n1 -0 -0.5 2\n"
+              b"-0 4 5e-324 -1.5e150\n0.25 -0 3 -7e-3\n-0 -0 1e-300 6\n")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(edits=MUTATIONS)
+def test_load_grid_reads_every_file_as_the_text_reader_does(edits):
+    """load_grid reads the value block of an ASCII file as bytes; every mutated file still
+    gives the grid, bit for bit, or the error that the text reader gives."""
+    cell = CrystalCell(np.eye(3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.grid"
+        path.write_bytes(mutate(_GRID_FILE, edits))
+        assert _outcome(lambda p: io.load_grid(p, cell), path) == \
+            _outcome(lambda p: io._load(p, io.parse_grid, cell), path)
 
 
 def _check_command(demo, command, name, edits, options=(), label=None):

@@ -1,7 +1,12 @@
 """Format round trips, parse errors with file/line context, manifest resolution."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defect_forge import CrystalCell, DecayTrace, ParseError, Site, Spectrum, supercell
 from defect_forge import io_formats as io
@@ -188,6 +193,70 @@ def test_write_grid_matches_per_value_format(rng, per_line, dims, complex_values
     text = io.write_grid(grid, per_line)
     assert text == _write_grid_per_value(grid, per_line)
     assert io.parse_grid(text, grid.cell) == grid
+
+
+# signed zeros, subnormals and the largest magnitudes, where the sign of a zero
+# or a rounding step would show
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308, 1.0, -1.0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGE_FLOATS),
+                                            st.floats(allow_nan=False, allow_infinity=False))] * 2),
+                      max_size=40))
+def test_complex_grid_values_match_the_numpy_expression_bit_for_bit(pairs):
+    arr = np.array(pairs, dtype=float).reshape(-1)
+    expected = arr[0::2] + 1j * arr[1::2]
+    assert io._complex_values(arr, "complex").tobytes() == expected.tobytes()
+
+
+def test_complex_grid_values_match_on_a_long_array(rng):
+    """Long enough for every vector loop and its remainder, with edge values spread through it."""
+    arr = rng.normal(size=2 * 10_001) * 10.0 ** rng.integers(-320, 300, 2 * 10_001)
+    arr[rng.integers(0, len(arr), 2000)] = rng.choice(EDGE_FLOATS, 2000)
+    expected = arr[0::2] + 1j * arr[1::2]
+    assert io._complex_values(arr, "complex").tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("data, line, message", [
+    ("GRID 2 1 1 real\n1.0 é\n".encode(), 2, "non-numeric value in grid: 'é'"),
+    (b"GRID 1 1 1 real\n1 # trailing\n", 2, "non-numeric value in grid: '#'"),
+    (b"GRID 2 1 1 real\n1.0\n# note\n2.0 x\n", 4, "non-numeric value in grid: 'x'"),
+    (b"GRID 1 1 1 real\n1.0\xff\n", 2, "not UTF-8 text: byte 0xff"),
+    ("# é\nGRID 1 1 1 real\n1 x\n".encode(), 3, "non-numeric value in grid: 'x'"),
+    ("GRID 3 1 1 real\n1.0\u2028x\n2\n".encode(), 3, "non-numeric value in grid: 'x'"),
+    (b"\x0cGRID 1 1 1 real\n1.0 2\n", 3,
+     "grid value count mismatch: header promises 1 numbers (1 real values), found 2"),
+    (b"#" * 5000 + b"\nGRID 1 1 1 real\n1 x\n", 3, "non-numeric value in grid: 'x'"),
+    (b"", 1, "empty grid file"),
+])
+def test_load_grid_errors_name_the_same_line_on_every_path(tmp_path, data, line, message):
+    """Non-ASCII bytes, '#' in the block, odd line breaks and a long head all keep the
+    text reader's message and line."""
+    path = tmp_path / "g.grid"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        io.load_grid(path, CrystalCell(np.eye(3)))
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_load_grid_holds_one_copy_of_the_file(tmp_path, rng):
+    """Reading a 32^3 complex grid peaks at about the file plus its numbers; the file is
+    never held both as bytes and as text, and the numbers go before the values are copied.
+    Before CPython 3.11 the caller's stack keeps the bytes alive to the end of parse_grid."""
+    cell = CrystalCell(np.eye(3) * 10.0)
+    shape = (32, 32, 32)
+    grid = GridFunction(shape, rng.normal(size=shape) + 1j * rng.normal(size=shape), cell)
+    path = tmp_path / "g.grid"
+    io.save_grid(grid, path)
+    tracemalloc.start()
+    try:
+        back = io.load_grid(path, cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == grid
+    assert peak < (1.6 if sys.version_info >= (3, 11) else 2.2) * path.stat().st_size
 
 
 # --- measurement CSVs ---------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Transition dipole moments on periodic grids against analytic oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from defect_forge import CrystalCell, GridFunction, ValidationError, transition_dipole
-from defect_forge.units import BOHR_ANG
+from defect_forge.optics import OVERLAP_TOLERANCE
+from defect_forge.units import BOHR_ANG, DEBYE_PER_E_ANG
 
-from oracles import hydrogenic_1s_2pz_squared_tdm
+from oracles import hydrogenic_1s_2pz_squared_tdm, transition_dipole_reference
 
 
 def cube_cell(side):
@@ -109,6 +112,48 @@ def test_grid_refinement_stability():
     coarse = transition_dipole(*smooth_pair(24)).squared_total
     fine = transition_dipole(*smooth_pair(48)).squared_total
     assert abs(fine - coarse) / fine < 5e-3
+
+
+def random_pair(lattice, dims, seed):
+    rng = np.random.default_rng(seed)
+    cell = CrystalCell(np.array(lattice, dtype=float))
+    return tuple(GridFunction(dims, rng.normal(size=dims) + 1j * rng.normal(size=dims), cell)
+                 for _ in range(2))
+
+
+SKEWED = [[6.0, 0.0, 0.0], [1.2, 5.5, 0.0], [0.4, 0.8, 7.1]]
+OBLIQUE = [[4.1, 0.3, -0.2], [-1.7, 5.2, 0.9], [0.6, -2.3, 6.4]]
+
+
+@pytest.mark.filterwarnings("ignore:states are not orthogonal:UserWarning")
+@pytest.mark.parametrize("make_pair", [
+    lambda: smooth_pair(24),
+    lambda: random_pair(np.eye(3) * 7.5, (12, 12, 12), 1),
+    lambda: random_pair(SKEWED, (5, 7, 3), 2),
+    lambda: random_pair(OBLIQUE, (17, 9, 31), 3),
+    lambda: random_pair(np.eye(3) * 3.0, (1, 1, 1), 4),
+], ids=["cubic-smooth", "cubic", "skewed-odd", "oblique-odd", "one-point"])
+def test_transition_dipole_matches_out_of_place_reference_bit_for_bit(make_pair):
+    psi_i, psi_f = make_pair()
+    got = transition_dipole(psi_i, psi_f)
+    want = transition_dipole_reference(psi_i, psi_f, DEBYE_PER_E_ANG, OVERLAP_TOLERANCE)
+    fields = (got.components_debye, got.squared_components, got.squared_total, got.overlap,
+              got.centroid_frac)
+    for g, w in zip(fields, want, strict=True):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_transition_dipole_peak_memory_stays_under_four_grids():
+    """Beyond its two inputs, the call holds about 3.5 grids' worth of bytes at its peak: the
+    kernel, the pair density and the (n1, n2, n3, 3) coordinates, each built in place."""
+    psi_i, psi_f = smooth_pair(32)
+    tracemalloc.start()
+    try:
+        transition_dipole(psi_i, psi_f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * psi_i.values.nbytes
 
 
 def test_nonorthogonal_states_warn_and_report_overlap():

@@ -69,17 +69,20 @@ def _cmd_diagram(args, out: _Out) -> int:
     manifest = load_manifest(args.manifest)
     out.log(f"project '{manifest.project}': {len(manifest.defects)} defect entries")
     ctx = None
-    pot_paths = {(e.run.label, e.run.charge): e.site_potential_path for e in manifest.defects}
-    for label, runs in sorted(manifest.runs_by_label().items()):
+    by_label = {}
+    for entry in manifest.defects:
+        by_label.setdefault(entry.run.label, []).append(entry)
+    for label, entries in sorted(by_label.items()):
         corrections = {}
-        for run in runs:
+        runs = [entry.run for entry in entries]
+        for entry, run in zip(entries, runs):
             if run.site_potentials is not None and run.charge != 0:
                 if ctx is None:
                     ctx = EwaldContext.for_cell(manifest.cell)
                 try:
                     corr = finite_size_correction(ctx, run.charge, run.site_potentials, run.position)
                 except ValidationError as exc:  # a .pot the correction refuses; each row is one content line
-                    path = pot_paths[label, run.charge]
+                    path = entry.site_potential_path
                     rows = io._load(path, lambda text, source: [no for no, _ in io._content(text)])
                     raise ParseError(str(exc), path, rows[exc.row]) from None
                 corrections[run.charge] = corr.total

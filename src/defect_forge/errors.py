@@ -21,4 +21,4 @@ class ParseError(ValidationError):
 
 
 class FitNonConvergence(RuntimeError):
-    """A nonlinear fit failed to converge within the iteration budget."""
+    """A fit did not converge: it ran out of iterations, met a non-finite Jacobian, or found no descent."""

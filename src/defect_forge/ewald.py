@@ -24,16 +24,14 @@ finite_size_correction finds the minimum images of all sampled sites in one
 call.  potential_terms memoises the terms of each home-cell point by its
 bytes, so a point shared by charge states or by defects on equivalent host
 sites is evaluated once per context (the model potential is C * q times terms
-of the reduced point alone); the self potential is computed apart, once.  The
-context is otherwise immutable and all operations are pure, so (charge,
-position) evaluations can run concurrently; at worst a concurrent caller
-misses the memo and computes the same term again.
+of the reduced point alone); the self potential is computed apart, once.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,13 +43,20 @@ from .units import COULOMB_EV_ANG
 __all__ = ["EwaldContext", "CorrectionResult", "ewald_potential", "lattice_energy", "finite_size_correction"]
 
 TAIL_TOLERANCE = 1e-8  # eV per unit q^2; each truncated tail must be bounded below it
+# integer combinations either lattice sum may enumerate; building them peaks at
+# about 72 bytes each (tracemalloc), so the cap holds that near 0.7 GB
+MAX_COMBINATIONS = 10**7
+
+
+def _extent(rows: np.ndarray, cutoff: float) -> list[float]:
+    """Per-axis bound on |n_k| that covers every combination n @ rows within a Cartesian cutoff,
+    as Python floats, whose products overflow to inf without a warning."""
+    return (np.ceil(cutoff * np.linalg.norm(np.linalg.inv(rows), axis=0)) + 1).tolist()
 
 
 def _integer_vectors(rows: np.ndarray, cutoff: float, skip_zero: bool) -> np.ndarray:
     """All lattice combinations n @ rows with Cartesian norm <= cutoff."""
-    inv = np.linalg.inv(rows)
-    nmax = np.ceil(cutoff * np.linalg.norm(inv, axis=0)).astype(int) + 1
-    axes = [np.arange(-n, n + 1) for n in nmax]
+    axes = [np.arange(-int(n), int(n) + 1) for n in _extent(rows, cutoff)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     vecs = grid @ rows
     norm2 = np.einsum("ij,ij->i", vecs, vecs)
@@ -75,38 +80,26 @@ def _tail_bounds(volume: float, lam_min: float, lam_max: float, eta: float,
 class EwaldContext:
     """Immutable summation context for one cell + dielectric tensor.
 
-    Build with :meth:`for_cell` unless you have a reason to pin cutoffs by
-    hand; hand-picked cutoffs are still validated against the tail bounds.
+    ``EwaldContext(cell, eta=None)`` is the one constructor (``for_cell`` makes
+    the same call).  eta defaults to (pi * n_sites / V^2)^(1/6), a
+    real/reciprocal work balance; any eta in a wide range gives the same
+    energies.  Both cutoffs are grown until the tail bounds fall below
+    TAIL_TOLERANCE.  A cell whose lattice sums would enumerate more than
+    MAX_COMBINATIONS integer combinations is refused before they are built.
     """
 
     cell: CrystalCell
-    eta: float
-    real_cutoff: float
-    recip_cutoff: float
+    eta: float | None = None
+    real_cutoff: float = field(init=False)
+    recip_cutoff: float = field(init=False)
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValidationError(f"eta must be > 0, got {self.eta}")
-        real, recip = _tail_bounds(
-            self.cell.volume, *self._eps_extremes, self.eta, self.real_cutoff, self.recip_cutoff
-        )
-        if real > TAIL_TOLERANCE or recip > TAIL_TOLERANCE:
-            raise ValidationError(
-                "non-convergent cutoff settings: tail estimates "
-                f"(real {real:.2e}, recip {recip:.2e} eV) above tolerance {TAIL_TOLERANCE:.1e}"
-            )
-
-    @classmethod
-    def for_cell(cls, cell: CrystalCell, eta: float | None = None) -> "EwaldContext":
-        """Context with the default splitting heuristic and auto-grown cutoffs.
-
-        eta defaults to (pi * n_sites / V^2)^(1/6), a real/reciprocal work
-        balance; any eta in a wide range gives the same energies.
-        """
-        volume = cell.volume
+        cell, eta, volume = self.cell, self.eta, self.cell.volume
         if eta is None:
             n_sites = max(len(cell.sites), 1)
             eta = float((np.pi * n_sites / volume**2) ** (1.0 / 6.0))
+        if not (eta > 0 and np.finfo(float).tiny <= eta * eta < np.inf):  # the tail bounds divide by eta^2
+            raise ValidationError(f"eta must be finite and > 0, with eta^2 a normal float, got {eta}")
         lam = np.linalg.eigvalsh(cell.dielectric)
         lam_min, lam_max = float(lam[0]), float(lam[-1])
         real_cutoff = 3.0 * np.sqrt(lam_max) / eta
@@ -114,17 +107,26 @@ class EwaldContext:
         for _ in range(200):
             real, recip = _tail_bounds(volume, lam_min, lam_max, eta, real_cutoff, recip_cutoff)
             if real <= TAIL_TOLERANCE and recip <= TAIL_TOLERANCE:
-                return cls(cell, eta, real_cutoff, recip_cutoff)
+                break
             if real > TAIL_TOLERANCE:
                 real_cutoff *= 1.2
             if recip > TAIL_TOLERANCE:
                 recip_cutoff *= 1.2
-        raise ValidationError("cutoff growth did not converge; eta is badly scaled for this cell")
+        else:
+            raise ValidationError("cutoff growth did not converge; eta is badly scaled for this cell")
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "real_cutoff", real_cutoff)
+        object.__setattr__(self, "recip_cutoff", recip_cutoff)
+        n_real = math.prod(2 * n + 1 for n in _extent(cell.lattice, real_cutoff + self._cell_diameter))
+        n_recip = math.prod(2 * n + 1 for n in _extent(reciprocal(cell), recip_cutoff))
+        if not (n_real <= MAX_COMBINATIONS and n_recip <= MAX_COMBINATIONS):
+            raise ValidationError(f"Ewald sums too large for this cell and dielectric tensor: {n_real:.4g} real-space "
+                                  f"and {n_recip:.4g} reciprocal-space integer combinations, cap {MAX_COMBINATIONS}")
 
-    @property
-    def _eps_extremes(self) -> tuple[float, float]:
-        lam = np.linalg.eigvalsh(self.cell.dielectric)
-        return float(lam[0]), float(lam[-1])
+    @classmethod
+    def for_cell(cls, cell: CrystalCell, eta: float | None = None) -> "EwaldContext":
+        """The same as ``EwaldContext(cell, eta)``."""
+        return cls(cell, eta)
 
     @cached_property
     def _eps_inv(self) -> np.ndarray:
@@ -176,7 +178,7 @@ class EwaldContext:
 
     def _point_term(self, p: np.ndarray) -> float:
         """potential_terms at one home-cell point p; a pure function of p's bits."""
-        # local import: scipy costs about 1.2 s of start-up that most commands never use
+        # local import: scipy.special costs about 0.3 s of start-up that most commands never use
         from scipy.special import erfc
 
         volume = self.cell.volume
@@ -237,10 +239,6 @@ class CorrectionResult:
     n_sampled: int
     sampling_radius: float
 
-    @classmethod
-    def zero(cls) -> "CorrectionResult":
-        return cls(0.0, 0.0, 0.0, 0.0, 0, 0.0)
-
 
 def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_position) -> CorrectionResult:
     """Point-charge + potential-alignment correction for charge q at defect_position.
@@ -262,18 +260,22 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
     if q == 0:
         if np.any(pots[:, 1] != 0.0):
             warnings.warn("q=0 with nonzero site potentials: correction is identically zero")
-        return CorrectionResult.zero()
+        return CorrectionResult(0.0, 0.0, 0.0, 0.0, 0, 0.0)
 
     cell = ctx.cell
     n_sites = len(cell.sites)
-    bad = ~((pots[:, 0] >= 0) & (pots[:, 0] < n_sites))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValidationError(f"site index {pots[k, 0]:g} out of range for cell with {n_sites} sites", row=k)
+    index = pots[:, 0]
+    repeat = np.ones(len(index), dtype=bool)
+    repeat[np.unique(index, return_index=True)[1]] = False  # every row but each index's first
+    for bad, what in ((~((index >= 0) & (index < n_sites)), f"out of range for cell with {n_sites} sites"),
+                      (index != np.floor(index), "is not an integer"), (repeat, "is repeated")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"site index {index[k]:g} {what}", row=k)
     sampling_radius = ws_inscribed_radius(cell)
     defect_frac = np.asarray(defect_position, dtype=float).reshape(3)
 
-    disp = minimum_image(cell, cell.site_positions()[pots[:, 0].astype(int)] - defect_frac)
+    disp = minimum_image(cell, cell.site_positions()[index.astype(int)] - defect_frac)
     far = np.linalg.norm(disp, axis=1) > sampling_radius
     far_disp = disp[far]
     if len(far_disp) < 4:

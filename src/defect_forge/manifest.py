@@ -51,12 +51,6 @@ class RunManifest:
     defects: tuple[DefectEntry, ...]
     spectra: tuple[SpectrumEntry, ...]
 
-    def runs_by_label(self) -> dict[str, list[DefectRun]]:
-        grouped: dict[str, list[DefectRun]] = {}
-        for entry in self.defects:
-            grouped.setdefault(entry.run.label, []).append(entry.run)
-        return grouped
-
 
 # --- key=value record files ---------------------------------------------------
 

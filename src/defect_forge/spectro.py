@@ -98,7 +98,7 @@ class PeakFit:
 
 
 def _seed_peaks(spec: Spectrum, max_peaks: int):
-    # local import: scipy costs about 1.2 s of start-up that most commands never use
+    # local import: scipy.signal costs about 1.2 s of start-up that most commands never use
     from scipy.signal import find_peaks
 
     counts = spec.counts

@@ -167,9 +167,40 @@ def test_correction_on_skewed_supercell(si_motif):
 def test_bad_cutoffs_rejected():
     cell = CrystalCell(np.eye(3) * 5.0)
     with pytest.raises(ValidationError):
-        EwaldContext(cell, eta=0.25, real_cutoff=3.0, recip_cutoff=1.0)
-    with pytest.raises(ValidationError):
-        EwaldContext(cell, eta=-1.0, real_cutoff=30.0, recip_cutoff=10.0)
+        EwaldContext(cell, eta=-1.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf, 1e-300])
+def test_for_cell_refuses_a_bad_eta_before_using_it(eta):
+    with pytest.raises(ValidationError, match="eta must be finite and > 0"):
+        EwaldContext.for_cell(CrystalCell(np.eye(3) * 5.0), eta=eta)
+
+
+def test_cutoffs_are_derived_not_settable():
+    with pytest.raises(TypeError):
+        EwaldContext(CrystalCell(np.eye(3) * 5.0), 0.25, 30.0, 10.0)
+
+
+def _host64(dielectric):
+    """The demo host: 4^3 'Si' sites on a 10.86 A cubic cell."""
+    sites = tuple(Site("Si", (i / 4, j / 4, k / 4)) for i in range(4) for j in range(4) for k in range(4))
+    return CrystalCell(np.eye(3) * 10.86, sites, dielectric=dielectric)
+
+
+@pytest.mark.parametrize("cell, eta", [
+    (CrystalCell(np.eye(3) * 5.0), 1e-3),  # a 6220 A real-space cutoff
+    (_host64(1e5), None),
+    (_host64(np.diag([11.7, 11.7, 1e4])), None),
+])
+def test_sums_too_large_for_the_cell_are_refused_before_they_are_built(cell, eta):
+    with pytest.raises(ValidationError, match=r"real-space and .* reciprocal-space integer combinations, "
+                                              r"cap 10000000"):
+        EwaldContext(cell, eta)
+
+
+@pytest.mark.parametrize("eps", [300.0, 1000.0])  # 531441 and 2924207 real-space combinations
+def test_large_dielectric_on_a_64_site_host_stays_under_the_cap(eps):
+    assert EwaldContext(_host64(eps)).real_cutoff > 0
 
 
 # --- finite-size correction ---------------------------------------------------
@@ -202,7 +233,7 @@ def test_correction_zero_charge_is_all_zero():
     ctx = EwaldContext.for_cell(_sampled_cell())
     with pytest.warns(UserWarning):
         res = finite_size_correction(ctx, 0, [(1, 0.05)], (0.0, 0.0, 0.0))
-    assert res == CorrectionResult.zero()
+    assert res == CorrectionResult(0.0, 0.0, 0.0, 0.0, 0, 0.0)
 
 
 def test_correction_self_consistency():
@@ -247,6 +278,22 @@ def test_correction_requires_far_sites():
     near_only = [(0, 0.1), (1, 0.1), (2, 0.1)]
     with pytest.raises(ValidationError):
         finite_size_correction(ctx, -1, near_only, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("row, index, match", [
+    (5, 5.9, "site index 5.9 is not an integer"),
+    (9, 3, "site index 3 is repeated"),
+])
+def test_correction_refuses_the_site_indices_a_pot_file_may_not_hold(si_motif, row, index, match):
+    """Each refusal names its row, as the .pot parser names its line, so `diagram` can map one to the other."""
+    from defect_forge import supercell
+
+    ctx = EwaldContext.for_cell(supercell(si_motif, 2, 2, 2))
+    pots = [(i, 0.01) for i in range(16)]
+    pots[row] = (index, 5.0)
+    with pytest.raises(ValidationError, match=match) as err:
+        finite_size_correction(ctx, -1, pots, (0.0, 0.0, 0.0))
+    assert err.value.row == row
 
 
 def test_correction_rejects_fractional_charge():

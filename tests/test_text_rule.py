@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from defect_forge import CrystalCell, DecayTrace, ParseError, Site, Spectrum
 from defect_forge import io_formats as io
 from defect_forge.manifest import parse_defect_run, parse_eigenvalues, parse_manifest, parse_site_potentials
-from defect_forge.optics import GridFunction, OpticsRecord
+from defect_forge.optics import OpticsRecord
 from defect_forge.thermo import FormationDiagram
 
 from oracles import decay_csv_reference, diagram_csv_reference, spectrum_csv_reference, xy_csv_reference
@@ -106,7 +106,7 @@ _SPECTRUM = io.write_spectrum(Spectrum(wavelength_nm=_WL, counts=np.arange(16.0)
                                        power_mw=0.5, location="spot-3"))
 _CELL = io.write_structure(CrystalCell(np.eye(3) * 5.0, (
     Site("Si", (0, 0, 0)), Site("C", (0.5, 0.5, 0.5)), Site("Si", (0.25, 0.25, 0.25)))), "a cell")
-_GRID = io.write_grid(GridFunction((2, 1, 2), np.array([1 + 2j, 3, -0.5j, 4]), BOX), per_line=1)
+_GRID = "GRID 2 1 2 complex\n1 2\n3 0\n-0 -0.5\n4 0\n"  # one value per line
 _OPTICS = io.write_optics_records([OpticsRecord("Ci", -1, "down", 571.0, 1.69e-06, 2.0),
                                    OpticsRecord("Ci", 0, "none", 569.0, 3.37e-06, None)])
 

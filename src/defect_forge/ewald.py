@@ -96,8 +96,7 @@ class EwaldContext:
     def __post_init__(self):
         cell, eta, volume = self.cell, self.eta, self.cell.volume
         if eta is None:
-            n_sites = max(len(cell.sites), 1)
-            eta = float((np.pi * n_sites / volume**2) ** (1.0 / 6.0))
+            eta = float((np.pi * max(len(cell.sites), 1) / volume**2) ** (1.0 / 6.0))
         if not (eta > 0 and np.finfo(float).tiny <= eta * eta < np.inf):  # the tail bounds divide by eta^2
             raise ValidationError(f"eta must be finite and > 0, with eta^2 a normal float, got {eta}")
         lam = np.linalg.eigvalsh(cell.dielectric)
@@ -144,8 +143,7 @@ class EwaldContext:
 
     @cached_property
     def _real_vectors(self) -> np.ndarray:
-        # margin so any point wrapped near the cell still sees all images
-        # within real_cutoff of itself
+        # margin: a point wrapped anywhere near the cell still sees every image within real_cutoff
         return _integer_vectors(self.cell.lattice, self.real_cutoff + self._cell_diameter, skip_zero=False)
 
     @cached_property
@@ -285,8 +283,7 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
         )
 
     v_model = COULOMB_EV_ANG * q * ctx.potential_terms(far_disp)
-    far_dv = pots[far, 1]
-    delta_phi = float(np.mean(far_dv - v_model))
+    delta_phi = float(np.mean(pots[far, 1] - v_model))
     e_pc = -lattice_energy(ctx, q)
     alignment = -q * delta_phi
     return CorrectionResult(

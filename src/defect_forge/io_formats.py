@@ -318,13 +318,16 @@ def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction
     return _grid_function(dims, values, cell, source, lines[0][0])
 
 
+GRID_VALUES_PER_LINE = 3  # real values, or complex re/im pairs, on each line of a written grid
+
+
 def write_grid(grid: GridFunction) -> str:
     vals = grid.values.reshape(-1)
     is_real = bool(np.all(vals.imag == 0))
     kind = "real" if is_real else "complex"
     out = [f"GRID {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} {kind}"]
     flat = (vals.real if is_real else np.column_stack([vals.real, vals.imag]).reshape(-1)).tolist()
-    step = 3 if is_real else 6  # numbers per line: 3 real values or 3 re/im pairs
+    step = GRID_VALUES_PER_LINE * (1 if is_real else 2)
     full = len(flat) - len(flat) % step
     line_fmt = " ".join(["%.17g"] * step)
     out += [line_fmt % tuple(flat[i:i + step]) for i in range(0, full, step)]

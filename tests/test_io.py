@@ -164,21 +164,24 @@ def test_grid_parse_layouts(text, kind, expected):
     assert io.write_grid(grid).split()[4] == kind
 
 
-def _write_grid_per_value(grid):
-    """Reference writer: one _fmt call per value, 3 values per line."""
+def _write_grid_per_value(grid, per_line):
+    """Reference writer: one _fmt call per value."""
     vals = grid.values.reshape(-1)
     is_real = bool(np.all(vals.imag == 0))
     out = [f"GRID {grid.dims[0]} {grid.dims[1]} {grid.dims[2]} {'real' if is_real else 'complex'}"]
     flat = [io._fmt(v) for v in vals.real] if is_real else [
         io._fmt(x) for v in vals for x in (v.real, v.imag)]
-    step = 3 * (1 if is_real else 2)
+    step = per_line * (1 if is_real else 2)
     out += [" ".join(flat[i:i + step]) for i in range(0, len(flat), step)]
     return "\n".join(out) + "\n"
 
 
+@pytest.mark.parametrize("per_line", [1, 3, 4])
 @pytest.mark.parametrize("dims", [(1, 1, 1), (5, 1, 1), (2, 3, 2), (7, 1, 2)])
 @pytest.mark.parametrize("complex_values", [False, True])
-def test_write_grid_matches_per_value_format(rng, dims, complex_values):
+def test_write_grid_matches_per_value_format(rng, monkeypatch, per_line, dims, complex_values):
+    # the written files use 3 values per line; 1 and 4 exercise the wrapping
+    monkeypatch.setattr(io, "GRID_VALUES_PER_LINE", per_line)
     n = dims[0] * dims[1] * dims[2]
     # magnitudes up to 1e150 keep the L2 norm finite, as GridFunction requires
     specials = [-0.0, 5e-324, -2.5e-310, 1e150, -1e150, 0.1, 1.0 / 3.0]
@@ -190,7 +193,7 @@ def test_write_grid_matches_per_value_format(rng, dims, complex_values):
         vals = vals + 1j * np.roll(vals, 1)
     grid = GridFunction(dims, vals, CrystalCell(np.eye(3)))
     text = io.write_grid(grid)
-    assert text == _write_grid_per_value(grid)
+    assert text == _write_grid_per_value(grid, per_line)
     assert io.parse_grid(text, grid.cell) == grid
 
 

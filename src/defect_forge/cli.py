@@ -21,6 +21,7 @@ from . import io_formats as io
 from .dose import calibrate, classify_with_segment
 from .errors import FitNonConvergence, ParseError, ValidationError
 from .ewald import EwaldContext, finite_size_correction
+from .fitting import LINE_SHAPES
 from .manifest import load_manifest
 from .optics import table_consistency_check, transition_dipole
 from .spectro import fit_lifetime, fit_peaks, fit_saturation, raster_map
@@ -65,7 +66,7 @@ def _json(payload) -> str:
 
 # --- commands -------------------------------------------------------------------
 
-def _cmd_diagram(args, out: _Out) -> int:
+def _cmd_diagram(args, out: _Out) -> None:
     manifest = load_manifest(args.manifest)
     out.log(f"project '{manifest.project}': {len(manifest.defects)} defect entries")
     ctx = None
@@ -109,10 +110,9 @@ def _cmd_diagram(args, out: _Out) -> int:
         }
         out.write(f"diagrams/{label}_levels.json", _json(summary))
         print(f"{label}: stable charge at intrinsic Fermi level = {diag.stable_at_intrinsic:+d}")
-    return EXIT_OK
 
 
-def _check_records(records, reference, out: _Out, stem: str) -> int:
+def _check_records(records, reference, out: _Out, stem: str) -> None:
     checks = table_consistency_check(records, reference)
     out.write(f"optics/{stem}.csv", io.write_table_check(checks))
     flagged = [c for c in checks if c.flagged]
@@ -125,12 +125,11 @@ def _check_records(records, reference, out: _Out, stem: str) -> int:
               f"stated shift {c.record.shift_mev:g} meV vs recomputed "
               f"{c.recomputed_shift_mev:g} meV (discrepancy {c.discrepancy_mev:g} meV)")
     print(f"{len(checks)} rows checked, {len(flagged)} inconsistent, {len(rebuilt)} reconstructed")
-    return EXIT_OK
 
 
-def _cmd_optics(args, out: _Out) -> int:
+def _cmd_optics(args, out: _Out) -> None:
     records = io.load_optics_records(args.table)
-    return _check_records(records, args.reference, out, Path(args.table).stem + "_check")
+    _check_records(records, args.reference, out, Path(args.table).stem + "_check")
 
 
 def _reference_from_records(records) -> float:
@@ -142,15 +141,15 @@ def _reference_from_records(records) -> float:
     return anchors[0].zpl_mev
 
 
-def _cmd_check_table1(args, out: _Out) -> int:
+def _cmd_check_table1(args, out: _Out) -> None:
     text = (resources.files("defect_forge.data") / "ci_reference_table.csv").read_text(encoding="utf-8")
     records = io.parse_optics_records(text, source="ci_reference_table.csv")
     reference = _reference_from_records(records)
     out.log(f"bundled table: {len(records)} rows, reference ZPL {reference:g} meV")
-    return _check_records(records, reference, out, "table1_check")
+    _check_records(records, reference, out, "table1_check")
 
 
-def _cmd_tdm(args, out: _Out) -> int:
+def _cmd_tdm(args, out: _Out) -> None:
     cell = io.load_structure(args.cell)
     psi_i = io.load_grid(args.psi_i, cell)
     psi_f = io.load_grid(args.psi_f, cell)
@@ -168,10 +167,9 @@ def _cmd_tdm(args, out: _Out) -> int:
     out.write("optics/tdm.json", _json(payload))
     print(f"squared TDM = {result.squared_total:.6g} Debye^2 "
           f"(|overlap| = {abs(result.overlap):.3g})")
-    return EXIT_OK
 
 
-def _cmd_fitpl(args, out: _Out) -> int:
+def _cmd_fitpl(args, out: _Out) -> None:
     spec = io.load_spectrum(args.data)
     peaks = fit_peaks(spec, model=args.model, max_peaks=args.max_peaks)
     stem = Path(args.data).stem
@@ -187,10 +185,9 @@ def _cmd_fitpl(args, out: _Out) -> int:
         note = " (resolution-limited)" if p.resolution_limited else ""
         print(f"peak at {p.center_nm:.4f} nm, FWHM {p.fwhm_nm:.4g} nm, "
               f"amplitude {p.amplitude:.4g}{note}")
-    return EXIT_OK
 
 
-def _cmd_lifetime(args, out: _Out) -> int:
+def _cmd_lifetime(args, out: _Out) -> None:
     trace = io.load_decay(args.data)
     fit = fit_lifetime(trace)
     stem = Path(args.data).stem
@@ -204,10 +201,9 @@ def _cmd_lifetime(args, out: _Out) -> int:
     out.write(f"fits/{stem}_lifetime.json", _json(payload))
     out.log(f"decay fit: residual rms {fit.residual_rms:.6g}, converged=True")
     print(f"tau = {fit.tau_ns:.4g} ns (+- {fit.tau_stderr_ns:.2g})")
-    return EXIT_OK
 
 
-def _cmd_saturation(args, out: _Out) -> int:
+def _cmd_saturation(args, out: _Out) -> None:
     powers, intensities = io.load_xy(args.data, "power_mW,intensity")
     fit = fit_saturation(powers, intensities)
     stem = Path(args.data).stem
@@ -226,10 +222,9 @@ def _cmd_saturation(args, out: _Out) -> int:
         print(f"P_sat = {fit.p_sat_mw:.4g} mW, I_sat = {fit.i_sat:.6g}")
     else:
         print("saturation knee unidentifiable: P_sat outside the measured power range")
-    return EXIT_OK
 
 
-def _cmd_dose(args, out: _Out) -> int:
+def _cmd_dose(args, out: _Out) -> None:
     fluences, intensities = io.load_xy(args.data, "fluence_mJcm2,intensity")
     curve = calibrate(zip(fluences, intensities), label=args.label)
     stem = Path(args.data).stem
@@ -250,10 +245,9 @@ def _cmd_dose(args, out: _Out) -> int:
         print(f"{f:g} mJ/cm^2 -> {regime}")
     if lines:
         out.write(f"fits/{stem}_classified.jsonl", "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def _cmd_raster(args, out: _Out) -> int:
+def _cmd_raster(args, out: _Out) -> None:
     points = io.load_raster_points(args.data)
     rmap = raster_map(points)
     stem = Path(args.data).stem
@@ -264,7 +258,6 @@ def _cmd_raster(args, out: _Out) -> int:
             out.log(f"missing scan point at ({x:g}, {y:g}) um")
         print(f"{len(rmap.missing)} missing scan point(s) filled with NaN")
     print(f"raster grid {rmap.values.shape[1]} x {rmap.values.shape[0]}")
-    return EXIT_OK
 
 
 # --- argument wiring --------------------------------------------------------------
@@ -298,7 +291,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fitpl", help="fit PL spectrum peaks")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=("lorentzian", "gaussian"), default="lorentzian")
+    p.add_argument("--model", choices=LINE_SHAPES, default="lorentzian")
     p.add_argument("--max-peaks", type=int, default=5, dest="max_peaks")
     p.set_defaults(func=_cmd_fitpl)
 
@@ -335,16 +328,16 @@ def main(argv=None) -> int:
         print(f"error: cannot create the output tree under --out {args.out}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_VALIDATION
+    code, message = EXIT_OK, None
     try:
-        code = args.func(args, out)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        out.log(f"error: {exc}")
-        code = EXIT_VALIDATION
+        args.func(args, out)
+    except ValidationError as exc:
+        code, message = EXIT_VALIDATION, f"error: {exc}"
     except FitNonConvergence as exc:
-        print(f"fit did not converge: {exc}", file=sys.stderr)
-        out.log(f"fit did not converge: {exc}")
-        code = EXIT_NONCONVERGED
+        code, message = EXIT_NONCONVERGED, f"fit did not converge: {exc}"
+    if message:
+        print(message, file=sys.stderr)
+        out.log(message)
     out.finish()
     return code
 

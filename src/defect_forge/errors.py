@@ -21,4 +21,5 @@ class ParseError(ValidationError):
 
 
 class FitNonConvergence(RuntimeError):
-    """A fit did not converge: it ran out of iterations, met a non-finite Jacobian, or found no descent."""
+    """A fit did not converge: its starting cost overflowed, it ran out of iterations, it met a
+    non-finite Jacobian, or it found no descent."""

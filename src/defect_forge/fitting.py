@@ -31,6 +31,7 @@ __all__ = [
 STEP_TOL = 1e-8    # converged when no parameter moves by more than this fraction
 MAX_HALVINGS = 30  # step halvings before a step counts as no descent
 MAX_ITER = 200     # Gauss-Newton steps before a fit counts as not converged
+LINE_SHAPES = ("lorentzian", "gaussian")  # the shapes peak_model and peak_jacobian know
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,9 @@ class FitResult:
 
 
 def _cost(r):
-    return float(np.dot(r, r))
+    """Sum of squares of r; inf when r holds a non-finite value or the sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.dot(r, r)) if np.isfinite(r).all() else np.inf
 
 
 def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
@@ -52,6 +55,8 @@ def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
     if not np.isfinite(r).all():
         raise ValidationError("residuals are non-finite at the starting point")
     cost = _cost(r)
+    if cost == np.inf:
+        raise FitNonConvergence(f"{what} fit did not converge in 0 iterations (residual rms inf)")
     converged = False
     for it in range(1, MAX_ITER + 1):
         jac = np.asarray(jacobian(x), dtype=float)
@@ -62,7 +67,7 @@ def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
         for _ in range(MAX_HALVINGS):
             cand = x + alpha * step
             r_new = np.asarray(residual(cand), dtype=float)
-            c_new = _cost(r_new) if np.isfinite(r_new).all() else np.inf
+            c_new = _cost(r_new)
             if c_new <= cost:
                 break
             alpha *= 0.5
@@ -97,21 +102,23 @@ def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
 # with amplitude A (counts), center c (nm) and full width at half maximum w (nm).
 
 def peak_model(x, params, shape: str = "lorentzian"):
+    if shape not in LINE_SHAPES:
+        raise ValidationError(f"unknown line shape '{shape}'")
     x = np.asarray(x, dtype=float)
     out = np.full_like(x, float(params[0]))
     for a, c, wdt in np.asarray(params[1:], dtype=float).reshape(-1, 3):
         if shape == "lorentzian":
             hw = 0.5 * wdt
             out = out + a * hw * hw / ((x - c) ** 2 + hw * hw)
-        elif shape == "gaussian":
+        else:
             sig = wdt / (2.0 * np.sqrt(2.0 * np.log(2.0)))
             out = out + a * np.exp(-0.5 * ((x - c) / sig) ** 2)
-        else:
-            raise ValidationError(f"unknown line shape '{shape}'")
     return out
 
 
 def peak_jacobian(x, params, shape: str = "lorentzian"):
+    if shape not in LINE_SHAPES:
+        raise ValidationError(f"unknown line shape '{shape}'")
     x = np.asarray(x, dtype=float)
     n = len(params)
     jac = np.zeros((len(x), n))
@@ -126,15 +133,13 @@ def peak_jacobian(x, params, shape: str = "lorentzian"):
             jac[:, base + 1] = 2.0 * a * hw * hw * (x - c) / denom**2
             # d/dw = d/d(hw) * 1/2;  d/d(hw) = 2 a hw (x-c)^2 / denom^2
             jac[:, base + 2] = a * hw * (x - c) ** 2 / denom**2
-        elif shape == "gaussian":
+        else:
             sig = wdt / (2.0 * np.sqrt(2.0 * np.log(2.0)))
             g = np.exp(-0.5 * ((x - c) / sig) ** 2)
             jac[:, base] = g
             jac[:, base + 1] = a * g * (x - c) / sig**2
             dsig = a * g * (x - c) ** 2 / sig**3
             jac[:, base + 2] = dsig / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-        else:
-            raise ValidationError(f"unknown line shape '{shape}'")
     return jac
 
 

@@ -20,7 +20,6 @@ from .errors import ParseError, ValidationError
 from .lattice import CrystalCell, Site
 from .optics import GridFunction, OpticsRecord, TableCheck
 from .spectro import DecayTrace, RasterMap, Spectrum, grating_resolution_nm
-from .thermo import FormationDiagram, _lowest_line
 
 __all__ = [
     "parse_structure", "load_structure", "write_structure", "save_structure",
@@ -142,8 +141,6 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
         with _at(source, content[1][0]):
             return CrystalCell(lattice)
     species = content[4][1].split()
-    if not species:
-        raise ParseError("species line is empty", source, content[4][0])
     counts_no, counts_ln = content[5]
     parts = counts_ln.split()
     if len(parts) != len(species):
@@ -168,13 +165,9 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
             f"unexpected extra content after {total} coordinate lines",
             source, coord_lines[total][0],
         )
-    sites = []
-    k = 0
-    for sp, cnt in zip(species, counts):
-        for _ in range(cnt):
-            no, ln = coord_lines[k]
-            sites.append(Site(sp, _floats(ln, 3, source, no, "fractional coordinate")))
-            k += 1
+    site_species = (sp for sp, cnt in zip(species, counts) for _ in range(cnt))
+    sites = [Site(sp, _floats(ln, 3, source, no, "fractional coordinate"))
+             for sp, (no, ln) in zip(site_species, coord_lines)]
     with _at(source, content[1][0]):
         return CrystalCell(lattice, tuple(sites))
 
@@ -379,7 +372,9 @@ def _series(cls, arr: np.ndarray, text: str, source: str, **fields):
         raise ParseError(str(exc), source, _data_line(text, exc.row)) from None
 
 
-_SPECTRUM_META_FLOAT = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_um")
+# '# key=value' spectrum metadata -> the Spectrum field it fills, in writing order
+_SPECTRUM_META = {"temperature_K": "temperature_k", "power_mW": "power_mw", "grating_gpmm": "grating_gpmm",
+                  "x_um": "x_um", "y_um": "y_um", "location": "location"}
 
 
 def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
@@ -390,28 +385,21 @@ def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
         if ln.startswith("#") and "=" in ln:
             key, _, value = ln[1:].partition("=")
             entries.append((no, key.strip(), value.strip()))
-    meta = dict.fromkeys((*_SPECTRUM_META_FLOAT, "location"))
-    for no, key, value in _keys(entries, source, "metadata ", meta):
-        meta[key] = value if key == "location" else _number(value, f"metadata '{key}'", source, no)
+    meta = dict.fromkeys(_SPECTRUM_META.values())
+    for no, key, value in _keys(entries, source, "metadata ", _SPECTRUM_META):
+        if key != "location":
+            value = _number(value, f"metadata '{key}'", source, no)
+        meta[_SPECTRUM_META[key]] = value
         if key == "grating_gpmm":  # the groove-density rule of fit_peaks, refused at this line
             with _at(source, no):
-                grating_resolution_nm(meta[key])
-    return _series(
-        Spectrum, arr, text, source,
-        temperature_k=meta["temperature_K"], power_mw=meta["power_mW"],
-        grating_gpmm=meta["grating_gpmm"], x_um=meta["x_um"], y_um=meta["y_um"],
-        location=meta["location"],
-    )
+                grating_resolution_nm(value)
+    return _series(Spectrum, arr, text, source, **meta)
 
 
 def write_spectrum(spec: Spectrum) -> str:
-    pairs = (
-        ("temperature_K", spec.temperature_k), ("power_mW", spec.power_mw),
-        ("grating_gpmm", spec.grating_gpmm), ("x_um", spec.x_um), ("y_um", spec.y_um),
-    )
-    out = [f"# {key}={_fmt(value)}" for key, value in pairs if value is not None]
-    if spec.location is not None:
-        out.append(f"# location={spec.location}")
+    values = ((key, getattr(spec, field)) for key, field in _SPECTRUM_META.items())
+    out = [f"# {key}={value if key == 'location' else _fmt(value)}"
+           for key, value in values if value is not None]
     return _csv(out + ["wavelength_nm,counts"], [spec.wavelength_nm, spec.counts])
 
 
@@ -522,12 +510,13 @@ def write_table_check(checks: list[TableCheck]) -> str:
 
 # --- formation diagram export ---------------------------------------------------
 
-def write_diagram_csv(diag: FormationDiagram) -> str:
+def write_diagram_csv(diag) -> str:
+    """A thermo.FormationDiagram as CSV: one row per Fermi level of diag.fermi."""
     charges = [q for q, _ in diag.lines]
     header = "fermi_eV," + ",".join(f"q={q:+d}" for q in charges) + ",envelope_eV,stable_q"
     # %.17g prints an integer-valued stable_q as its digits, as %d would
     return _csv([header], [diag.fermi, *(diag.energy_of(q, diag.fermi) for q in charges),
-                           diag.envelope_at(diag.fermi), _lowest_line(diag.lines, diag.fermi)])
+                           diag.envelope_at(diag.fermi), diag.stable_charge(diag.fermi)])
 
 
 def parse_diagram_csv(text: str, source: str = "<string>"):

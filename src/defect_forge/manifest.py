@@ -20,6 +20,7 @@ from ._record import readonly
 from .errors import ParseError
 from .io_formats import _at, _content, _integer, _keys, _load, _number, load_structure
 from .lattice import CrystalCell
+from .optics import SPIN_CHANNELS
 from .thermo import DefectRun, HostReference
 
 __all__ = ["RunManifest", "DefectEntry", "SpectrumEntry", "parse_manifest", "load_manifest",
@@ -108,7 +109,7 @@ def parse_eigenvalues(text: str, source: str = "<string>"):
         if len(parts) != 4:
             raise ParseError("expected 'spin index energy occupation'", source, no)
         spin = parts[0]
-        if spin not in ("up", "down", "none"):
+        if spin not in SPIN_CHANNELS:
             raise ParseError(f"spin must be up|down|none, got '{spin}'", source, no)
         idx = _integer(parts[1], "level index", source, no)
         energy = _number(parts[2], "eigenvalue energy", source, no)

@@ -4,7 +4,8 @@ ZPLs come from constrained-occupation total-energy differences and are
 reported in meV.  Transition dipole moments are computed in the length
 gauge from wavefunctions sampled on a periodic real-space grid, with the
 position operator measured from the charge-density centroid of the state
-pair under the minimum-image convention.  That choice is appropriate for
+pair, each grid point taken at its nearest image in fractional coordinates
+(np.round) around the pair-density maximum.  That choice is appropriate for
 localized defect states in a large supercell: for orthogonal states the
 matrix element is origin-independent, and the centroid removes the residual
 dependence for nearly-orthogonal pairs.
@@ -208,9 +209,11 @@ def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDip
     """|<psi_f| r |psi_i>|^2 in Debye^2, per Cartesian component and total.
 
     Both states are normalized on their grid first.  Positions are measured
-    from the charge-density centroid of the pair, wrapped by minimum image,
-    so identical states give exactly zero and the result is invariant under
-    global phases and (for orthogonal states) under the choice of origin.
+    from the charge-density centroid of the pair, each point at its nearest
+    image in fractional coordinates (np.round) around the pair-density
+    maximum, so identical states give exactly zero and the result is
+    invariant under global phases and (for orthogonal states) under the
+    choice of origin.
     Overlaps above OVERLAP_TOLERANCE only warn; the overlap is always
     reported.
     """

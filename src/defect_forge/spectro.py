@@ -17,6 +17,7 @@ import numpy as np
 from ._record import fields_equal, readonly
 from .errors import ValidationError
 from .fitting import (
+    LINE_SHAPES,
     decay_jacobian,
     decay_model,
     gauss_newton,
@@ -139,8 +140,8 @@ def fit_peaks(spec: Spectrum, model: str = "lorentzian", max_peaks: int = 1) -> 
     """
     if max_peaks < 1:
         raise ValidationError(f"max_peaks must be >= 1, got {max_peaks}")
-    if model not in ("lorentzian", "gaussian"):
-        raise ValidationError(f"model must be 'lorentzian' or 'gaussian', got '{model}'")
+    if model not in LINE_SHAPES:
+        raise ValidationError(f"model must be {' or '.join(map(repr, LINE_SHAPES))}, got '{model}'")
     baseline, seeds = _seed_peaks(spec, max_peaks)
     wl, ct = spec.wavelength_nm, spec.counts
 

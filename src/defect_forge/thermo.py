@@ -110,8 +110,10 @@ def formation_energy(run: DefectRun, host: HostReference, fermi: float, corr: fl
     if missing:
         raise ValidationError(f"missing chemical potential(s) for species: {', '.join(missing)}")
     reservoir = sum(n * mu[s] for s, n in run.delta.items())
-    return (run.total_energy - host.e_bulk - reservoir
-            + run.charge * (host.e_vbm + fermi) + corr)
+    e_f = run.total_energy - host.e_bulk - reservoir + run.charge * (host.e_vbm + fermi) + corr
+    if not np.isfinite(e_f):
+        raise ValidationError(f"formation energy of '{run.label}' in charge state {run.charge:+d} is {e_f}")
+    return e_f
 
 
 def transition_level(run1: DefectRun, run2: DefectRun, host: HostReference) -> float:
@@ -158,11 +160,14 @@ class FormationDiagram:
         stack = np.stack([c + q * f for q, c in self.lines])
         return stack.min(axis=0)
 
-    def stable_charge(self, fermi: float) -> int:
-        """Stable state at one Fermi level; interval boundaries belong to the lower-|q| state."""
-        if not np.isfinite(fermi):
+    def stable_charge(self, fermi):
+        """Stable state at each Fermi level (an int, or an int array for an array of them);
+        interval boundaries belong to the lower-|q| state."""
+        f = np.asarray(fermi, dtype=float)
+        if not np.isfinite(f).all():
             raise ValidationError(f"Fermi level must be finite, got {fermi}")
-        return int(_lowest_line(self.lines, float(fermi)))
+        q = _lowest_line(self.lines, f)
+        return int(q) if f.ndim == 0 else q
 
 
 def _lowest_line(lines, fermi):

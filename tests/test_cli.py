@@ -123,6 +123,20 @@ def test_diagram_non_finite_energy_exit_2(tmp_path, capsys, bad):
         assert not any(word in path.read_text() for word in ("NaN", "nan", "Infinity"))
 
 
+def test_diagram_overflowing_formation_energy_exit_2(tmp_path, capsys):
+    """Finite energies whose difference overflows: refused before any file of the label is written."""
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    manifest.write_text(manifest.read_text().replace("e_bulk = 0.0", "e_bulk = -1.7e308"))
+    run = tmp_path / "inputs" / "ci_0.run"
+    run.write_text(run.read_text().replace("e_total = 1.0", "e_total = 1.7e308"))
+    out = tmp_path / "out"
+    assert run_cli("diagram", "--manifest", manifest, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error: formation energy of 'Ci' in charge state +0 is inf" in err
+    assert "Traceback" not in err
+    assert not list((out / "diagrams").iterdir())
+
+
 @pytest.mark.parametrize("label", ["../../escaped", "a/b", "a\\b", ".", "..", "C\x00i", "C\x7fi", "C\x9bi"])
 def test_diagram_refuses_a_label_that_is_not_one_file_name(tmp_path, capsys, label):
     manifest = write_demo_manifest(tmp_path / "inputs")
@@ -465,6 +479,33 @@ def test_lifetime_overflowing_decay_exit_3(tmp_path, capsys):
     assert "fit did not converge" in capsys.readouterr().err
 
 
+def test_lifetime_whose_cost_overflows_at_the_start_exit_3(tmp_path, capsys):
+    """Finite counts whose squared residuals overflow: the fit is refused as not converged and
+    writes no artifact."""
+    t = np.linspace(0.0, 30.0, 600)
+    with np.errstate(all="ignore"):
+        counts = 1e307 * np.exp(-t / 3.0) + 1e300
+    (tmp_path / "big.csv").write_text(io.write_decay(DecayTrace(time_ns=t, counts=counts)))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert run_cli("lifetime", "--data", tmp_path / "big.csv", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "lifetime fit did not converge in 0 iterations (residual rms inf)" in err
+    assert "Traceback" not in err
+    assert not list((out / "fits").iterdir())
+
+
+def test_fitpl_whose_cost_overflows_at_the_start_exit_3(tmp_path, capsys):
+    wl = np.linspace(1440.0, 1460.0, 2001)
+    spec = Spectrum(wavelength_nm=wl, counts=1e306 * np.exp(-(((wl - 1450.0) / 0.1) ** 2)) + 1.0)
+    io.save_spectrum(spec, tmp_path / "big.csv")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert run_cli("fitpl", "--data", tmp_path / "big.csv", "--max-peaks", "1", "--out", out) == 3
+    assert "peak fit did not converge in 0 iterations (residual rms inf)" in capsys.readouterr().err
+    assert not list((out / "fits").iterdir())
+
+
 def test_saturation_command(tmp_path):
     p = np.geomspace(0.05, 3.0, 16)
     (tmp_path / "sat.csv").write_text(io.write_xy(p, saturation_model(p, [5000.0, 0.7]),
@@ -548,6 +589,45 @@ def test_raster_command(tmp_path):
     assert run_cli("raster", "--data", tmp_path / "scan.csv", "--out", out) == 0
     assert (out / "fits" / "scan_raster.csv").is_file()
     assert (out / "fits" / "scan_raster.pgm").read_text().startswith("P2\n3 2\n")
+
+
+def _rising_tail(_text: str) -> str:
+    """A decay with its peak in the first channel whose tail then climbs back up."""
+    return io.write_decay(DecayTrace(time_ns=np.linspace(0.0, 30.0, 40),
+                                     counts=np.r_[1000.0, np.linspace(1.0, 999.0, 39)]))
+
+
+@pytest.mark.parametrize("command, name, edit, at, message", [
+    ("diagram", "ci_0.run", lambda text: text + "label = Other\n", "ci_0.run:3",
+     "label 'Other' contradicts manifest entry 'Ci'"),
+    ("diagram", "run.manifest", lambda text: text + "[host]\n", "run.manifest:27", "duplicate [host] section"),
+    ("diagram", "run.manifest", lambda text: text.replace("dielectric = 11.7", "dielectric = 11.7 11.7"),
+     "run.manifest:8", "dielectric must be 1, 3 or 9 numbers"),
+    ("diagram", "run.manifest", lambda text: text + "[spectrum xrd]\nfile = pl.csv\n", "run.manifest:27",
+     "spectrum section must be '[spectrum <kind>]' with kind in ('pl', 'trpl', 'dose', 'raster')"),
+    ("diagram", "run.manifest", lambda text: text + "[spectrum pl]\n", "run.manifest:27",
+     "[spectrum pl] is missing the 'file' key"),
+    ("diagram", "host.cell", lambda text: text.replace("\n64\n", "\n0\n"), "host.cell:6",
+     "species counts must be >= 1"),
+    ("diagram", "run.manifest", lambda text: text.replace("e_gap = 1.17", "e_gap = 0"), "run.manifest:3",
+     "band gap must be > 0, got 0.0"),
+    ("dose", "dose.csv", lambda text: text.replace("900", "-900"), None, "intensities must be >= 0"),
+    ("optics", "table.csv", lambda text: text + "C,0,none,,0.4,\n", None,
+     "record 'C' has neither a ZPL nor a shift; cannot reconstruct"),
+    ("lifetime", "decay.csv", _rising_tail, None, "signal does not decay after its peak"),
+], ids=["run-label", "second-host", "two-dielectric-values", "spectrum-kind", "spectrum-without-file",
+        "zero-species-count", "zero-gap", "negative-dose-intensity", "optics-row-without-zpl-or-shift",
+        "decay-tail-rises"])
+def test_refusals_exit_2_without_a_traceback(tmp_path, capsys, command, name, edit, at, message):
+    """Each refusal exits 2 with one error line; a parser's names the file and line at fault."""
+    inputs = tmp_path / "inputs"
+    args = write_command_inputs(inputs)[command]
+    path = inputs / name
+    path.write_text(edit(path.read_text()))
+    assert run_cli(command, *args, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {inputs / at}: {message}" if at else f"error: {message}")
+    assert "Traceback" not in err
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:

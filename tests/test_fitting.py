@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from defect_forge import FitNonConvergence, fitting
+from defect_forge import FitNonConvergence, ValidationError, fitting
 from defect_forge.fitting import (
     decay_jacobian,
     decay_model,
@@ -33,6 +33,23 @@ def test_peak_jacobian_matches_finite_differences(shape):
     ana = peak_jacobian(x, params, shape)
     num = finite_difference_jacobian(lambda x, p: peak_model(x, p, shape), x, params)
     np.testing.assert_allclose(ana, num, rtol=2e-5, atol=1e-4)
+
+
+@pytest.mark.parametrize("fn", [peak_model, peak_jacobian])
+@pytest.mark.parametrize("params", [[1.0], [1.0, 10.0, 0.0, 1.0]], ids=["no-peak", "one-peak"])
+def test_unknown_line_shape_is_refused_with_or_without_peaks(fn, params):
+    """The shape is checked before the per-peak loop, so a baseline-only model refuses it too."""
+    with pytest.raises(ValidationError, match="unknown line shape 'foo'"):
+        fn(np.linspace(-1.0, 1.0, 5), params, "foo")
+
+
+def test_gauss_newton_refuses_a_start_whose_cost_overflows():
+    """Finite residuals whose sum of squares overflows: no step can descend from inf."""
+    t = np.linspace(0.0, 30.0, 50)
+    data = np.full(50, 1e300)
+    with pytest.raises(FitNonConvergence, match=r"^decay fit did not converge in 0 iterations \(residual rms inf\)$"):
+        gauss_newton(lambda p: decay_model(t, p) - data, lambda p: decay_jacobian(t, p),
+                     np.array([1.0, 3.0, 0.0]), "decay")
 
 
 def test_decay_jacobian_matches_finite_differences():

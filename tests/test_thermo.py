@@ -133,6 +133,17 @@ def test_stable_charge_rejects_non_finite_fermi(fermi):
         diag.stable_charge(fermi)
 
 
+def test_stable_charge_of_an_array_is_the_stable_charge_of_each_level():
+    diag = build_diagram([run_with_intercept(1.0, -1), run_with_intercept(0.5, 0), run_with_intercept(0.2, 1)],
+                         host(), n_fermi=101)
+    stable = diag.stable_charge(diag.fermi)
+    assert stable.dtype.kind == "i"
+    assert stable.tolist() == [diag.stable_charge(f) for f in diag.fermi]
+    assert type(diag.stable_charge(0.5)) is int
+    with pytest.raises(ValidationError, match="finite"):
+        diag.stable_charge(np.array([0.1, np.nan]))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_stable_charge_when_a_line_overflows(sign):
     """Both lines at +max (or -max) float; at E_F = -1e293 the q=-1 line overflows to +inf

@@ -82,10 +82,8 @@ def _cmd_diagram(args, out: _Out) -> None:
                     ctx = EwaldContext.for_cell(manifest.cell)
                 try:
                     corr = finite_size_correction(ctx, run.charge, run.site_potentials, run.position)
-                except ValidationError as exc:  # a .pot the correction refuses; each row is one content line
-                    path = entry.site_potential_path
-                    rows = io._load(path, lambda text, source: [no for no, _ in io._content(text)])
-                    raise ParseError(str(exc), path, rows[exc.row]) from None
+                except ValidationError as exc:  # a .pot the correction refuses
+                    raise ParseError(str(exc), entry.site_potential_path, entry.site_potential_line(exc.row)) from None
                 corrections[run.charge] = corr.total
                 out.log(
                     f"{label} q={run.charge:+d}: E_pc={corr.point_charge_energy:.6f} eV, "

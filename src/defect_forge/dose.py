@@ -40,19 +40,26 @@ class Segment:
 
 @dataclass(frozen=True, eq=False)
 class DoseCurve:
-    """Piecewise-linear (fluence, intensity) calibration for one emitter species."""
+    """Piecewise-linear (fluence, intensity) calibration for one emitter species.
+
+    boundaries, computed from the segments, holds the interior extrema: the
+    fluence where each segment but the last ends.
+    """
 
     label: str
     fluences: np.ndarray
     intensities: np.ndarray
     segments: tuple[Segment, ...]
-    boundaries: tuple[float, ...]  # interior extrema
 
     __eq__ = fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "fluences", readonly(self.fluences))
         object.__setattr__(self, "intensities", readonly(self.intensities))
+
+    @property
+    def boundaries(self) -> tuple[float, ...]:
+        return tuple(s.hi for s in self.segments[:-1])
 
     def interpolate(self, fluence: float) -> float:
         if fluence < self.fluences[0] or fluence > self.fluences[-1]:
@@ -102,9 +109,7 @@ def calibrate(points, label: str = "") -> DoseCurve:
         segments.append(Segment(lo=float(flu[start]), hi=float(flu[end]), direction=direction,
                                 regime=regime))
         start = end
-    boundaries = tuple(s.hi for s in segments[:-1])
-    return DoseCurve(label=label, fluences=flu, intensities=inten,
-                     segments=tuple(segments), boundaries=boundaries)
+    return DoseCurve(label=label, fluences=flu, intensities=inten, segments=tuple(segments))
 
 
 def classify(curve: DoseCurve, fluence: float, damage_threshold: float) -> str:

@@ -222,7 +222,7 @@ def lattice_energy(ctx: EwaldContext, q: float) -> float:
 class CorrectionResult:
     """Finite-size correction for a charged supercell.
 
-    total = point_charge_energy + alignment_energy holds exactly:
+    total, computed, is point_charge_energy + alignment_energy:
     point_charge_energy = -lattice_energy(q) and alignment_energy =
     -q * delta_phi, where delta_phi is the mean of (DFT site potential
     difference - model potential) over sites outside the sampling radius.
@@ -232,10 +232,13 @@ class CorrectionResult:
 
     point_charge_energy: float
     alignment_energy: float
-    total: float
     delta_phi: float
     n_sampled: int
     sampling_radius: float
+
+    @property
+    def total(self) -> float:
+        return self.point_charge_energy + self.alignment_energy
 
 
 def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_position) -> CorrectionResult:
@@ -258,7 +261,7 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
     if q == 0:
         if np.any(pots[:, 1] != 0.0):
             warnings.warn("q=0 with nonzero site potentials: correction is identically zero")
-        return CorrectionResult(0.0, 0.0, 0.0, 0.0, 0, 0.0)
+        return CorrectionResult(0.0, 0.0, 0.0, 0, 0.0)
 
     cell = ctx.cell
     n_sites = len(cell.sites)
@@ -289,7 +292,6 @@ def finite_size_correction(ctx: EwaldContext, q: int, site_potentials, defect_po
     return CorrectionResult(
         point_charge_energy=e_pc,
         alignment_energy=alignment,
-        total=e_pc + alignment,
         delta_phi=delta_phi,
         n_sampled=len(far_disp),
         sampling_radius=float(sampling_radius),

@@ -88,7 +88,11 @@ def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
     stderr = np.full(n, np.nan)
     if m > n:
         jac = np.asarray(jacobian(x), dtype=float)
-        jtj = jac.T @ jac
+        with np.errstate(over="ignore", invalid="ignore"):
+            jtj = jac.T @ jac
+        if not np.isfinite(jtj).all():
+            raise ValidationError(f"{what} fit: J^T J overflows at the fitted parameters, "
+                                  "so their standard errors are not determined")
         try:
             cov = np.linalg.pinv(jtj) * (cost / (m - n))
             stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))

@@ -31,7 +31,7 @@ __all__ = [
     "write_raster_csv", "write_raster_pgm",
     "parse_optics_records", "load_optics_records", "write_optics_records",
     "write_table_check",
-    "write_diagram_csv", "parse_diagram_csv", "load_diagram_csv",
+    "write_diagram_csv",
 ]
 
 
@@ -519,29 +519,6 @@ def write_diagram_csv(diag) -> str:
                            diag.envelope_at(diag.fermi), diag.stable_charge(diag.fermi)])
 
 
-def parse_diagram_csv(text: str, source: str = "<string>"):
-    """Read a diagram CSV back as (charges, fermi, per-charge energies, envelope, stable)."""
-    lines = list(_content(text))
-    if not lines:
-        raise ParseError("empty diagram file", source, 1)
-    no, header = lines[0]
-    cols = header.split(",")
-    if len(cols) < 4 or cols[0] != "fermi_eV" or cols[-2] != "envelope_eV" or cols[-1] != "stable_q":
-        raise ParseError("malformed diagram header", source, no)
-    charges = [_integer(c.removeprefix("q="), "charge column", source, no) for c in cols[1:-2]]
-    fermi, energies, env, stable = [], [], [], []
-    for no, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(cols):
-            raise ParseError(f"expected {len(cols)} fields", source, no)
-        row = [_number(p, c, source, no) for p, c in zip(parts[:-1], cols[:-1])]
-        fermi.append(row[0])
-        energies.append(row[1:-1])
-        env.append(row[-1])
-        stable.append(_integer(parts[-1], "stable_q", source, no))
-    return charges, np.array(fermi), np.array(energies), np.array(env), np.array(stable)
-
-
 # --- path helpers -----------------------------------------------------------------
 
 def _load(path, parser, *args):
@@ -635,7 +612,3 @@ def load_raster_points(path):
 
 def load_optics_records(path) -> list[OpticsRecord]:
     return _load(path, parse_optics_records)
-
-
-def load_diagram_csv(path):
-    return _load(path, parse_diagram_csv)

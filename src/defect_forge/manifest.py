@@ -36,6 +36,10 @@ class DefectEntry:
     site_potential_path: str | None = None
     wavefunction_paths: tuple[str, str] | None = None  # (initial, final)
 
+    def site_potential_line(self, row: int) -> int:
+        """Line number in the .pot file of row `row` (0-based; -1 is the last) of run.site_potentials."""
+        return _load(self.site_potential_path, lambda text, source: [no for no, _ in _content(text)])[row]
+
 
 @dataclass(frozen=True)
 class SpectrumEntry:

@@ -11,6 +11,7 @@ flagged resolution-limited rather than reported as physical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -219,7 +220,9 @@ def fit_lifetime(trace: DecayTrace) -> DecayFit:
     if len(t) < 10:
         raise ValidationError(f"need >= 10 samples after the peak channel, got {len(t)}")
     quarter = max(len(ct) // 4, 1)
-    if np.mean(ct[-quarter:]) >= np.mean(ct[:quarter]):
+    with np.errstate(over="ignore"):  # finite counts near the largest float may sum to inf
+        rising = np.mean(ct[-quarter:]) >= np.mean(ct[:quarter])
+    if rising:
         raise ValidationError("signal does not decay after its peak; not a first-order decay")
 
     b0 = float(np.min(ct))
@@ -329,18 +332,26 @@ def temperature_series(spectra, model: str = "lorentzian") -> TemperatureSeries:
 
 @dataclass(frozen=True, eq=False)
 class RasterMap:
-    """Dense scan grid: values[iy, ix] at (ys[iy], xs[ix]); missing points are NaN."""
+    """Dense scan grid: values[iy, ix] at (ys[iy], xs[ix]); missing points are NaN.
+
+    missing, computed from the values, holds the (x, y) of every NaN cell in
+    row-major order.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
-    missing: tuple[tuple[float, float], ...]
 
     __eq__ = fields_equal
 
     def __post_init__(self):
         for name in ("xs", "ys", "values"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
+
+    @cached_property
+    def missing(self) -> tuple[tuple[float, float], ...]:
+        iy, ix = np.nonzero(np.isnan(self.values))
+        return tuple(zip(self.xs[ix].tolist(), self.ys[iy].tolist()))
 
 
 def _nearest(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -408,7 +419,4 @@ def raster_map(points) -> RasterMap:
     last = len(cell) - 1 - first_reversed
     grid = np.full(len(ys) * len(xs), np.nan)
     grid[cell[last]] = pts[last, 2]
-    grid = grid.reshape(len(ys), len(xs))
-    iy, ix = np.nonzero(np.isnan(grid))
-    missing = tuple(zip(xs[ix].tolist(), ys[iy].tolist()))
-    return RasterMap(xs=xs, ys=ys, values=grid, missing=missing)
+    return RasterMap(xs=xs, ys=ys, values=grid.reshape(len(ys), len(xs)))

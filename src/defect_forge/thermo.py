@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -137,17 +138,42 @@ class FormationDiagram:
     """Formation-energy lines over the gap plus their lower envelope.
 
     lines: (charge, intercept) with E_f(q; E_F) = intercept + q * E_F.
-    intervals partition [0, gap]; transition_levels holds the envelope
-    breakpoints keyed by the adjacent charge pair.
+    Computed from the lines and the gap: intervals partition [0, gap];
+    transition_levels holds the envelope breakpoints keyed by the adjacent
+    charge pair; intrinsic_fermi is mid-gap, the neutral undoped-host marker,
+    and stable_at_intrinsic the stable charge there.
     """
 
     gap: float
     fermi: np.ndarray
     lines: tuple[tuple[int, float], ...]
-    intervals: tuple[StabilityInterval, ...]
-    transition_levels: tuple[tuple[tuple[int, int], float], ...]
-    intrinsic_fermi: float
-    stable_at_intrinsic: int
+
+    @cached_property
+    def intervals(self) -> tuple[StabilityInterval, ...]:
+        gap = self.gap
+        # breakpoints = pairwise crossings that fall inside the gap
+        crossings = (float((c1 - c2) / (q2 - q1)) for (q1, c1), (q2, c2) in combinations(self.lines, 2))
+        edges = sorted({0.0, gap, *(x for x in crossings if 0.0 < x < gap)})
+        intervals: list[StabilityInterval] = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            q = int(_lowest_line(self.lines, 0.5 * (lo + hi)))
+            if intervals and intervals[-1].charge == q:
+                intervals[-1] = replace(intervals[-1], hi=hi)
+            else:
+                intervals.append(StabilityInterval(lo, hi, q))
+        return tuple(intervals)
+
+    @property
+    def transition_levels(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        return tuple(((a.charge, b.charge), a.hi) for a, b in zip(self.intervals[:-1], self.intervals[1:]))
+
+    @property
+    def intrinsic_fermi(self) -> float:
+        return float(0.5 * self.gap)
+
+    @property
+    def stable_at_intrinsic(self) -> int:
+        return int(_lowest_line(self.lines, self.intrinsic_fermi))
 
     def energy_of(self, charge: int, fermi) -> np.ndarray:
         for q, c in self.lines:
@@ -191,8 +217,7 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
     corrections maps charge -> correction (eV).  Duplicate charge
     states keep the lowest total energy (with a warning), mirroring the
     handling of metastable configurations.  n_fermi in [2, MAX_FERMI_GRID]
-    Fermi levels sample the gap; the intrinsic one is mid-gap, the neutral
-    undoped-host marker.
+    Fermi levels sample the gap.
     """
     runs = list(runs)
     if not runs:
@@ -220,34 +245,7 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
         for q in sorted(by_charge)
     )
 
-    gap = host.e_gap
-    # breakpoints = pairwise crossings that fall inside the gap
-    crossings = (float((c1 - c2) / (q2 - q1)) for (q1, c1), (q2, c2) in combinations(lines, 2))
-    edges = sorted({0.0, gap, *(x for x in crossings if 0.0 < x < gap)})
-
-    intervals: list[StabilityInterval] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        q = int(_lowest_line(lines, 0.5 * (lo + hi)))
-        if intervals and intervals[-1].charge == q:
-            intervals[-1] = replace(intervals[-1], hi=hi)
-        else:
-            intervals.append(StabilityInterval(lo, hi, q))
-
-    levels = tuple(
-        ((a.charge, b.charge), a.hi)
-        for a, b in zip(intervals[:-1], intervals[1:])
-    )
-
-    intrinsic_fermi = 0.5 * gap
-    return FormationDiagram(
-        gap=gap,
-        fermi=np.linspace(0.0, gap, int(n_fermi)),
-        lines=lines,
-        intervals=tuple(intervals),
-        transition_levels=levels,
-        intrinsic_fermi=float(intrinsic_fermi),
-        stable_at_intrinsic=int(_lowest_line(lines, intrinsic_fermi)),
-    )
+    return FormationDiagram(gap=host.e_gap, fermi=np.linspace(0.0, host.e_gap, int(n_fermi)), lines=lines)
 
 
 def delta_ks(eigenvalues, from_level: int, to_level: int, spin: str = "none") -> float:

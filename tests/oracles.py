@@ -5,9 +5,9 @@ from the package under test: a closed-form potential of a homogeneous box,
 a direct real-space image sum for periodic point charges, a radial
 quadrature for the hydrogenic 1s->2p_z dipole matrix element, the
 original one-point-at-a-time raster assembly, the original out-of-place
-transition dipole arithmetic, and CSV writers that format one value at a
+transition dipole arithmetic, CSV writers that format one value at a
 time with format(v, '.17g'), which the whole-array and in-place versions
-must match bit for bit.
+must match bit for bit, and a reader of the diagram CSV.
 """
 
 import warnings
@@ -209,6 +209,18 @@ def spectrum_csv_reference(wavelength, counts, metadata=(), location=None):
 
 def decay_csv_reference(time, counts):
     return xy_csv_reference("time_ns,counts", time, counts)
+
+
+def read_diagram_csv(text):
+    """A diagram CSV read back as (charges, fermi, per-charge energies, envelope, stable)."""
+    header, *rows = text.splitlines()
+    cols = header.split(",")
+    assert cols[0] == "fermi_eV" and cols[-2:] == ["envelope_eV", "stable_q"], header
+    table = [row.split(",") for row in rows]
+    assert all(len(parts) == len(cols) for parts in table)
+    values = np.array([[float(v) for v in parts[:-1]] for parts in table]).reshape(len(rows), len(cols) - 1)
+    stable = np.array([int(parts[-1]) for parts in table])
+    return [int(c.removeprefix("q=")) for c in cols[1:-2]], values[:, 0], values[:, 1:-1], values[:, -1], stable
 
 
 def diagram_csv_reference(charges, fermi, energies, envelope, stable):

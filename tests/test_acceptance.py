@@ -35,7 +35,7 @@ from defect_forge.dose import calibrate, classify
 from defect_forge.fitting import decay_model, peak_model, saturation_model
 from defect_forge.units import COULOMB_EV_ANG
 
-from oracles import block_madelung_alpha, hydrogenic_1s_2pz_squared_tdm
+from oracles import block_madelung_alpha, hydrogenic_1s_2pz_squared_tdm, read_diagram_csv
 from test_io import write_demo_manifest
 from test_optics import bundled_records
 from test_tdm import hydrogenic_pair
@@ -239,6 +239,6 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     cell = io.parse_structure(io.write_structure(CrystalCell(np.eye(3) * 5.43)))
     assert cell.volume == pytest.approx(5.43**3)
     diag_csv = tmp_path / "o1" / "diagrams" / "Ci.csv"
-    charges, fermi, energies, envelope, stable = io.load_diagram_csv(diag_csv)
+    charges, fermi, energies, envelope, stable = read_diagram_csv(diag_csv.read_text())
     assert np.array_equal(envelope, energies.min(axis=1))
     ok(10, f"two CLI runs byte-identical over {len(outs[0])} files; exports re-parse")

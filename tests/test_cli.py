@@ -17,6 +17,7 @@ from defect_forge.cli import main
 from defect_forge.fitting import decay_model, peak_model, saturation_model
 from defect_forge.optics import GridFunction
 
+from oracles import read_diagram_csv
 from test_io import write_demo_manifest
 from test_spectro import noise_only_spectrum
 
@@ -92,7 +93,7 @@ def test_diagram_command(tmp_path, capsys):
     assert run_cli("diagram", "--manifest", manifest, "--out", out, "--fermi-grid", "101") == 0
     csv_path = out / "diagrams" / "Ci.csv"
     assert csv_path.is_file()
-    charges, fermi, energies, envelope, stable = io.load_diagram_csv(csv_path)
+    charges, fermi, energies, envelope, stable = read_diagram_csv(csv_path.read_text())
     assert charges == [-1, 0]
     assert len(fermi) == 101
     np.testing.assert_array_equal(envelope, energies.min(axis=1))
@@ -299,7 +300,7 @@ def test_diagram_green_region_topology(tmp_path):
     (base / "m.txt").write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     assert run_cli("diagram", "--manifest", base / "m.txt", "--out", out) == 0
-    _, fermi, _, _, stable = io.load_diagram_csv(out / "diagrams" / "Ci.csv")
+    _, fermi, _, _, stable = read_diagram_csv((out / "diagrams" / "Ci.csv").read_text())
     assert set(stable[fermi < 0.44]) == {0}          # the neutral (green) window
     assert stable[-1] == -3
     levels = json.loads((out / "diagrams" / "Ci_levels.json").read_text())
@@ -322,7 +323,7 @@ def test_diagram_mid_gap_tie_goes_to_the_lower_abs_charge(tmp_path, capsys):
     assert "Ci: stable charge at intrinsic Fermi level = +0" in capsys.readouterr().out
     levels = json.loads((out / "diagrams" / "Ci_levels.json").read_text())
     assert levels["stable_at_intrinsic"] == 0
-    _, fermi, _, _, stable = io.load_diagram_csv(out / "diagrams" / "Ci.csv")
+    _, fermi, _, _, stable = read_diagram_csv((out / "diagrams" / "Ci.csv").read_text())
     assert fermi.tolist() == [0.0, 0.5, 1.0]
     assert stable.tolist() == [1, 0, 0]
 
@@ -492,6 +493,23 @@ def test_lifetime_whose_cost_overflows_at_the_start_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "lifetime fit did not converge in 0 iterations (residual rms inf)" in err
     assert "Traceback" not in err
+    assert not list((out / "fits").iterdir())
+
+
+@pytest.mark.parametrize("scale, background, code, message", [
+    # the decay check's means overflow on these finite counts
+    (1e307, 1e300, 3, "lifetime fit did not converge in 0 iterations (residual rms inf)"),
+    # the fit converges, but J^T J overflows, so tau has no standard error to report
+    (1e155, 1e150, 2, "lifetime fit: J^T J overflows at the fitted parameters"),
+])
+def test_lifetime_near_the_largest_float_raises_no_warning(tmp_path, capsys, scale, background, code, message):
+    """No RuntimeWarning escapes, so the exit code is the same under -W error, and no artifact is written."""
+    t = np.linspace(0.0, 30.0, 600)
+    counts = scale * np.exp(-t / 3.0) + background
+    (tmp_path / "big.csv").write_text(io.write_decay(DecayTrace(time_ns=t, counts=counts)))
+    out = tmp_path / "out"
+    assert run_cli("lifetime", "--data", tmp_path / "big.csv", "--out", out) == code
+    assert message in capsys.readouterr().err
     assert not list((out / "fits").iterdir())
 
 

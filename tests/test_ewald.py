@@ -233,7 +233,7 @@ def test_correction_zero_charge_is_all_zero():
     ctx = EwaldContext.for_cell(_sampled_cell())
     with pytest.warns(UserWarning):
         res = finite_size_correction(ctx, 0, [(1, 0.05)], (0.0, 0.0, 0.0))
-    assert res == CorrectionResult(0.0, 0.0, 0.0, 0.0, 0, 0.0)
+    assert res == CorrectionResult(0.0, 0.0, 0.0, 0, 0.0)
 
 
 def test_correction_self_consistency():

@@ -62,7 +62,7 @@ def _assert_matches_reference(points, rmap_input=None):
     assert rmap.values.tobytes() == values.tobytes()
     assert repr(rmap.missing) == repr(missing)  # repr tells -0.0 from 0.0
     assert io.write_raster_csv(rmap) == raster_csv_reference(xs, ys, values)
-    assert io.write_raster_pgm(rmap) == io.write_raster_pgm(RasterMap(xs, ys, values, missing))
+    assert io.write_raster_pgm(rmap) == io.write_raster_pgm(RasterMap(xs, ys, values))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

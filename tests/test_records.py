@@ -27,7 +27,7 @@ def _grid(values):
 
 
 def _raster(xs, ys, values):
-    return RasterMap(xs, ys, values, ((1.0, 0.0),))
+    return RasterMap(xs, ys, values)
 
 
 def _run(site_potentials):
@@ -35,7 +35,7 @@ def _run(site_potentials):
 
 
 def _dose(fluences, intensities):
-    return DoseCurve("G", fluences, intensities, (Segment(10.0, 30.0, "rising", REGIME_WRITE),), ())
+    return DoseCurve("G", fluences, intensities, (Segment(10.0, 30.0, "rising", REGIME_WRITE),))
 
 
 # name -> (constructor taking the arrays, caller-owned arrays, the array that may hold a NaN)

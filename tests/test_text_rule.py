@@ -80,8 +80,7 @@ def test_write_spectrum_matches_reference(columns, meta, location):
 def test_write_diagram_csv_matches_reference(charges, intercepts, fermi):
     lines = tuple(sorted(zip(charges, intercepts)))
     fermi = np.array(fermi, dtype=float)
-    diag = FormationDiagram(gap=1.0, fermi=fermi, lines=lines, intervals=(), transition_levels=(),
-                            intrinsic_fermi=0.5, stable_at_intrinsic=0)
+    diag = FormationDiagram(gap=1.0, fermi=fermi, lines=lines)
     qs = [q for q, _ in lines]
     expected = diagram_csv_reference(qs, fermi, [diag.energy_of(q, fermi) for q in qs],
                                      diag.envelope_at(fermi), [diag.stable_charge(f) for f in fermi])
@@ -91,14 +90,6 @@ def test_write_diagram_csv_matches_reference(charges, intercepts, fermi):
 # --- the comment rule in every parser --------------------------------------------------
 
 BOX = CrystalCell(np.eye(3) * 4.0)
-
-
-def _diagram_text():
-    lines = ((-1, 1.5), (0, 1.0), (1, 0.4))
-    fermi = np.linspace(0.0, 1.0, 5)
-    return io.write_diagram_csv(FormationDiagram(
-        gap=1.0, fermi=fermi, lines=lines, intervals=(), transition_levels=(),
-        intrinsic_fermi=0.5, stable_at_intrinsic=0))
 
 
 _WL = np.linspace(1440.0, 1460.0, 16)
@@ -147,10 +138,6 @@ CASES = {
         _OPTICS.replace("Ci,0,", "Ci,zero,"),
         _OPTICS.replace("label,", "name,"),
         _OPTICS.splitlines()[0] + "\n",
-    ]),
-    "diagram": (lambda t: io.parse_diagram_csv(t, "d.csv"), _diagram_text(), [
-        _diagram_text().replace("\n0.5,", "\n0.5,1,"),
-        _diagram_text().replace("q=+0", "q=zero"),
     ]),
     "run": (lambda t: parse_defect_run(t, "Ci", -1, "c.run"),
             "e_total = 0.45\ndelta.C = 1\nposition = 0 0 0\ncharge = -1\n", [

@@ -149,8 +149,7 @@ def test_stable_charge_when_a_line_overflows(sign):
     """Both lines at +max (or -max) float; at E_F = -1e293 the q=-1 line overflows to +inf
     (or the q=+1 line to -inf), so q=+1 is the lowest line either way."""
     top = sign * np.finfo(float).max
-    diag = FormationDiagram(gap=1.0, fermi=np.zeros(1), lines=((-1, top), (1, top)), intervals=(),
-                            transition_levels=(), intrinsic_fermi=0.5, stable_at_intrinsic=0)
+    diag = FormationDiagram(gap=1.0, fermi=np.zeros(1), lines=((-1, top), (1, top)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert diag.stable_charge(-1e293) == 1

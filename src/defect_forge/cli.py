@@ -30,6 +30,7 @@ from .thermo import build_diagram
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
+MAX_FERMI_GRID = 10**6  # Fermi levels per diagram CSV; a larger grid is refused before anything is read
 
 
 class _Out:
@@ -67,6 +68,10 @@ def _json(payload) -> str:
 # --- commands -------------------------------------------------------------------
 
 def _cmd_diagram(args, out: _Out) -> None:
+    if args.fermi_grid < 2:
+        raise ValidationError("n_fermi must be >= 2")
+    if args.fermi_grid > MAX_FERMI_GRID:
+        raise ValidationError(f"n_fermi must be <= {MAX_FERMI_GRID}, got {args.fermi_grid}")
     manifest = load_manifest(args.manifest)
     out.log(f"project '{manifest.project}': {len(manifest.defects)} defect entries")
     ctx = None
@@ -77,11 +82,11 @@ def _cmd_diagram(args, out: _Out) -> None:
         corrections = {}
         runs = [entry.run for entry in entries]
         for entry, run in zip(entries, runs):
-            if run.site_potentials is not None and run.charge != 0:
+            if entry.site_potentials is not None and run.charge != 0:
                 if ctx is None:
                     ctx = EwaldContext.for_cell(manifest.cell)
                 try:
-                    corr = finite_size_correction(ctx, run.charge, run.site_potentials, run.position)
+                    corr = finite_size_correction(ctx, run.charge, entry.site_potentials, run.position)
                 except ValidationError as exc:  # a .pot the correction refuses
                     raise ParseError(str(exc), entry.site_potential_path, entry.site_potential_line(exc.row)) from None
                 corrections[run.charge] = corr.total
@@ -89,8 +94,8 @@ def _cmd_diagram(args, out: _Out) -> None:
                     f"{label} q={run.charge:+d}: E_pc={corr.point_charge_energy:.6f} eV, "
                     f"alignment={corr.alignment_energy:.6f} eV over {corr.n_sampled} sites"
                 )
-        diag = build_diagram(runs, manifest.host, corrections, n_fermi=args.fermi_grid)
-        out.write(f"diagrams/{label}.csv", io.write_diagram_csv(diag))
+        diag = build_diagram(runs, manifest.host, corrections)
+        out.write(f"diagrams/{label}.csv", io.write_diagram_csv(diag, np.linspace(0.0, diag.gap, args.fermi_grid)))
         summary = {
             "label": label,
             "gap_eV": diag.gap,

@@ -81,7 +81,9 @@ def calibrate(points, label: str = "") -> DoseCurve:
         raise ValidationError(f"calibration needs >= 3 points, got {len(pts)}")
     flu = np.array([p[0] for p in pts])
     inten = np.array([p[1] for p in pts])
-    if np.any(np.diff(flu) <= 1e-12):
+    with np.errstate(over="ignore"):  # a gap that overflows is no duplicate
+        duplicate = np.any(np.diff(flu) <= 1e-12)
+    if duplicate:
         raise ValidationError("duplicate fluences in calibration data")
     if np.any(inten < 0):
         raise ValidationError("intensities must be >= 0")

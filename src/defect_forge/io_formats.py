@@ -441,6 +441,8 @@ def write_raster_pgm(rmap: RasterMap) -> str:
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
     span = hi - lo if hi > lo else 1.0
+    if math.isinf(span):  # extremes more than the largest float apart: halve every term
+        vals, lo, span = vals / 2, lo / 2, hi / 2 - lo / 2
     scaled = np.zeros_like(vals, dtype=int)
     mask = np.isfinite(vals)
     scaled[mask] = np.rint((vals[mask] - lo) / span * 65535).astype(int)
@@ -510,13 +512,13 @@ def write_table_check(checks: list[TableCheck]) -> str:
 
 # --- formation diagram export ---------------------------------------------------
 
-def write_diagram_csv(diag) -> str:
-    """A thermo.FormationDiagram as CSV: one row per Fermi level of diag.fermi."""
+def write_diagram_csv(diag, fermi) -> str:
+    """A thermo.FormationDiagram as CSV: one row per Fermi level (eV above the VBM) in `fermi`."""
     charges = [q for q, _ in diag.lines]
     header = "fermi_eV," + ",".join(f"q={q:+d}" for q in charges) + ",envelope_eV,stable_q"
     # %.17g prints an integer-valued stable_q as its digits, as %d would
-    return _csv([header], [diag.fermi, *(diag.energy_of(q, diag.fermi) for q in charges),
-                           diag.envelope_at(diag.fermi), diag.stable_charge(diag.fermi)])
+    return _csv([header], [fermi, *(diag.energy_of(q, fermi) for q in charges),
+                           diag.envelope_at(fermi), diag.stable_charge(fermi)])
 
 
 # --- path helpers -----------------------------------------------------------------

@@ -11,12 +11,12 @@ entries are returned as resolved paths; whatever reads one parses it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._record import readonly
+from ._record import fields_equal, readonly
 from .errors import ParseError
 from .io_formats import _at, _content, _integer, _keys, _load, _number, load_structure
 from .lattice import CrystalCell
@@ -29,15 +29,24 @@ __all__ = ["RunManifest", "DefectEntry", "SpectrumEntry", "parse_manifest", "loa
 SPECTRUM_KINDS = ("pl", "trpl", "dose", "raster")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectEntry:
+    """A [defect] block: its .run record, its file paths, and its .pot file's rows (copied in, read-only)."""
+
     run: DefectRun
     eigenvalue_path: str | None = None
     site_potential_path: str | None = None
+    site_potentials: np.ndarray | None = None
     wavefunction_paths: tuple[str, str] | None = None  # (initial, final)
 
+    __eq__ = fields_equal
+
+    def __post_init__(self):
+        if self.site_potentials is not None:
+            object.__setattr__(self, "site_potentials", readonly(self.site_potentials))
+
     def site_potential_line(self, row: int) -> int:
-        """Line number in the .pot file of row `row` (0-based; -1 is the last) of run.site_potentials."""
+        """Line number in the .pot file of row `row` (0-based; -1 is the last) of site_potentials."""
         return _load(self.site_potential_path, lambda text, source: [no for no, _ in _content(text)])[row]
 
 
@@ -271,16 +280,15 @@ def _defect(args, entries, defects, base: Path, source: str, no: int) -> DefectE
             source, no,
         )
     run = _load(paths["energy"], parse_defect_run, label, charge)
-    if "site_potentials" in paths:
-        if charge != 0 and run.position is None:
-            raise ParseError(f"defect '{label}' ({charge:+d}) names site_potentials but its run record "
-                             "has no 'position', which the finite-size correction needs", source, no)
-        run = replace(run, site_potentials=_load(paths["site_potentials"], parse_site_potentials))
+    if "site_potentials" in paths and charge != 0 and run.position is None:
+        raise ParseError(f"defect '{label}' ({charge:+d}) names site_potentials but its run record "
+                         "has no 'position', which the finite-size correction needs", source, no)
+    pots = _load(paths["site_potentials"], parse_site_potentials) if "site_potentials" in paths else None
     psi = None
     if "wavefunction.i" in paths:
         psi = (paths["wavefunction.i"], paths["wavefunction.f"])
-    return DefectEntry(run=run, eigenvalue_path=paths.get("eigenvalues"),
-                       site_potential_path=paths.get("site_potentials"), wavefunction_paths=psi)
+    return DefectEntry(run=run, eigenvalue_path=paths.get("eigenvalues"), site_potential_path=paths.get("site_potentials"),
+                       site_potentials=pots, wavefunction_paths=psi)
 
 
 def _spectrum(args, entries, base: Path, source: str, no: int) -> SpectrumEntry:

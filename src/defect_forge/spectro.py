@@ -79,9 +79,9 @@ class Spectrum:
             raise ValidationError("wavelength and counts must be 1-D arrays of equal length")
         if len(wl) < MIN_SPECTRUM_SAMPLES:
             raise ValidationError(f"spectrum needs >= {MIN_SPECTRUM_SAMPLES} samples, got {len(wl)}")
-        if not np.all(np.diff(wl) > 0):  # row: the first sample not above its predecessor
-            raise ValidationError("wavelength axis must be strictly increasing",
-                                  row=int(np.argmin(np.diff(wl) > 0)) + 1)
+        rising = wl[1:] > wl[:-1]  # compared, not subtracted: a difference may overflow
+        if not rising.all():  # row: the first sample not above its predecessor
+            raise ValidationError("wavelength axis must be strictly increasing", row=int(np.argmin(rising)) + 1)
         if np.any(ct < 0):
             raise ValidationError("counts must be >= 0", row=int(np.argmax(ct < 0)))
         object.__setattr__(self, "wavelength_nm", wl)
@@ -201,9 +201,9 @@ class DecayTrace:
         ct = readonly(self.counts)
         if t.ndim != 1 or t.shape != ct.shape:
             raise ValidationError("time and counts must be 1-D arrays of equal length")
-        if not np.all(np.diff(t) > 0):
-            raise ValidationError("time axis must be strictly increasing",
-                                  row=int(np.argmin(np.diff(t) > 0)) + 1)
+        rising = t[1:] > t[:-1]
+        if not rising.all():
+            raise ValidationError("time axis must be strictly increasing", row=int(np.argmin(rising)) + 1)
         object.__setattr__(self, "time_ns", t)
         object.__setattr__(self, "counts", ct)
 
@@ -367,8 +367,13 @@ def _nearest(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(centers[right] - values) < np.abs(centers[left] - values), right, left)
 
 
-def _grid_axis(values: np.ndarray):
+def _grid_axis(values: np.ndarray, name: str):
     vals = np.sort(values)
+    # a Python float difference overflows to inf without a warning; within a
+    # finite extent no difference taken below can overflow
+    if not np.isfinite(float(vals[-1]) - float(vals[0])):
+        raise ValidationError(f"raster {name} coordinates from {vals[0]:g} to {vals[-1]:g} span more than "
+                              "the largest float")
     # the sequential rules below compare each value with the last kept centre,
     # which a repeated value never changes, so they run over distinct values only
     distinct = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
@@ -410,8 +415,8 @@ def raster_map(points) -> RasterMap:
         raise ValidationError("raster points must be (x, y, counts) triples")
     if not np.isfinite(pts[:, :2]).all():
         raise ValidationError("raster point coordinates must be finite")
-    xs = _grid_axis(pts[:, 0])
-    ys = _grid_axis(pts[:, 1])
+    xs = _grid_axis(pts[:, 0], "x")
+    ys = _grid_axis(pts[:, 1], "y")
     cell = _nearest(ys, pts[:, 1]) * len(xs) + _nearest(xs, pts[:, 0])
     # numpy leaves the order of repeated indices in one assignment unspecified,
     # so pick each cell's last point first: the first in reversed order

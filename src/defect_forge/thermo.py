@@ -18,7 +18,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._record import fields_equal, readonly
 from .errors import ValidationError
 
 __all__ = [
@@ -33,28 +32,23 @@ __all__ = [
 ]
 
 MAX_ABS_CHARGE = 3  # charge states handled by the diagrams
-MAX_FERMI_GRID = 10**6  # Fermi levels per diagram; a larger grid is refused before it is allocated
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DefectRun:
-    """One first-principles calculation record for a defect charge state.
+    """One first-principles calculation record for a defect charge state: what its .run file holds.
 
     composition_delta maps species -> atoms added (+) or removed (-) relative
-    to the bulk cell.  site_potentials, when present, is a read-only (n, 2)
-    array of (site index, delta_V) rows, as parse_site_potentials returns it.
-    position is the defect location in fractional coordinates of the
-    supercell the run was computed in.
+    to the bulk cell.  position is the defect location in fractional
+    coordinates of the supercell the run was computed in.  The run's site
+    potentials belong to its manifest entry (manifest.DefectEntry).
     """
 
     label: str
     charge: int
     total_energy: float
     composition_delta: tuple[tuple[str, int], ...] = ()
-    site_potentials: np.ndarray | None = None
     position: tuple[float, float, float] | None = None
-
-    __eq__ = fields_equal
 
     def __post_init__(self):
         if abs(self.charge) > MAX_ABS_CHARGE:
@@ -64,8 +58,6 @@ class DefectRun:
             )
         object.__setattr__(self, "composition_delta",
                            tuple((str(s), int(n)) for s, n in dict(self.composition_delta).items()))
-        if self.site_potentials is not None:
-            object.__setattr__(self, "site_potentials", readonly(self.site_potentials))
         if self.position is not None:
             object.__setattr__(self, "position", tuple(float(x) for x in self.position))
 
@@ -133,19 +125,19 @@ class StabilityInterval:
     charge: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FormationDiagram:
     """Formation-energy lines over the gap plus their lower envelope.
 
-    lines: (charge, intercept) with E_f(q; E_F) = intercept + q * E_F.
-    Computed from the lines and the gap: intervals partition [0, gap];
+    lines: (charge, intercept) with E_f(q; E_F) = intercept + q * E_F; energy_of,
+    envelope_at and stable_charge evaluate them at any Fermi levels they are
+    given.  Computed from the lines and the gap: intervals partition [0, gap];
     transition_levels holds the envelope breakpoints keyed by the adjacent
     charge pair; intrinsic_fermi is mid-gap, the neutral undoped-host marker,
     and stable_at_intrinsic the stable charge there.
     """
 
     gap: float
-    fermi: np.ndarray
     lines: tuple[tuple[int, float], ...]
 
     @cached_property
@@ -211,21 +203,16 @@ def _lowest_line(lines, fermi):
     return np.array([q for q, _ in ranked])[np.argmax(ties, axis=0)]
 
 
-def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 2001) -> FormationDiagram:
+def build_diagram(runs, host: HostReference, corrections=None) -> FormationDiagram:
     """Assemble the stability diagram for one defect over E_F in [0, gap].
 
     corrections maps charge -> correction (eV).  Duplicate charge
     states keep the lowest total energy (with a warning), mirroring the
-    handling of metastable configurations.  n_fermi in [2, MAX_FERMI_GRID]
-    Fermi levels sample the gap.
+    handling of metastable configurations.
     """
     runs = list(runs)
     if not runs:
         raise ValidationError("build_diagram requires at least one run")
-    if n_fermi < 2:
-        raise ValidationError("n_fermi must be >= 2")
-    if n_fermi > MAX_FERMI_GRID:
-        raise ValidationError(f"n_fermi must be <= {MAX_FERMI_GRID}, got {n_fermi}")
     corrections = dict(corrections) if corrections else {}
 
     by_charge: dict[int, DefectRun] = {}
@@ -245,7 +232,7 @@ def build_diagram(runs, host: HostReference, corrections=None, n_fermi: int = 20
         for q in sorted(by_charge)
     )
 
-    return FormationDiagram(gap=host.e_gap, fermi=np.linspace(0.0, host.e_gap, int(n_fermi)), lines=lines)
+    return FormationDiagram(gap=host.e_gap, lines=lines)
 
 
 def delta_ks(eigenvalues, from_level: int, to_level: int, spin: str = "none") -> float:

@@ -273,17 +273,31 @@ def test_diagram_names_the_pot_file_its_correction_refuses(tmp_path, capsys, edi
     assert not list((out / "diagrams").iterdir())
 
 
-def test_diagram_fermi_grid_above_the_bound_exit_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("grid, message", [
+    ("1000001", "n_fermi must be <= 1000000, got 1000001"),
+    ("1", "n_fermi must be >= 2"),
+])
+def test_diagram_fermi_grid_out_of_bounds_exit_2(tmp_path, capsys, monkeypatch, grid, message):
+    """The grid is refused before the manifest is read or the grid allocated."""
     manifest = write_demo_manifest(tmp_path / "inputs")
 
-    def no_grid(*args, **kwargs):
-        raise AssertionError("the Fermi grid was allocated")
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the manifest was read or the Fermi grid allocated")
 
-    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(np, "linspace", not_reached)
+    monkeypatch.setattr("defect_forge.cli.load_manifest", not_reached)
     out = tmp_path / "out"
-    assert run_cli("diagram", "--manifest", manifest, "--out", out, "--fermi-grid", "1000001") == 2
-    assert "error: n_fermi must be <= 1000000, got 1000001" in capsys.readouterr().err
+    assert run_cli("diagram", "--manifest", manifest, "--out", out, "--fermi-grid", grid) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not list((out / "diagrams").iterdir())
+
+
+def test_diagram_accepts_the_largest_fermi_grid(tmp_path, monkeypatch):
+    grids = []
+    monkeypatch.setattr(io, "write_diagram_csv", lambda diag, fermi: grids.append(len(fermi)) or "")
+    manifest = write_demo_manifest(tmp_path / "inputs")
+    assert run_cli("diagram", "--manifest", manifest, "--out", tmp_path / "out", "--fermi-grid", "1000000") == 0
+    assert grids == [10**6]
 
 
 def test_diagram_green_region_topology(tmp_path):
@@ -598,6 +612,46 @@ def test_raster_non_finite_count_exit_2(tmp_path, capsys):
     assert run_cli("raster", "--data", tmp_path / "scan.csv", "--out", out) == 2
     assert "scan.csv:3: non-finite value in row '1,0,inf'" in capsys.readouterr().err
     assert not (out / "fits" / "scan_raster.csv").exists()
+
+
+def test_lifetime_time_axis_whose_step_overflows_exit_2(tmp_path, capsys):
+    """The axis check compares neighbours, so a step wider than the largest float is refused, not warned of."""
+    rows = ["1.7976931348623157e308,5", "-1e308,4"] + [f"{i},{100 - i}" for i in range(20)]
+    (tmp_path / "decay.csv").write_text("time_ns,counts\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("lifetime", "--data", tmp_path / "decay.csv", "--out", out) == 2
+    assert f"error: {tmp_path / 'decay.csv'}:3: time axis must be strictly increasing" in capsys.readouterr().err
+    assert not list((out / "fits").iterdir())
+
+
+def test_dose_fluences_whose_gap_overflows_calibrate(tmp_path):
+    (tmp_path / "dose.csv").write_text("fluence_mJcm2,intensity\n-1e308,1\n1e308,5\n1.5e308,2\n")
+    out = tmp_path / "out"
+    assert run_cli("dose", "--data", tmp_path / "dose.csv", "--damage-threshold", "1.7e308", "--out", out) == 0
+    summary = json.loads((out / "fits" / "dose_dose.json").read_text())
+    assert summary["boundaries_mJcm2"] == [1e308]
+    assert [seg["regime"] for seg in summary["segments"]] == ["write", "erase"]
+
+
+@pytest.mark.parametrize("points, axis", [
+    ([(-1e308, 0), (1e308, 0), (-1e308, 1), (1e308, 1)], "x"),
+    ([(x, y) for x in (0, 1, 2) for y in (0, 1e308, -1e308)], "y"),
+])
+def test_raster_coordinate_extent_that_overflows_exit_2(tmp_path, capsys, points, axis):
+    """Grid lines more than the largest float apart are refused, not merged."""
+    rows = "".join(f"{x},{y},{k}\n" for k, (x, y) in enumerate(points))
+    (tmp_path / "scan.csv").write_text("x_um,y_um,counts\n" + rows)
+    out = tmp_path / "out"
+    assert run_cli("raster", "--data", tmp_path / "scan.csv", "--out", out) == 2
+    assert f"error: raster {axis} coordinates from -1e+308 to 1e+308 span more than" in capsys.readouterr().err
+    assert not list((out / "fits").iterdir())
+
+
+def test_raster_pgm_of_counts_that_span_more_than_the_largest_float(tmp_path):
+    (tmp_path / "scan.csv").write_text("x_um,y_um,counts\n0,0,-1e308\n1,0,1e308\n0,1,5\n1,1,7\n")
+    out = tmp_path / "out"
+    assert run_cli("raster", "--data", tmp_path / "scan.csv", "--out", out) == 0
+    assert (out / "fits" / "scan_raster.pgm").read_text() == "P2\n2 2\n65535\n0 65535\n32768 32768\n"
 
 
 def test_raster_command(tmp_path):

@@ -427,22 +427,23 @@ def test_diagram_csv_round_trip():
     from defect_forge import DefectRun
     runs = [DefectRun(label="Ci", charge=q, total_energy=c, composition_delta=(("C", 1),))
             for q, c in ((0, 1.0), (-1, 1.45), (-2, 2.2))]
-    diag = build_diagram(runs, host, n_fermi=101)
-    text = io.write_diagram_csv(diag)
+    diag = build_diagram(runs, host)
+    grid = np.linspace(0.0, diag.gap, 101)
+    text = io.write_diagram_csv(diag, grid)
     charges, fermi, energies, envelope, stable = read_diagram_csv(text)
     assert charges == [-2, -1, 0]
-    assert np.array_equal(fermi, diag.fermi)
-    np.testing.assert_array_equal(envelope, diag.envelope_at(diag.fermi))
+    assert np.array_equal(fermi, grid)
+    np.testing.assert_array_equal(envelope, diag.envelope_at(grid))
     assert set(stable) == {0, -1, -2}
     # envelope column is the pointwise minimum of the line columns
     np.testing.assert_array_equal(envelope, energies.min(axis=1))
 
 
-def write_diagram_per_row(diag):
+def write_diagram_per_row(diag, fermi):
     """The diagram CSV by the per-value reference writer, stable_charge per row."""
     charges = [q for q, _ in diag.lines]
-    return diagram_csv_reference(charges, diag.fermi, [diag.energy_of(q, diag.fermi) for q in charges],
-                                 diag.envelope_at(diag.fermi), [diag.stable_charge(f) for f in diag.fermi])
+    return diagram_csv_reference(charges, fermi, [diag.energy_of(q, fermi) for q in charges],
+                                 diag.envelope_at(fermi), [diag.stable_charge(f) for f in fermi])
 
 
 @pytest.mark.parametrize("lines", [
@@ -457,9 +458,9 @@ def write_diagram_per_row(diag):
 def test_write_diagram_csv_stable_column(lines):
     fermi = np.linspace(0.0, 1.0, 101)
     assert 0.5 in fermi and 0.2 in fermi
-    diag = FormationDiagram(gap=1.0, fermi=fermi, lines=lines)
-    text = io.write_diagram_csv(diag)
-    assert text == write_diagram_per_row(diag)
+    diag = FormationDiagram(gap=1.0, lines=lines)
+    text = io.write_diagram_csv(diag, fermi)
+    assert text == write_diagram_per_row(diag, fermi)
     stable = read_diagram_csv(text)[4]
     assert stable.tolist() == [diag.stable_charge(f) for f in fermi]
 
@@ -586,7 +587,7 @@ def test_manifest_full_parse(tmp_path):
     np.testing.assert_allclose(manifest.cell.dielectric, 11.7 * np.eye(3))
     entry = next(e for e in manifest.defects if e.run.charge == -1)
     assert entry.eigenvalue_path == str((tmp_path / "ci_m1.eig").resolve())
-    assert entry.run.site_potentials.shape == (64, 2)
+    assert entry.site_potentials.shape == (64, 2)
     assert entry.run.position == (0.0, 0.0, 0.0)
     assert sorted(e.run.charge for e in manifest.defects if e.run.label == "Ci") == [-1, 0]
 

@@ -8,6 +8,7 @@ import pytest
 
 from defect_forge import CrystalCell, DecayTrace, DefectRun, Site, Spectrum
 from defect_forge.dose import REGIME_WRITE, DoseCurve, Segment
+from defect_forge.manifest import DefectEntry
 from defect_forge.optics import GridFunction
 from defect_forge.spectro import RasterMap
 
@@ -30,8 +31,9 @@ def _raster(xs, ys, values):
     return RasterMap(xs, ys, values)
 
 
-def _run(site_potentials):
-    return DefectRun("Ci", -1, 0.45, (("C", 1),), site_potentials, (0.0, 0.0, 0.0))
+def _entry(site_potentials):
+    run = DefectRun("Ci", -1, 0.45, (("C", 1),), (0.0, 0.0, 0.0))
+    return DefectEntry(run, site_potential_path="ci_m1.pot", site_potentials=site_potentials)
 
 
 def _dose(fluences, intensities):
@@ -52,7 +54,7 @@ RECORDS = {
                                     "values": np.array([[1.0, 2.0], [np.nan, 4.0]])}, "values"),
     "DoseCurve": (_dose, lambda: {"fluences": np.array([10.0, 16.0, 30.0]),
                                   "intensities": np.array([100.0, 900.0, 1000.0])}, "intensities"),
-    "DefectRun": (_run, lambda: {"site_potentials": np.array([[0.0, 0.01], [5.0, -0.02]])}, "site_potentials"),
+    "DefectEntry": (_entry, lambda: {"site_potentials": np.array([[0.0, 0.01], [5.0, -0.02]])}, "site_potentials"),
 }
 
 

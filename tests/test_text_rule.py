@@ -80,11 +80,11 @@ def test_write_spectrum_matches_reference(columns, meta, location):
 def test_write_diagram_csv_matches_reference(charges, intercepts, fermi):
     lines = tuple(sorted(zip(charges, intercepts)))
     fermi = np.array(fermi, dtype=float)
-    diag = FormationDiagram(gap=1.0, fermi=fermi, lines=lines)
+    diag = FormationDiagram(gap=1.0, lines=lines)
     qs = [q for q, _ in lines]
     expected = diagram_csv_reference(qs, fermi, [diag.energy_of(q, fermi) for q in qs],
                                      diag.envelope_at(fermi), [diag.stable_charge(f) for f in fermi])
-    assert io.write_diagram_csv(diag) == expected
+    assert io.write_diagram_csv(diag, fermi) == expected
 
 
 # --- the comment rule in every parser --------------------------------------------------

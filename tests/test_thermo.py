@@ -15,7 +15,6 @@ from defect_forge import (
     build_diagram,
     delta_ks,
     formation_energy,
-    thermo,
     transition_level,
 )
 
@@ -134,11 +133,11 @@ def test_stable_charge_rejects_non_finite_fermi(fermi):
 
 
 def test_stable_charge_of_an_array_is_the_stable_charge_of_each_level():
-    diag = build_diagram([run_with_intercept(1.0, -1), run_with_intercept(0.5, 0), run_with_intercept(0.2, 1)],
-                         host(), n_fermi=101)
-    stable = diag.stable_charge(diag.fermi)
+    diag = build_diagram([run_with_intercept(1.0, -1), run_with_intercept(0.5, 0), run_with_intercept(0.2, 1)], host())
+    fermi = np.linspace(0.0, diag.gap, 101)
+    stable = diag.stable_charge(fermi)
     assert stable.dtype.kind == "i"
-    assert stable.tolist() == [diag.stable_charge(f) for f in diag.fermi]
+    assert stable.tolist() == [diag.stable_charge(f) for f in fermi]
     assert type(diag.stable_charge(0.5)) is int
     with pytest.raises(ValidationError, match="finite"):
         diag.stable_charge(np.array([0.1, np.nan]))
@@ -149,7 +148,7 @@ def test_stable_charge_when_a_line_overflows(sign):
     """Both lines at +max (or -max) float; at E_F = -1e293 the q=-1 line overflows to +inf
     (or the q=+1 line to -inf), so q=+1 is the lowest line either way."""
     top = sign * np.finfo(float).max
-    diag = FormationDiagram(gap=1.0, fermi=np.zeros(1), lines=((-1, top), (1, top)))
+    diag = FormationDiagram(gap=1.0, lines=((-1, top), (1, top)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert diag.stable_charge(-1e293) == 1
@@ -162,18 +161,11 @@ def test_mid_gap_tie_goes_to_the_lower_abs_charge():
     assert diag.stable_at_intrinsic == diag.stable_charge(0.5) == 0
 
 
-def test_diagram_refuses_a_fermi_grid_above_the_bound_before_allocating(monkeypatch):
-    runs = [run_with_intercept(1.0, -1), run_with_intercept(0.5, 0)]
-    assert len(build_diagram(runs, host(), n_fermi=thermo.MAX_FERMI_GRID).fermi) == 10**6
-
-    def no_grid(*args, **kwargs):
-        raise AssertionError("the Fermi grid was allocated")
-
-    monkeypatch.setattr(thermo.np, "linspace", no_grid)
-    with pytest.raises(ValidationError, match="n_fermi must be <= 1000000, got 1000001"):
-        build_diagram(runs, host(), n_fermi=10**6 + 1)
-    with pytest.raises(ValidationError, match="n_fermi must be >= 2"):
-        build_diagram(runs, host(), n_fermi=1)
+def test_diagrams_of_equal_lines_are_equal_and_hash_alike():
+    lines = ((-1, 1.5), (0, 1.0), (1, 0.4))
+    assert FormationDiagram(1.0, lines) == FormationDiagram(1.0, lines)
+    assert hash(FormationDiagram(1.0, lines)) == hash(FormationDiagram(1.0, lines))
+    assert FormationDiagram(1.0, lines) != FormationDiagram(1.0, lines[:2])
 
 
 def test_diagram_topology_fixture():

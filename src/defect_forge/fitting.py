@@ -44,10 +44,12 @@ class FitResult:
 
 def _cost(r):
     """Sum of squares of r; inf when r holds a non-finite value or the sum overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.dot(r, r)) if np.isfinite(r).all() else np.inf
+    return float(np.dot(r, r)) if np.isfinite(r).all() else np.inf
 
 
+# near the largest or smallest float a model, a cost or J^T J may overflow or divide by
+# zero; the solve judges each result by np.isfinite, so numpy's warnings are off throughout
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
     """Minimize sum(residual(x)^2) from x0, or raise FitNonConvergence naming the `what` fit."""
     x = np.asarray(x0, dtype=float).copy()
@@ -88,8 +90,7 @@ def gauss_newton(residual, jacobian, x0, what: str) -> FitResult:
     stderr = np.full(n, np.nan)
     if m > n:
         jac = np.asarray(jacobian(x), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            jtj = jac.T @ jac
+        jtj = jac.T @ jac
         if not np.isfinite(jtj).all():
             raise ValidationError(f"{what} fit: J^T J overflows at the fitted parameters, "
                                   "so their standard errors are not determined")

@@ -54,8 +54,8 @@ class CrystalCell:
     """Immutable cell: lattice rows (Angstrom), sites, relative permittivity tensor.
 
     The dielectric tensor defaults to the identity (vacuum screening); it must
-    be symmetric positive-definite.  The lattice must be right-handed and
-    non-degenerate (det > 0).
+    be symmetric positive-definite, with eigenvalues that are normal floats.
+    The lattice must be right-handed and non-degenerate (det > 0).
     """
 
     lattice: np.ndarray
@@ -84,8 +84,10 @@ class CrystalCell:
             raise ValidationError(f"dielectric tensor must be 3x3, got shape {eps.shape}")
         if not np.allclose(eps, eps.T, atol=1e-10):
             raise ValidationError("dielectric tensor must be symmetric")
-        if np.linalg.eigvalsh(eps).min() <= 0:
-            raise ValidationError("dielectric tensor must be positive-definite")
+        lam_min = np.linalg.eigvalsh(eps).min()
+        if lam_min < np.finfo(float).tiny:  # a subnormal eigenvalue overflows the Ewald tail bounds
+            raise ValidationError("dielectric tensor must be positive-definite with eigenvalues of at least "
+                                  f"{np.finfo(float).tiny:g}, got smallest eigenvalue {lam_min:g}")
         object.__setattr__(self, "lattice", lat)
         object.__setattr__(self, "dielectric", readonly(eps))
         object.__setattr__(self, "sites", tuple(self.sites))

@@ -1,16 +1,16 @@
-"""Run manifests: one plain-text file wiring a whole analysis together.
+"""Run manifests: one plain-text file wiring a formation-energy analysis together.
 
-A manifest names the host reference block (bulk energy, VBM, gap, chemical
-potentials, dielectric tensor, cell file) plus any number of defect entries
-and measurement files.  parse_manifest checks that every referenced file
-exists and parses the cell and each defect's .run and .pot records, which
-is all `diagram` reads.  Eigenvalue tables, spectrum and wavefunction
-entries are returned as resolved paths; whatever reads one parses it.
+A manifest names the host block (bulk energy, VBM, gap, chemical potentials,
+dielectric tensor, cell file) and each defect's .run record and optional .pot
+site potentials: all that `diagram` reads.  parse_manifest checks that each
+file exists and parses it.  Any other defect key warns at its line, and a
+[spectrum <kind>] section at its header; the manifest reads no file they name.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,21 +23,17 @@ from .lattice import CrystalCell
 from .optics import SPIN_CHANNELS
 from .thermo import DefectRun, HostReference
 
-__all__ = ["RunManifest", "DefectEntry", "SpectrumEntry", "parse_manifest", "load_manifest",
+__all__ = ["RunManifest", "DefectEntry", "parse_manifest", "load_manifest",
            "parse_defect_run", "parse_eigenvalues", "parse_site_potentials"]
-
-SPECTRUM_KINDS = ("pl", "trpl", "dose", "raster")
 
 
 @dataclass(frozen=True, eq=False)
 class DefectEntry:
-    """A [defect] block: its .run record, its file paths, and its .pot file's rows (copied in, read-only)."""
+    """A [defect] block: its .run record, its .pot file's path and rows (copied in, read-only)."""
 
     run: DefectRun
-    eigenvalue_path: str | None = None
     site_potential_path: str | None = None
     site_potentials: np.ndarray | None = None
-    wavefunction_paths: tuple[str, str] | None = None  # (initial, final)
 
     __eq__ = fields_equal
 
@@ -51,19 +47,11 @@ class DefectEntry:
 
 
 @dataclass(frozen=True)
-class SpectrumEntry:
-    kind: str
-    path: str
-    metadata: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class RunManifest:
     project: str
     cell: CrystalCell
     host: HostReference
     defects: tuple[DefectEntry, ...]
-    spectra: tuple[SpectrumEntry, ...]
 
 
 # --- key=value record files ---------------------------------------------------
@@ -85,9 +73,8 @@ def _species(key: str, prefix: str, source: str, no: int) -> str:
 
 def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>") -> DefectRun:
     """Defect run record: e_total, delta.<species> entries, optional position."""
-    e_total = None
+    e_total = position = None
     delta: dict[str, int] = {}
-    position = None
     entries = (_entry(no, ln, source, "'key = value'") for no, ln in _content(text))
     for no, key, value in _keys(entries, source, "", ("e_total", "position", "label", "charge"), "delta."):
         if key == "e_total":
@@ -136,10 +123,8 @@ def parse_eigenvalues(text: str, source: str = "<string>"):
         indices = sorted(chan)
         gap = next((i for k, i in enumerate(indices) if i != k), None)
         if gap is not None:
-            raise ParseError(
-                f"spin channel '{spin}' indices must be contiguous from 0, got {indices}",
-                source, chan[gap][0],
-            )
+            raise ParseError(f"spin channel '{spin}' indices must be contiguous from 0, got {indices}",
+                             source, chan[gap][0])
         out[spin] = tuple(chan[i][1:] for i in indices)
     return out
 
@@ -165,7 +150,6 @@ def parse_site_potentials(text: str, source: str = "<string>") -> np.ndarray:
 # --- manifest proper ------------------------------------------------------------
 
 _HOST_REQUIRED = ("cell", "e_bulk", "e_vbm", "e_gap")
-_DEFECT_FILES = ("energy", "eigenvalues", "site_potentials", "wavefunction.i", "wavefunction.f")
 
 
 def _sections(text: str, source: str):
@@ -211,7 +195,6 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
     top = {key: value for _, key, value in _keys(preamble, source, "top-level ", ("project",))}
     cell = host = None
     defects: dict[tuple[str, int], DefectEntry] = {}
-    spectra: list[SpectrumEntry] = []
     for header, no, entries in sections:
         kind, *args = header.split() or [""]
         if kind == "host":
@@ -223,14 +206,14 @@ def parse_manifest(text: str, base_dir, source: str = "<string>") -> RunManifest
         elif kind == "defect":
             entry = _defect(args, entries, defects, base, source, no)
             defects[entry.run.label, entry.run.charge] = entry
-        elif kind == "spectrum":
-            spectra.append(_spectrum(args, entries, base, source, no))
+        elif kind == "spectrum":  # measurement files no command reads through the manifest
+            warnings.warn(f"{source}:{no}: ignoring [{header}] section")
         else:
             raise ParseError(f"unknown section '[{header}]'", source, no)
     if host is None:
         raise ParseError("manifest is missing the [host] section", source, 1)
     return RunManifest(project=top.get("project", "unnamed"), cell=cell, host=host,
-                       defects=tuple(defects.values()), spectra=tuple(spectra))
+                       defects=tuple(defects.values()))
 
 
 def _host(entries, base: Path, source: str, header_no: int) -> tuple[CrystalCell, HostReference]:
@@ -271,38 +254,15 @@ def _defect(args, entries, defects, base: Path, source: str, no: int) -> DefectE
     if (label, charge) in defects:
         raise ParseError(f"duplicate defect entry '{label}' with charge {charge:+d}", source, no)
     paths = {key: str(_resolve(base, value, source, kno))
-             for kno, key, value in _keys(entries, source, "defect ", _DEFECT_FILES)}
+             for kno, key, value in _keys(entries, source, "defect ", ("energy", "site_potentials"))}
     if "energy" not in paths:
         raise ParseError(f"defect '{label}' ({charge:+d}) is missing the 'energy' file", source, no)
-    if ("wavefunction.i" in paths) != ("wavefunction.f" in paths):
-        raise ParseError(
-            f"defect '{label}' ({charge:+d}) must name both wavefunction files or neither",
-            source, no,
-        )
     run = _load(paths["energy"], parse_defect_run, label, charge)
     if "site_potentials" in paths and charge != 0 and run.position is None:
         raise ParseError(f"defect '{label}' ({charge:+d}) names site_potentials but its run record "
                          "has no 'position', which the finite-size correction needs", source, no)
     pots = _load(paths["site_potentials"], parse_site_potentials) if "site_potentials" in paths else None
-    psi = None
-    if "wavefunction.i" in paths:
-        psi = (paths["wavefunction.i"], paths["wavefunction.f"])
-    return DefectEntry(run=run, eigenvalue_path=paths.get("eigenvalues"), site_potential_path=paths.get("site_potentials"),
-                       site_potentials=pots, wavefunction_paths=psi)
-
-
-def _spectrum(args, entries, base: Path, source: str, no: int) -> SpectrumEntry:
-    """A [spectrum <kind>] block: the 'file' path plus free-form metadata, passed through."""
-    if len(args) != 1 or args[0] not in SPECTRUM_KINDS:
-        raise ParseError(
-            f"spectrum section must be '[spectrum <kind>]' with kind in {SPECTRUM_KINDS}",
-            source, no,
-        )
-    paths = [_resolve(base, value, source, kno) for kno, key, value in entries if key == "file"]
-    if not paths:
-        raise ParseError(f"[spectrum {args[0]}] is missing the 'file' key", source, no)
-    return SpectrumEntry(kind=args[0], path=str(paths[-1]),
-                         metadata=tuple((key, value) for _, key, value in entries if key != "file"))
+    return DefectEntry(run=run, site_potential_path=paths.get("site_potentials"), site_potentials=pots)
 
 
 def load_manifest(path) -> RunManifest:

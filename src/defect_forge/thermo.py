@@ -140,6 +140,9 @@ class FormationDiagram:
     gap: float
     lines: tuple[tuple[int, float], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "lines", tuple((int(q), float(c)) for q, c in self.lines))
+
     @cached_property
     def intervals(self) -> tuple[StabilityInterval, ...]:
         gap = self.gap

@@ -170,14 +170,19 @@ def test_diagram_refuses_a_label_the_c_locale_cannot_encode(tmp_path):
 
 
 def test_diagram_leaves_spectrum_and_grid_files_unparsed(tmp_path):
-    """diagram reads the .run and .pot records only; a broken PL file, grid pair or .eig table
-    cannot fail it."""
+    """diagram reads the .run and .pot records only; a manifest line naming a broken PL file, grid
+    pair or .eig table warns and cannot fail it."""
     clean = write_demo_manifest(tmp_path / "clean")
-    broken = write_demo_manifest(tmp_path / "broken", grid_text="GRID 2 2 2 complex\n1 2 3\n")
+    broken = write_demo_manifest(tmp_path / "broken")
+    (tmp_path / "broken" / "psi.grid").write_text("GRID 2 2 2 complex\n1 2 3\n")
     (tmp_path / "broken" / "pl.csv").write_text("wavelength_nm,counts\n1450,abc\n")
     (tmp_path / "broken" / "ci_m1.eig").write_text("down 0 abc 1.0\n")
-    for manifest, out in ((clean, tmp_path / "o1"), (broken, tmp_path / "o2")):
-        assert run_cli("diagram", "--manifest", manifest, "--out", out) == 0
+    retired = "eigenvalues = ci_m1.eig\nwavefunction.i = psi.grid\nwavefunction.f = psi.grid\n"
+    text = broken.read_text().replace("site_potentials = ci_m1.pot\n", "site_potentials = ci_m1.pot\n" + retired)
+    broken.write_text(text + "[spectrum pl]\nfile = pl.csv\n")
+    assert run_cli("diagram", "--manifest", clean, "--out", tmp_path / "o1") == 0
+    with pytest.warns(UserWarning, match="ignoring"):
+        assert run_cli("diagram", "--manifest", broken, "--out", tmp_path / "o2") == 0
     assert _tree_bytes(tmp_path / "o1" / "diagrams") == _tree_bytes(tmp_path / "o2" / "diagrams")
 
 
@@ -672,13 +677,9 @@ def _rising_tail(_text: str) -> str:
 @pytest.mark.parametrize("command, name, edit, at, message", [
     ("diagram", "ci_0.run", lambda text: text + "label = Other\n", "ci_0.run:3",
      "label 'Other' contradicts manifest entry 'Ci'"),
-    ("diagram", "run.manifest", lambda text: text + "[host]\n", "run.manifest:27", "duplicate [host] section"),
+    ("diagram", "run.manifest", lambda text: text + "[host]\n", "run.manifest:17", "duplicate [host] section"),
     ("diagram", "run.manifest", lambda text: text.replace("dielectric = 11.7", "dielectric = 11.7 11.7"),
      "run.manifest:8", "dielectric must be 1, 3 or 9 numbers"),
-    ("diagram", "run.manifest", lambda text: text + "[spectrum xrd]\nfile = pl.csv\n", "run.manifest:27",
-     "spectrum section must be '[spectrum <kind>]' with kind in ('pl', 'trpl', 'dose', 'raster')"),
-    ("diagram", "run.manifest", lambda text: text + "[spectrum pl]\n", "run.manifest:27",
-     "[spectrum pl] is missing the 'file' key"),
     ("diagram", "host.cell", lambda text: text.replace("\n64\n", "\n0\n"), "host.cell:6",
      "species counts must be >= 1"),
     ("diagram", "run.manifest", lambda text: text.replace("e_gap = 1.17", "e_gap = 0"), "run.manifest:3",
@@ -687,9 +688,8 @@ def _rising_tail(_text: str) -> str:
     ("optics", "table.csv", lambda text: text + "C,0,none,,0.4,\n", None,
      "record 'C' has neither a ZPL nor a shift; cannot reconstruct"),
     ("lifetime", "decay.csv", _rising_tail, None, "signal does not decay after its peak"),
-], ids=["run-label", "second-host", "two-dielectric-values", "spectrum-kind", "spectrum-without-file",
-        "zero-species-count", "zero-gap", "negative-dose-intensity", "optics-row-without-zpl-or-shift",
-        "decay-tail-rises"])
+], ids=["run-label", "second-host", "two-dielectric-values", "zero-species-count", "zero-gap",
+        "negative-dose-intensity", "optics-row-without-zpl-or-shift", "decay-tail-rises"])
 def test_refusals_exit_2_without_a_traceback(tmp_path, capsys, command, name, edit, at, message):
     """Each refusal exits 2 with one error line; a parser's names the file and line at fault."""
     inputs = tmp_path / "inputs"

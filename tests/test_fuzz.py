@@ -5,6 +5,8 @@ import io as text_io
 import re
 import shutil
 import tempfile
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +71,8 @@ def _through_manifest(path: Path):
 
 
 # every input file of the demo, with the loader that reads it; the .run and
-# .pot records are read by the manifest, which leaves the .eig table unparsed
+# .pot records are read by the manifest, and the .eig table, which no command
+# reads, by parse_eigenvalues
 LOADERS = {
     "run.manifest": load_manifest,
     "host.cell": io.load_structure,
@@ -86,18 +89,19 @@ LOADERS = {
     "table.csv": io.load_optics_records,
 }
 
-DIAGRAM_FILES = ["run.manifest", "host.cell", "ci_m1.run", "ci_m1.eig", "ci_m1.pot"]
+DIAGRAM_FILES = ["run.manifest", "host.cell", "ci_m1.run", "ci_m1.pot"]
 COMMAND_FILES = [("tdm", "tdm.cell"), ("tdm", "psi_i.grid"), ("lifetime", "decay.csv"),
                  ("saturation", "sat.csv"), ("dose", "dose.csv"), ("raster", "raster.csv"),
                  ("optics", "table.csv")]
 
 
-def _copy_with(root: Path, name: str, edits, tmp: Path) -> Path:
-    """A copy of the demo inputs in tmp/inputs, with `name` mutated."""
+def _copy_with(root: Path, name: str, edit, tmp: Path) -> Path:
+    """A copy of the demo inputs in tmp/inputs, with `name` rewritten by edit (bytes -> bytes) if given."""
     inputs = tmp / "inputs"
     shutil.copytree(root, inputs)
-    path = inputs / name
-    path.write_bytes(mutate(path.read_bytes(), edits))
+    if edit is not None:
+        path = inputs / name
+        path.write_bytes(edit(path.read_bytes()))
     return inputs
 
 
@@ -108,7 +112,7 @@ def _copy_with(root: Path, name: str, edits, tmp: Path) -> Path:
 def test_parsers_return_or_raise_parse_error(demo, name, edits):
     root, _ = demo
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = _copy_with(root, name, edits, Path(tmp))
+        inputs = _copy_with(root, name, partial(mutate, edits=edits), Path(tmp))
         try:
             LOADERS[name](inputs / name)
         except ParseError:
@@ -140,14 +144,14 @@ def test_load_grid_reads_every_file_as_the_text_reader_does(edits):
             _outcome(lambda p: io._load(p, io.parse_grid, cell), path)
 
 
-def _check_command(demo, command, name, edits, options=(), label=None):
-    """The command on a copy of the demo inputs, with `name` mutated, `options` appended and,
+def _check_command(demo, command, name, edit, options=(), label=None):
+    """The command on a copy of the demo inputs, with `name` edited, `options` appended and,
     given a label, the defect label replaced, exits 0, 2 or 3 (argparse's exit counts), with no
     traceback, writes only under --out and puts no non-finite number in its JSON."""
     root, commands = demo
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        inputs = _copy_with(root, name, edits, tmp)
+        inputs = _copy_with(root, name, edit, tmp)
         if label is not None:
             manifest = inputs / "run.manifest"
             text = manifest.read_text(encoding="utf-8")
@@ -180,20 +184,54 @@ FUZZ_SETTINGS = settings(max_examples=12, derandomize=True, deadline=None,
 @FUZZ_SETTINGS
 @given(edits=MUTATIONS)
 def test_diagram_on_mutated_inputs_keeps_the_cli_contract(demo, name, edits):
-    _check_command(demo, "diagram", name, edits)
+    _check_command(demo, "diagram", name, partial(mutate, edits=edits))
 
 
 @pytest.mark.parametrize("command, name", COMMAND_FILES)
 @FUZZ_SETTINGS
 @given(edits=MUTATIONS)
 def test_commands_on_mutated_inputs_keep_the_cli_contract(demo, command, name, edits):
-    _check_command(demo, command, name, edits)
+    _check_command(demo, command, name, partial(mutate, edits=edits))
 
 
 @settings(FUZZ_SETTINGS, max_examples=4)  # the peak fit is the slowest command
 @given(edits=MUTATIONS)
 def test_fitpl_on_mutated_inputs_keeps_the_cli_contract(demo, edits):
-    _check_command(demo, "fitpl", "peak.csv", edits)
+    _check_command(demo, "fitpl", "peak.csv", partial(mutate, edits=edits))
+
+
+# --- whole columns scaled toward the ends of the float range ----------------------------
+
+SCALE_FACTORS = [1e300, -1e300, 1e-300, 1e-320, 1e150, 1e154, 1e200]
+
+
+def _times_column(k: int, factor: float):
+    """An edit that multiplies field k of every data row (a line starting with a digit) of a CSV by factor."""
+    def edit(data: bytes) -> bytes:
+        rows = [",".join(repr(float(v) * factor) if i == k else v for i, v in enumerate(ln.split(",")))
+                if ln[:1].isdigit() else ln for ln in data.decode().splitlines()]
+        return ("\n".join(rows) + "\n").encode()
+    return edit
+
+
+def _times_dielectric(factor: float):
+    return lambda data: data.replace(b"dielectric = 11.7\n", f"dielectric = {11.7 * factor!r}\n".encode())
+
+
+@pytest.mark.parametrize("factor", SCALE_FACTORS)
+@pytest.mark.parametrize("command, name, column", [
+    ("lifetime", "decay.csv", 0), ("lifetime", "decay.csv", 1), ("saturation", "sat.csv", 0),
+    ("saturation", "sat.csv", 1), ("fitpl", "peak.csv", 0), ("fitpl", "peak.csv", 1),
+    ("diagram", "run.manifest", None),
+])
+def test_a_column_scaled_toward_the_ends_of_the_float_range_keeps_the_cli_contract(demo, command, name,
+                                                                                     column, factor):
+    """Every numeric column of the fitted inputs, and the manifest's dielectric, times a factor near
+    the largest or the smallest float: with RuntimeWarning an error, the command fits or refuses."""
+    edit = _times_dielectric(factor) if column is None else _times_column(column, factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check_command(demo, command, name, edit)
 
 
 # --- arguments and defect labels -----------------------------------------------------
@@ -222,20 +260,20 @@ def _option(name: str, value: str, joined: bool) -> list[str]:
 @FUZZ_SETTINGS
 @given(grid=FERMI_GRIDS, label=LABELS, joined=st.booleans())
 def test_diagram_fermi_grid_and_labels_keep_the_cli_contract(demo, grid, label, joined):
-    _check_command(demo, "diagram", "run.manifest", [], _option("--fermi-grid", grid, joined), label)
+    _check_command(demo, "diagram", "run.manifest", None, _option("--fermi-grid", grid, joined), label)
 
 
 @FUZZ_SETTINGS
 @given(reference=NUMBER_TEXT, joined=st.booleans())
 def test_optics_reference_keeps_the_cli_contract(demo, reference, joined):
-    _check_command(demo, "optics", "table.csv", [], _option("--reference", reference, joined))
+    _check_command(demo, "optics", "table.csv", None, _option("--reference", reference, joined))
 
 
 @settings(FUZZ_SETTINGS, max_examples=6)  # the peak fit is the slowest command
 @given(max_peaks=st.one_of(st.integers(-2, 8), st.integers(9, 10**9)).map(str) | NUMBER_TEXT,
        joined=st.booleans())
 def test_fitpl_max_peaks_keeps_the_cli_contract(demo, max_peaks, joined):
-    _check_command(demo, "fitpl", "peak.csv", [], _option("--max-peaks", max_peaks, joined))
+    _check_command(demo, "fitpl", "peak.csv", None, _option("--max-peaks", max_peaks, joined))
 
 
 @FUZZ_SETTINGS
@@ -244,4 +282,4 @@ def test_fitpl_max_peaks_keeps_the_cli_contract(demo, max_peaks, joined):
 def test_dose_options_keep_the_cli_contract(demo, classify, threshold, label, joined):
     options = (_option("--classify", classify, joined) + _option("--damage-threshold", threshold, joined)
                + _option("--label", label, joined))
-    _check_command(demo, "dose", "dose.csv", [], options)
+    _check_command(demo, "dose", "dose.csv", None, options)

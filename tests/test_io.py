@@ -517,8 +517,8 @@ def test_site_potentials_parse():
 # --- manifests --------------------------------------------------------------------------------
 
 
-def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False, grid_text=None):
-    """Demo manifest; with grid_text, Ci -1 also names psi_i.grid and psi_f.grid holding it."""
+def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False):
+    """Demo manifest, beside an .eig table and the PL, dose and raster files of the demo."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     cell = CrystalCell(np.eye(3) * 10.0,
                        tuple(Site("Si", (i / 4, j / 4, k / 4))
@@ -534,8 +534,6 @@ def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False, grid_text=N
     wl = np.linspace(1440, 1460, 32)
     io.save_spectrum(Spectrum(wavelength_nm=wl, counts=np.ones(32), temperature_k=6.0),
                      tmp_path / "pl.csv")
-    io.save_decay(DecayTrace(time_ns=np.linspace(0, 30, 40),
-                             counts=np.linspace(100, 1, 40)), tmp_path / "trpl.csv")
     (tmp_path / "dose.csv").write_text(io.write_xy([10.0, 16.0, 30.0], [100.0, 900.0, 50.0],
                                                    "fluence_mJcm2,intensity"))
     (tmp_path / "raster.csv").write_text(
@@ -554,28 +552,13 @@ def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False, grid_text=N
         "",
         "[defect Ci -1]",
         "energy = ci_m1.run",
-        "eigenvalues = ci_m1.eig",
         "site_potentials = ci_m1.pot",
-        None if grid_text is None else "wavefunction.i = psi_i.grid",
-        None if grid_text is None else "wavefunction.f = psi_f.grid",
         "",
         "[defect Ci 0]",
         "energy = missing.run" if dangling else "energy = ci_0.run",
-        "",
-        "[spectrum pl]",
-        "file = pl.csv",
-        "[spectrum trpl]",
-        "file = trpl.csv",
-        "[spectrum dose]",
-        "file = dose.csv",
-        "[spectrum raster]",
-        "file = raster.csv",
     ]
-    if grid_text is not None:
-        (tmp_path / "psi_i.grid").write_text(grid_text)
-        (tmp_path / "psi_f.grid").write_text(grid_text)
     path = tmp_path / "run.manifest"
-    path.write_text("\n".join(ln for ln in lines if ln is not None) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -583,10 +566,8 @@ def test_manifest_full_parse(tmp_path):
     manifest = load_manifest(write_demo_manifest(tmp_path))
     assert manifest.project == "demo"
     assert len(manifest.defects) == 2
-    assert len(manifest.spectra) == 4
     np.testing.assert_allclose(manifest.cell.dielectric, 11.7 * np.eye(3))
     entry = next(e for e in manifest.defects if e.run.charge == -1)
-    assert entry.eigenvalue_path == str((tmp_path / "ci_m1.eig").resolve())
     assert entry.site_potentials.shape == (64, 2)
     assert entry.run.position == (0.0, 0.0, 0.0)
     assert sorted(e.run.charge for e in manifest.defects if e.run.label == "Ci") == [-1, 0]
@@ -606,7 +587,7 @@ def test_manifest_full_parse(tmp_path):
     ("host.cell", "\n0 10 0\n", "\n0 {} 0\n", "lattice row 2"),
 ])
 def test_manifest_non_finite_number_names_its_line(tmp_path, name, old, new, what, bad):
-    """Each record the manifest parses names the line; an .eig table, which it leaves unparsed, is
+    """Each record the manifest parses names the line; an .eig table, which no manifest names, is
     read through parse_eigenvalues."""
     manifest = write_demo_manifest(tmp_path)
     path = tmp_path / name
@@ -630,16 +611,6 @@ def test_optics_and_spectrum_fields_reject_non_finite():
     text = "# run 4\n# temperature_K=nan\nwavelength_nm,counts\n" + "".join(f"{i},1\n" for i in range(16))
     with pytest.raises(ParseError, match="s.csv:2: non-finite value in metadata 'temperature_K'"):
         io.parse_spectrum(text, source="s.csv")
-
-
-def test_manifest_spectrum_metadata_passthrough(tmp_path):
-    path = write_demo_manifest(tmp_path)
-    text = path.read_text().replace("[spectrum pl]\nfile = pl.csv",
-                                    "[spectrum pl]\nfile = pl.csv\nseries = anneal-2")
-    path.write_text(text)
-    manifest = load_manifest(path)
-    pl = next(s for s in manifest.spectra if s.kind == "pl")
-    assert pl.metadata == (("series", "anneal-2"),)
 
 
 def test_manifest_missing_gap(tmp_path):
@@ -678,6 +649,35 @@ def test_manifest_unknown_keys_warn(tmp_path):
     path.write_text(text)
     with pytest.warns(UserWarning, match="color"):
         load_manifest(path)
+
+
+def test_manifest_warns_at_each_retired_entry_and_reads_none_of_its_files(tmp_path):
+    """eigenvalues and wavefunction.* keys and [spectrum <kind>] sections name files the manifest does
+    not read: each warns once at its line, in file order, though its file is missing; [xrd] is refused."""
+    path = write_demo_manifest(tmp_path)
+    retired = "eigenvalues = absent.eig\nwavefunction.i = absent_i.grid\nwavefunction.f = absent_f.grid\n"
+    text = path.read_text().replace("site_potentials = ci_m1.pot\n", "site_potentials = ci_m1.pot\n" + retired)
+    text += "[spectrum pl]\nfile = absent.csv\nseries = anneal-2\n[spectrum xrd]\nfile = absent.xy\n"
+    path.write_text(text)
+    lines = text.splitlines()
+
+    def at(line):
+        return f"{path}:{lines.index(line) + 1}: "
+
+    with pytest.warns(UserWarning) as record:
+        manifest = load_manifest(path)
+    assert [str(w.message) for w in record] == [
+        at("eigenvalues = absent.eig") + "ignoring unknown defect key 'eigenvalues'",
+        at("wavefunction.i = absent_i.grid") + "ignoring unknown defect key 'wavefunction.i'",
+        at("wavefunction.f = absent_f.grid") + "ignoring unknown defect key 'wavefunction.f'",
+        at("[spectrum pl]") + "ignoring [spectrum pl] section",
+        at("[spectrum xrd]") + "ignoring [spectrum xrd] section",
+    ]
+    assert [e.run.charge for e in manifest.defects] == [-1, 0]
+    path.write_text(text + "[xrd]\nfile = absent.xy\n")
+    with pytest.warns(UserWarning), pytest.raises(ParseError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}:{len(lines) + 1}: unknown section '[xrd]'"
 
 
 @pytest.mark.parametrize("name, after, entry, what", [
@@ -742,18 +742,6 @@ def test_manifest_duplicate_entries_rejected(tmp_path):
     text = path.read_text() + "\n[defect Ci -1]\nenergy = ci_m1.run\n"
     path.write_text(text)
     with pytest.raises(ParseError, match="duplicate defect"):
-        load_manifest(path)
-
-
-def test_manifest_wavefunction_paths(tmp_path):
-    path = write_demo_manifest(tmp_path, grid_text="GRID 2 2 2 real\n")  # not parsed here
-    manifest = load_manifest(path)
-    by_charge = {e.run.charge: e for e in manifest.defects}
-    assert by_charge[-1].wavefunction_paths == (str((tmp_path / "psi_i.grid").resolve()),
-                                                str((tmp_path / "psi_f.grid").resolve()))
-    assert by_charge[0].wavefunction_paths is None
-    path.write_text(path.read_text().replace("wavefunction.f = psi_f.grid\n", ""))
-    with pytest.raises(ParseError, match=r"run\.manifest:\d+: .*both wavefunction files or neither"):
         load_manifest(path)
 
 

@@ -168,6 +168,17 @@ def test_diagrams_of_equal_lines_are_equal_and_hash_alike():
     assert FormationDiagram(1.0, lines) != FormationDiagram(1.0, lines[:2])
 
 
+def test_diagram_copies_a_list_of_lines_as_int_float_pairs():
+    """A caller's list is copied in: the diagram hashes, and appending to the list later changes nothing."""
+    lines = [(np.int64(0), 1.0), (1, np.float64(0.4))]
+    diag = FormationDiagram(1.0, lines)
+    assert [(iv.lo, iv.hi, iv.charge) for iv in diag.intervals] == [(0.0, 0.6, 1), (0.6, 1.0, 0)]
+    lines.append((-1, -5.0))
+    assert hash(diag) == hash(FormationDiagram(1.0, ((0, 1.0), (1, 0.4))))
+    assert [(type(q), type(c)) for q, c in diag.lines] == [(int, float), (int, float)]
+    assert diag.stable_charge(0.5) == 1
+
+
 def test_diagram_topology_fixture():
     diag = build_diagram(fig_topology_runs(), host())
     seq = [iv.charge for iv in diag.intervals]

@@ -1,11 +1,13 @@
 """Measured-data analysis: PL peak fits, TR-PL lifetimes, saturation, rasters.
 
 Peak seeding uses a robust threshold (median + 5*MAD) so the broad phonon
-sideband does not spawn spurious seeds; refinement is the damped
-Gauss-Newton solver with analytic Jacobians (fitting.py).  Lorentzian is
-the default line shape for the zero-phonon lines measured here at 6 K;
-Gaussian is available.  Linewidths at or below the grating resolution are
-flagged resolution-limited rather than reported as physical.
+sideband does not spawn spurious seeds, and ranks the local maxima above it
+by topographic prominence, both as scipy's find_peaks defines them (see
+_find_peaks).  Refinement is the damped Gauss-Newton solver with analytic
+Jacobians (fitting.py).  Lorentzian is the default line shape for the
+zero-phonon lines measured here at 6 K; Gaussian is available.  Linewidths at
+or below the grating resolution are flagged resolution-limited rather than
+reported as physical.
 """
 
 from __future__ import annotations
@@ -99,22 +101,42 @@ class PeakFit:
     resolution_limited: bool | None
 
 
-def _seed_peaks(spec: Spectrum, max_peaks: int):
-    # local import: scipy.signal costs about 1.2 s of start-up that most commands never use
-    from scipy.signal import find_peaks
+def _find_peaks(x: np.ndarray, height: float):
+    """Local maxima of x at or above height and their prominences, bit for bit as scipy's
+    find_peaks(x, height=height, prominence=0) gives them.  A maximum is a run of equal samples
+    above the runs on each side, counted at its middle sample (the left one of two), never at
+    an end.  Its prominence is its height above the higher of the lowest samples on each side
+    up to the nearest strictly higher sample or the end of x."""
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    run = x[starts]
+    top = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:]) & (run[1:-1] >= height)) + 1
+    peaks = (starts[top] + starts[top + 1] - 1) // 2
+    tall = np.flatnonzero(x >= height)  # every sample higher than a peak
+    prominences = np.empty(len(peaks))
+    for k, i in enumerate(peaks):
+        higher = tall[x[tall] > x[i]]
+        j = np.searchsorted(higher, i)
+        left = higher[j - 1] + 1 if j > 0 else 0
+        right = higher[j] if j < len(higher) else len(x)
+        prominences[k] = x[i] - max(x[left:i].min(), x[i + 1:right].min())
+    return peaks, prominences
 
+
+def _seed_peaks(spec: Spectrum, max_peaks: int):
+    """Baseline and, in increasing order, the max_peaks most prominent local maxima at or above
+    median + 5*MAD (one per flat top, see _find_peaks); of equal prominences the lower index wins."""
     counts = spec.counts
     baseline = float(np.median(counts))
     mad = float(np.median(np.abs(counts - baseline)))
     threshold = baseline + 5.0 * mad
-    idx, props = find_peaks(counts, height=threshold, prominence=0)
+    idx, prominences = _find_peaks(counts, threshold)
     if len(idx) == 0:
         raise ValidationError(
             f"no peak above the seeding threshold (median + 5*MAD = {threshold:g} counts)"
         )
     # rank by prominence, not height: a noise maximum on the flank of a tall
     # line is high but not prominent, and must not displace a weaker real line
-    order = np.argsort(-props["prominences"], kind="stable")[:max_peaks]
+    order = np.argsort(-prominences, kind="stable")[:max_peaks]
     seeds = np.sort(idx[order])
     return baseline, seeds
 
@@ -226,13 +248,13 @@ def fit_lifetime(trace: DecayTrace) -> DecayFit:
         raise ValidationError("signal does not decay after its peak; not a first-order decay")
 
     b0 = float(np.min(ct))
-    tau0 = max((t[-1] - t[0]) / 3.0, 1e-3)
+    tau0 = (t[-1] - t[0]) / 3.0
     above = ct - b0 + 1e-9
     # crude log-slope estimate over the first decade refines tau0
     top = above[0] / np.e
     k = int(np.searchsorted(-above, -top))
     if 0 < k < len(t):
-        tau0 = max(float(t[k] - t[0]), 1e-3)
+        tau0 = float(t[k] - t[0])
     a0 = float((ct[0] - b0) * np.exp(t[0] / tau0))
 
     result = gauss_newton(
@@ -279,6 +301,8 @@ def fit_saturation(powers_mw, intensities) -> SaturationFit:
         raise ValidationError(f"need >= 4 points to fit a saturation curve, got {len(p)}")
     if np.any(p <= 0):
         raise ValidationError("powers must be > 0 mW")
+    if not np.any(i):
+        raise ValidationError("every intensity is 0; a saturation curve needs a signal")
 
     p_sat0 = float(np.median(p))
     i_sat0 = float(np.max(i)) * 2.0

@@ -19,7 +19,7 @@ from defect_forge.optics import GridFunction
 
 from oracles import read_diagram_csv
 from test_io import write_demo_manifest
-from test_spectro import noise_only_spectrum
+from test_spectro import _demo_pl_spectrum, noise_only_spectrum
 
 
 def run_cli(*argv):
@@ -575,6 +575,16 @@ def test_saturation_flat_curve_unidentifiable(tmp_path, capsys):
     assert "P_sat outside the measured power range" in capsys.readouterr().out
 
 
+def test_saturation_all_zero_intensities_exit_2(tmp_path, capsys):
+    (tmp_path / "zero.csv").write_text(io.write_xy([1.0, 2.0, 3.0, 4.0], [0.0] * 4, "power_mW,intensity"))
+    out = tmp_path / "out"
+    assert run_cli("saturation", "--data", tmp_path / "zero.csv", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "every intensity is 0" in err
+    assert "Traceback" not in err
+    assert not list((out / "fits").iterdir())
+
+
 def test_dose_command(tmp_path, capsys):
     (tmp_path / "dose.csv").write_text(io.write_xy(
         [10.0, 16.0, 22.0, 30.0, 38.0, 44.5],
@@ -744,20 +754,31 @@ def test_verbose_writes_log(tmp_path):
     assert "wrote diagrams/Ci.csv" in log
 
 
-def _modules_after_cli_import(prefix: str) -> str:
-    """Modules starting with prefix that a fresh `import defect_forge.cli` loads."""
+def _modules_after_cli_import(prefix: str, *argv) -> str:
+    """Modules starting with prefix that a fresh `import defect_forge.cli` loads, and then
+    `main(argv)`, which must exit 0, when a command line is given."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = ("import defect_forge.cli, sys; "
+    argv = [str(a) for a in argv]
+    probe = ("import defect_forge.cli, sys\n"
+             f"assert not {argv!r} or defect_forge.cli.main({argv!r}) == 0\n"
              f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
-    return result.stdout.strip()
+    return result.stdout.splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy():
     """scipy is imported only inside the functions that call it, never at start-up."""
     assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_fitpl_loads_no_scipy(tmp_path):
+    """The peak finder is numpy: only diagram's erfc imports scipy."""
+    io.save_spectrum(_demo_pl_spectrum(7)[0], tmp_path / "pl.csv")
+    argv = ["fitpl", "--data", tmp_path / "pl.csv", "--max-peaks", "5", "--out", tmp_path / "out"]
+    assert _modules_after_cli_import("scipy", *argv) == "[]"
+    assert len((tmp_path / "out" / "fits" / "pl_peaks.csv").read_text().splitlines()) == 6
 
 
 def test_cli_import_loads_no_thread_pool():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defect_forge import (
     DecayTrace,
@@ -15,7 +17,7 @@ from defect_forge import (
     temperature_series,
 )
 from defect_forge.fitting import decay_model, peak_model, saturation_model
-from defect_forge.spectro import grating_resolution_nm
+from defect_forge.spectro import _find_peaks, grating_resolution_nm
 
 
 def make_spectrum(wl, counts, **meta):
@@ -108,6 +110,37 @@ def test_noise_maximum_on_a_tall_line_does_not_displace_a_weak_line(seed):
     np.testing.assert_allclose(sorted(p.center_nm for p in peaks), sorted(centers), atol=0.02)
 
 
+# float draws, and small-integer alphabets for plateaus and ties, some with their
+# highest value at both ends
+SMALL_INTEGERS = st.lists(st.integers(0, 3).map(float), min_size=1, max_size=64)
+PEAK_FINDER_INPUTS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
+    SMALL_INTEGERS,
+    SMALL_INTEGERS.map(lambda v: [4.0, *v[:62], 4.0]),
+).map(np.array)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(x=PEAK_FINDER_INPUTS, height=st.sampled_from(["-inf", "median", "max"]))
+def test_find_peaks_matches_scipy(x, height):
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    h = {"-inf": -np.inf, "median": float(np.median(x)), "max": float(np.max(x))}[height]
+    # a peak's height minus a base may overflow to inf when x is not >= 0, as counts are
+    with np.errstate(over="ignore"):
+        idx, prominences = _find_peaks(x, h)
+    expected, props = find_peaks(x, height=h, prominence=0)
+    np.testing.assert_array_equal(idx, expected)
+    assert prominences.tobytes() == props["prominences"].tobytes()
+
+
+def test_find_peaks_plateaus_and_ends():
+    """A flat top counts once at its middle sample, the left one of two; an end sample never counts."""
+    x = np.array([5.0, 1.0, 3.0, 3.0, 0.0, 2.0, 2.0, 2.0, 1.0, 4.0, 1.0, 6.0])
+    idx, prominences = _find_peaks(x, -np.inf)
+    assert idx.tolist() == [2, 6, 9]
+    assert prominences.tolist() == [2.0, 1.0, 3.0]
+
+
 def test_peaks_sorted_by_amplitude():
     wl = np.arange(1440.0, 1460.0, 0.02)
     counts = peak_model(wl, [10.0, 300.0, 1445.0, 0.4, 900.0, 1455.0, 0.4], "lorentzian")
@@ -198,6 +231,16 @@ def test_lifetime_needs_samples_after_peak():
         fit_lifetime(DecayTrace(time_ns=t, counts=counts))
 
 
+@pytest.mark.parametrize("k", [-20, -30])
+def test_lifetime_in_sub_picosecond_units(k):
+    """tau scales with the time axis; the starting values have no absolute floor."""
+    t = np.linspace(0.0, 30.0, 600)
+    counts = np.random.default_rng(7).poisson(decay_model(t, [1200.0, 3.0, 12.0])).astype(float)
+    tau = fit_lifetime(DecayTrace(time_ns=t, counts=counts)).tau_ns
+    scaled = fit_lifetime(DecayTrace(time_ns=t * 2.0**k, counts=counts)).tau_ns
+    assert scaled == pytest.approx(tau * 2.0**k, rel=1e-9)
+
+
 def test_lifetime_reports_stderr(rng):
     fit = fit_lifetime(decay_trace(3.0, rng=rng))
     assert 0 < fit.tau_stderr_ns < 0.5
@@ -249,6 +292,8 @@ def test_saturation_input_validation():
         fit_saturation([0.1, 0.2, 0.3], [1, 2, 3])
     with pytest.raises(ValidationError):
         fit_saturation([0.0, 0.2, 0.3, 0.4], [1, 2, 3, 4])
+    with pytest.raises(ValidationError, match="every intensity is 0"):
+        fit_saturation([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
 
 
 # --- temperature series -----------------------------------------------------------------

@@ -11,9 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
+
+# Each command's BLAS work is small (least squares with a few parameters per
+# peak, Ewald products on (N, 3) arrays), but an OpenBLAS thread pool spins on a
+# second core for about 0.1 s per process.  So run one BLAS thread, unless the
+# user set a count or numpy is loaded already (an in-process caller).
+if "numpy" not in sys.modules and not any(
+        os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -306,10 +315,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.set_defaults(func=_cmd_saturation)
 
+    def float_list(text: str) -> list[float]:  # argparse names it in a usage error
+        return [float(x) for x in text.split(",")]
+
     p = sub.add_parser("dose", help="calibrate a fluence dose curve and classify fluences")
     p.add_argument("--data", required=True)
     p.add_argument("--label", default="")
-    p.add_argument("--classify", type=lambda s: [float(x) for x in s.split(",")], default=None,
+    p.add_argument("--classify", type=float_list, default=None,
                    help="comma-separated fluences to classify (mJ/cm^2)")
     p.add_argument("--damage-threshold", type=float, default=100.0, dest="damage_threshold")
     p.set_defaults(func=_cmd_dose)

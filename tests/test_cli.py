@@ -2,6 +2,7 @@
 
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import defect_forge
 from defect_forge import CrystalCell, DecayTrace, Spectrum
 from defect_forge import io_formats as io
 from defect_forge.cli import main
@@ -611,6 +613,15 @@ def test_dose_non_finite_classify_exit_2(tmp_path, capsys, fluence):
     assert not (out / "fits" / "dose_classified.jsonl").exists()
 
 
+def test_dose_bad_classify_list_names_the_expected_type(tmp_path, capsys):
+    """argparse names the converter in its message, so the converter is not a lambda."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("dose", "--data", tmp_path / "dose.csv", "--classify", "1,,2", "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --classify: invalid float_list value: '1,,2'" in err and "<lambda>" not in err
+
+
 def test_dose_nan_damage_threshold_exit_2(tmp_path, capsys):
     (tmp_path / "dose.csv").write_text(io.write_xy(
         [10.0, 16.0, 30.0], [100.0, 900.0, 50.0], "fluence_mJcm2,intensity"))
@@ -754,18 +765,73 @@ def test_verbose_writes_log(tmp_path):
     assert "wrote diagrams/Ci.csv" in log
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(probe: str, **env) -> str:
+    """The last line that `probe` prints in a fresh interpreter with src/ on the path, no
+    BLAS thread variable set but those in env."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child_env.update(env, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    return result.stdout.splitlines()[-1]
+
+
 def _modules_after_cli_import(prefix: str, *argv) -> str:
     """Modules starting with prefix that a fresh `import defect_forge.cli` loads, and then
     `main(argv)`, which must exit 0, when a command line is given."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     argv = [str(a) for a in argv]
-    probe = ("import defect_forge.cli, sys\n"
-             f"assert not {argv!r} or defect_forge.cli.main({argv!r}) == 0\n"
-             f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    return result.stdout.splitlines()[-1]
+    return _fresh_python("import defect_forge.cli, sys\n"
+                         f"assert not {argv!r} or defect_forge.cli.main({argv!r}) == 0\n"
+                         f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    """Names load their module on first use, so cli can pick numpy's BLAS threads before numpy loads."""
+    probe = ("import defect_forge, sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith(('defect_forge.', 'numpy'))))")
+    assert _fresh_python(probe) == "[]"
+
+
+def test_star_import_and_dir_serve_every_public_name():
+    """dir() and a misspelt name load no module; `import *` then binds every name of __all__."""
+    probe = ("import defect_forge, sys\n"
+             "unlisted = sorted(set(defect_forge.__all__) - set(dir(defect_forge)))\n"
+             "try:\n"
+             "    defect_forge.CrystalCel\n"
+             "except AttributeError as exc:\n"
+             "    typo = exc\n"
+             "loaded = sorted(m for m in sys.modules if m.startswith('defect_forge.'))\n"
+             "from defect_forge import *\n"
+             "unbound = [n for n in defect_forge.__all__ if n not in globals()]\n"
+             "print(unlisted, loaded, unbound, typo)")
+    assert _fresh_python(probe) == "[] [] [] module 'defect_forge' has no attribute 'CrystalCel'"
+
+
+def test_cli_import_loads_every_module():
+    """The traced benchmark wraps every layer, and conftest relies on this import for all of them."""
+    every = sorted(f"defect_forge.{m.name}" for m in pkgutil.iter_modules(defect_forge.__path__))
+    assert _modules_after_cli_import("defect_forge.") == str(every)
+
+
+@pytest.mark.parametrize("env, preload, changed", [
+    ({}, "", [("OPENBLAS_NUM_THREADS", "1")]),
+    ({"OPENBLAS_NUM_THREADS": ""}, "", [("OPENBLAS_NUM_THREADS", "1")]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "", []),
+    ({"GOTO_NUM_THREADS": "2"}, "", []),
+    ({"OMP_NUM_THREADS": "2"}, "", []),
+    ({}, "import numpy\n", []),
+])
+def test_cli_import_runs_one_blas_thread_unless_a_count_is_set(env, preload, changed):
+    """A CLI process gets one BLAS thread; a user's count, or numpy already loaded, wins."""
+    probe = ("import os\n"
+             f"{preload}"
+             "before = dict(os.environ)\n"
+             "import defect_forge.cli\n"
+             "print(sorted((k, v) for k, v in os.environ.items() if before.get(k) != v))")
+    assert _fresh_python(probe, **env) == str(changed)
 
 
 def test_cli_import_loads_no_scipy():

@@ -10,9 +10,11 @@ carry the source path and line number.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -166,8 +168,9 @@ def parse_structure(text: str, source: str = "<string>") -> CrystalCell:
             source, coord_lines[total][0],
         )
     site_species = (sp for sp, cnt in zip(species, counts) for _ in range(cnt))
-    sites = [Site(sp, _floats(ln, 3, source, no, "fractional coordinate"))
-             for sp, (no, ln) in zip(site_species, coord_lines)]
+    with _at(source, content[4][0]):  # a species the Site rule refuses, such as a later '#C'
+        sites = [Site(sp, _floats(ln, 3, source, no, "fractional coordinate"))
+                 for sp, (no, ln) in zip(site_species, coord_lines)]
     with _at(source, content[1][0]):
         return CrystalCell(lattice, tuple(sites))
 
@@ -179,17 +182,11 @@ def write_structure(cell: CrystalCell, comment: str = "structure") -> str:
         out.append(" ".join(_fmt(x) for x in row))
     if not cell.sites:
         return "\n".join(out) + "\n"
-    species: list[str] = []
-    for s in cell.sites:
-        if s.species not in species:
-            species.append(s.species)
-    counts = {sp: sum(1 for s in cell.sites if s.species == sp) for sp in species}
+    species = list(dict.fromkeys(s.species for s in cell.sites))  # in order of first appearance
     out.append(" ".join(species))
-    out.append(" ".join(str(counts[sp]) for sp in species))
+    out.append(" ".join(str(sum(s.species == sp for s in cell.sites)) for sp in species))
     for sp in species:
-        for s in cell.sites:
-            if s.species == sp:
-                out.append(" ".join(_fmt(x) for x in s.frac))
+        out += [" ".join(_fmt(x) for x in s.frac) for s in cell.sites if s.species == sp]
     return "\n".join(out) + "\n"
 
 
@@ -199,10 +196,10 @@ def parse_grid(text: str | bytes, cell: CrystalCell, source: str = "<string>", *
                head: str = "") -> GridFunction:
     """Grid file: header 'GRID n1 n2 n3 complex|real', then values (fastest index n3).
 
-    The file is head + text.  load_grid passes the lines through the header as
-    head and the rest of an ASCII file as bytes, which numpy converts with no
-    decoded copy; other bytes are decoded as UTF-8, and an undecodable byte is
-    reported as for any input file.
+    The file is head + text.  load_grid passes the lines through the header,
+    any UTF-8 text, as head and the rest of the file, read once, as bytes;
+    numpy converts an ASCII block with no decoded copy, other bytes are decoded
+    as UTF-8, and an undecodable byte is reported as for any input file.
 
     The value block is converted in one numpy call.  A file that call cannot
     take whole (comments in the block, a wrong count, a token float() reads
@@ -221,7 +218,8 @@ def parse_grid(text: str | bytes, cell: CrystalCell, source: str = "<string>", *
             if len(values) == _grid_value_count(dims, kind):
                 del text  # the bytes from load_grid, whose only reference this call holds
                 values = _complex_values(values, kind)  # and the floats, before GridFunction copies the values
-                return _grid_function(dims, values, cell, source, header_no)
+                with _at(source, header_no):
+                    return GridFunction(dims, values, cell)
     return _parse_grid_lines(head + (text.decode("ascii") if isinstance(text, bytes) else text), cell, source)
 
 
@@ -287,11 +285,6 @@ def _complex_values(arr: np.ndarray, kind: str) -> np.ndarray:
     return values
 
 
-def _grid_function(dims, values, cell, source, header_no) -> GridFunction:
-    with _at(source, header_no):
-        return GridFunction(dims, values, cell)
-
-
 def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction:
     """Token-by-token grid reader; every error names its line."""
     lines = list(_content(text))
@@ -308,7 +301,8 @@ def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction
             source, lines[-1][0],
         )
     values = _complex_values(np.array(tokens), kind)
-    return _grid_function(dims, values, cell, source, lines[0][0])
+    with _at(source, lines[0][0]):
+        return GridFunction(dims, values, cell)
 
 
 GRID_VALUES_PER_LINE = 3  # real values, or complex re/im pairs, on each line of a written grid
@@ -503,7 +497,7 @@ def write_table_check(checks: list[TableCheck]) -> str:
             _fmt(r.tdm_debye2) if r.tdm_debye2 is not None else "",
             _fmt(r.shift_mev) if r.shift_mev is not None else "",
             "INCONSISTENT" if c.flagged else "ok",
-            _fmt(c.recomputed_shift_mev) if c.recomputed_shift_mev is not None else "",
+            _fmt(c.recomputed_shift_mev),
             _fmt(c.discrepancy_mev),
             "reconstructed" if c.reconstructed else "stated",
         ]))
@@ -526,13 +520,20 @@ def write_diagram_csv(diag, fermi) -> str:
 def _load(path, parser, *args):
     """parser(text, *args, source=path): the one reader of input files, UTF-8 whatever the locale."""
     source = str(Path(path))
-    try:
+    with _reading(source):
         data = Path(path).read_bytes()
+    text = _decode(data, source)
+    del data  # a large file's bytes need not outlive its text
+    return parser(text, *args, source=source)
+
+
+@contextmanager
+def _reading(source: str):
+    """An OSError in the block becomes the ParseError 'cannot read file' for source."""
+    try:
+        yield
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", source) from None
-    text = _decode(data, source)
-    del data  # a grid file's bytes need not outlive its text
-    return parser(text, *args, source=source)
 
 
 def _decode(data: bytes, source: str) -> str:
@@ -553,35 +554,24 @@ def save_structure(cell: CrystalCell, path, comment: str = "structure") -> None:
 
 
 def load_grid(path, cell: CrystalCell) -> GridFunction:
-    """The grid file at path.  Its lines through the header are read first; when they
-    are ASCII, the rest of the file follows as one bytes object for parse_grid."""
-    try:
-        # unbuffered: after readline, a buffered read would copy the rest of the file once more
-        with open(path, "rb", buffering=0) as f:
-            head = _read_head(f)
-            if head is not None and head.isascii():
-                # the bytes are a call argument with no name here, so that parse_grid
-                # holds their only reference and frees them once they are converted
-                # (CPython 3.11 and later move call arguments into the callee)
-                return parse_grid(f.readall(), cell, str(Path(path)), head=head.decode("ascii"))
-    except OSError:
-        pass  # raised by open or a read, never by parse_grid; _load reports it
-    return _load(path, parse_grid, cell)
-
-
-def _read_head(f) -> bytes | None:
-    """The lines of a binary file through the first that is neither blank nor a '#'
-    comment, or None when that line does not end within the first 4096 bytes."""
-    limit = 4096
-    head = b""
-    while len(head) < limit:
-        line = f.readline(limit - len(head))
-        if not line.endswith(b"\n"):
-            return None
-        head += line
-        if line.strip() and not line.lstrip().startswith(b"#"):
-            return head
-    return None
+    """The grid file at path, read once, a pipe as well as a regular file: its lines through
+    the header, any UTF-8 text, then the rest of the file as one bytes object for parse_grid."""
+    source = str(Path(path))
+    # parse_grid reads no file, so an OSError here comes from open or a read
+    with _reading(source), open(path, "rb") as f:
+        lines = []
+        for line in f:
+            lines.append(line)
+            if line.strip() and not line.lstrip().startswith(b"#"):
+                break
+        head = _decode(b"".join(lines), source)
+        stat = os.fstat(f.fileno())
+        # a sized read fills one bytes object, where read() joins the buffered tail to a second copy;
+        # a pipe reads to its end, as does a file whose size is below the position (/proc, truncated)
+        size = max(stat.st_size - f.tell(), -1) if S_ISREG(stat.st_mode) else -1
+        # an argument with no name, so that parse_grid holds the only reference and frees the bytes
+        # once they are converted (CPython 3.11 and later move call arguments into the callee)
+        return parse_grid(f.read(size), cell, source, head=head)
 
 
 def save_grid(grid: GridFunction, path) -> None:

@@ -46,6 +46,10 @@ class Site:
     __eq__ = fields_equal
 
     def __post_init__(self):
+        # a structure file lists the species as one whitespace-separated content line
+        if self.species.split() != [self.species] or self.species.startswith("#"):
+            raise ValidationError(f"species must be non-empty, hold no whitespace and not start with '#', "
+                                  f"got {self.species!r}")
         object.__setattr__(self, "frac", readonly(wrap_frac(self.frac).reshape(3)))
 
 

@@ -58,6 +58,10 @@ class OpticsRecord:
     shift_mev: float | None
 
     def __post_init__(self):
+        d = self.defect  # a table row is split at ',' and stripped, and a '#' line is a comment
+        if "," in d or len(d.splitlines()) > 1 or d != d.strip() or d.startswith("#"):
+            raise ValidationError("defect label must hold no ',' or line break, no surrounding "
+                                  f"whitespace and no leading '#', got {d!r}")
         if self.spin not in SPIN_CHANNELS:
             raise ValidationError(f"spin channel must be one of {SPIN_CHANNELS}, got '{self.spin}'")
         if self.zpl_mev is not None and self.zpl_mev <= 0:
@@ -97,7 +101,7 @@ class TableCheck:
     record: OpticsRecord
     zpl_mev: float            # stated, or reconstructed when the stated value is missing
     reconstructed: bool
-    recomputed_shift_mev: float | None
+    recomputed_shift_mev: float
     discrepancy_mev: float
     flagged: bool
 
@@ -121,10 +125,7 @@ def table_consistency_check(records, reference_zpl_mev: float) -> list[TableChec
             out.append(TableCheck(rec, reference_zpl_mev + rec.shift_mev, True, rec.shift_mev, 0.0, False))
             continue
         recomputed = rec.zpl_mev - reference_zpl_mev
-        if rec.shift_mev is None:
-            out.append(TableCheck(rec, rec.zpl_mev, False, recomputed, 0.0, False))
-            continue
-        disc = abs(rec.shift_mev - recomputed)
+        disc = 0.0 if rec.shift_mev is None else abs(rec.shift_mev - recomputed)
         out.append(TableCheck(rec, rec.zpl_mev, False, recomputed, disc, disc > SHIFT_TOLERANCE_MEV))
     return out
 

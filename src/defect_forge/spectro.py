@@ -86,6 +86,9 @@ class Spectrum:
             raise ValidationError("wavelength axis must be strictly increasing", row=int(np.argmin(rising)) + 1)
         if np.any(ct < 0):
             raise ValidationError("counts must be >= 0", row=int(np.argmax(ct < 0)))
+        loc = self.location  # written as the stripped comment line '# location=...'
+        if loc is not None and (len(loc.splitlines()) > 1 or loc != loc.strip()):
+            raise ValidationError(f"location must hold no line break and no surrounding whitespace, got {loc!r}")
         object.__setattr__(self, "wavelength_nm", wl)
         object.__setattr__(self, "counts", ct)
 

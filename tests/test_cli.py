@@ -427,6 +427,16 @@ def test_tdm_overflowing_grid_exit_2(tmp_path, capsys):
     assert not (out / "optics" / "tdm.json").exists()
 
 
+
+def test_tdm_grid_with_a_zero_dim_exit_2(tmp_path, capsys):
+    args = write_command_inputs(tmp_path / "inputs")["tdm"]
+    grid = tmp_path / "inputs" / "psi_i.grid"
+    grid.write_text("GRID 0 4 4 real\n")
+    assert run_cli("tdm", *args, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {grid}:1: grid dims must be positive, got (0, 4, 4)")
+    assert "Traceback" not in err
+
 def test_tdm_cell_whose_volume_overflows_exit_2(tmp_path, capsys):
     args = write_command_inputs(tmp_path / "inputs")["tdm"]
     cell = tmp_path / "inputs" / "big.cell"

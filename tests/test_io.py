@@ -1,5 +1,6 @@
 """Format round trips, parse errors with file/line context, manifest resolution."""
 
+import os
 import sys
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defect_forge import CrystalCell, DecayTrace, ParseError, Site, Spectrum, supercell
+from defect_forge import CrystalCell, DecayTrace, ParseError, Site, Spectrum, ValidationError, supercell
 from defect_forge import io_formats as io
 from defect_forge.manifest import (
     load_manifest,
@@ -16,7 +17,7 @@ from defect_forge.manifest import (
     parse_eigenvalues,
     parse_site_potentials,
 )
-from defect_forge.optics import GridFunction
+from defect_forge.optics import GridFunction, OpticsRecord
 from defect_forge.spectro import raster_map
 from defect_forge.thermo import FormationDiagram, HostReference, build_diagram
 
@@ -242,7 +243,17 @@ def test_load_grid_errors_name_the_same_line_on_every_path(tmp_path, data, line,
     assert str(err.value) == f"{path}:{line}: {message}"
 
 
-def test_load_grid_holds_one_copy_of_the_file(tmp_path, rng):
+
+def test_load_grid_refuses_a_zero_dim(tmp_path):
+    path = tmp_path / "g.grid"
+    path.write_text("GRID 0 4 4 real\n")
+    with pytest.raises(ParseError) as err:
+        io.load_grid(path, CrystalCell(np.eye(3)))
+    assert str(err.value) == f"{path}:1: grid dims must be positive, got (0, 4, 4)"
+
+@pytest.mark.parametrize("head", [b"", "# ψ_i\n".encode(), b"#" * 5000 + b"\n"],
+                         ids=["no comment", "non-ASCII comment", "5000-byte comment"])
+def test_load_grid_holds_one_copy_of_the_file(tmp_path, rng, head):
     """Reading a 32^3 complex grid peaks at about the file plus its numbers; the file is
     never held both as bytes and as text, and the numbers go before the values are copied.
     Before CPython 3.11 the caller's stack keeps the bytes alive to the end of parse_grid."""
@@ -250,7 +261,7 @@ def test_load_grid_holds_one_copy_of_the_file(tmp_path, rng):
     shape = (32, 32, 32)
     grid = GridFunction(shape, rng.normal(size=shape) + 1j * rng.normal(size=shape), cell)
     path = tmp_path / "g.grid"
-    io.save_grid(grid, path)
+    path.write_bytes(head + io.write_grid(grid).encode())
     tracemalloc.start()
     try:
         back = io.load_grid(path, cell)
@@ -260,6 +271,94 @@ def test_load_grid_holds_one_copy_of_the_file(tmp_path, rng):
     assert back == grid
     assert peak < (1.6 if sys.version_info >= (3, 11) else 2.2) * path.stat().st_size
 
+
+
+def test_load_grid_reads_a_pipe_once(tmp_path):
+    """A grid given as a pipe, as a shell's <(...) passes it, reads as the same file does:
+    its head is not read twice."""
+    data = "# ψ_i\nGRID 2 1 1 complex\n1 -0 0.5 2\n".encode()
+    path = tmp_path / "g.grid"
+    path.write_bytes(data)
+    cell = CrystalCell(np.eye(3))
+    read_fd, write_fd = os.pipe()
+    try:
+        with os.fdopen(write_fd, "wb") as w:
+            w.write(data)  # fits in the pipe's buffer, so the write does not wait for a reader
+        assert io.load_grid(f"/dev/fd/{read_fd}", cell) == io.load_grid(path, cell)
+    finally:
+        os.close(read_fd)
+
+
+
+
+def test_load_grid_reads_a_file_whose_size_reads_zero(tmp_path, monkeypatch):
+    """A /proc file, or one truncated while it is read, has a size below the position after the
+    header; the rest is read to its end."""
+    path = tmp_path / "g.grid"
+    path.write_text("# ψ_i\nGRID 2 1 1 real\n1 2\n", encoding="utf-8")
+    cell = CrystalCell(np.eye(3))
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(fstat(fd)[:6] + (0,) + fstat(fd)[7:10]))
+    assert io.load_grid(path, cell) == GridFunction((2, 1, 1), [1.0, 2.0], cell)
+
+# --- text fields of the records --------------------------------------------------------
+
+# any text, with the characters the writers and parsers treat specially drawn often
+TEXT = st.text(st.one_of(st.sampled_from(list(",#= \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028")), st.characters()),
+               max_size=6)
+
+
+def _refused_or_round_trips(build, write, parse):
+    """build() raises ValidationError, or its record comes back equal from parse(write(record))."""
+    try:
+        record = build()
+    except ValidationError:
+        return
+    assert parse(write(record)) == record
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(defect=TEXT)
+def test_optics_defect_label_is_refused_or_round_trips(defect):
+    _refused_or_round_trips(lambda: [OpticsRecord(defect, -1, "down", 571.0, 1.5e-6, 2.0)],
+                            io.write_optics_records, io.parse_optics_records)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(location=TEXT)
+def test_spectrum_location_is_refused_or_round_trips(location):
+    wl = np.linspace(1440.0, 1460.0, 16)
+    _refused_or_round_trips(lambda: Spectrum(wavelength_nm=wl, counts=np.ones(16), location=location),
+                            io.write_spectrum, io.parse_spectrum)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(first=TEXT, second=TEXT)
+def test_site_species_is_refused_or_round_trips(first, second):
+    _refused_or_round_trips(lambda: CrystalCell(np.eye(3), (Site(first, (0, 0, 0)), Site(second, (0.5, 0, 0)))),
+                            io.write_structure, io.parse_structure)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OpticsRecord("a,b", 0, "none", 569.0, None, None), "defect label must hold no ','"),
+    (lambda: OpticsRecord("x\ny", 0, "none", 569.0, None, None), "defect label must hold no ','"),
+    (lambda: OpticsRecord(" padded ", 0, "none", 569.0, None, None), "defect label must hold no ','"),
+    (lambda: Spectrum(np.arange(16.0) + 1, np.ones(16), location="a\nb"), "location must hold no line break"),
+    (lambda: Spectrum(np.arange(16.0) + 1, np.ones(16), location=" pad "), "location must hold no line break"),
+    (lambda: Site("Si C", (0, 0, 0)), "species must be non-empty"),
+    (lambda: Site("", (0, 0, 0)), "species must be non-empty"),
+    (lambda: Site("#C", (0, 0, 0)), "species must be non-empty"),
+], ids=["defect-comma", "defect-line-break", "defect-padded", "location-line-break", "location-padded",
+        "species-space", "species-empty", "species-hash"])
+def test_text_fields_their_files_cannot_hold_are_refused(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_structure_species_token_starting_with_hash_is_refused_at_its_line():
+    text = "c\n1 0 0\n0 1 0\n0 0 1\nSi #C\n1 1\n0 0 0\n0.5 0.5 0.5\n"
+    with pytest.raises(ParseError, match="^s.cell:5: species must be non-empty"):
+        io.parse_structure(text, "s.cell")
 
 # --- measurement CSVs ---------------------------------------------------------------
 
@@ -572,6 +671,12 @@ def test_manifest_full_parse(tmp_path):
     assert entry.run.position == (0.0, 0.0, 0.0)
     assert sorted(e.run.charge for e in manifest.defects if e.run.label == "Ci") == [-1, 0]
 
+
+
+def test_manifest_dielectric_of_three_numbers_is_the_diagonal_tensor(tmp_path):
+    path = write_demo_manifest(tmp_path)
+    path.write_text(path.read_text().replace("dielectric = 11.7", "dielectric = 10.9 11.7 12.6"))
+    np.testing.assert_array_equal(load_manifest(path).cell.dielectric, np.diag([10.9, 11.7, 12.6]))
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name, old, new, what", [

@@ -80,6 +80,17 @@ def test_dielectric_validation():
     np.testing.assert_allclose(cell.dielectric, 11.7 * np.eye(3))
 
 
+
+def test_three_dielectric_numbers_are_the_diagonal_tensor():
+    cell = CrystalCell(np.eye(3), dielectric=(10.9, 11.7, 12.6))
+    np.testing.assert_array_equal(cell.dielectric, np.diag([10.9, 11.7, 12.6]))
+
+
+def test_dielectric_of_another_shape_is_refused():
+    with pytest.raises(ValidationError, match=r"^dielectric tensor must be 3x3, got shape \(2,\)$"):
+        CrystalCell(np.eye(3), dielectric=[1.0, 2.0])
+
+
 def test_wrap_canonicalization():
     np.testing.assert_allclose(wrap_frac([1.0, -0.25, 2.5]), [0.0, 0.75, 0.5], atol=1e-15)
     assert wrap_frac([1.0])[0] == 0.0

@@ -1,12 +1,16 @@
 """The rule for frozen records that hold arrays: each array is copied in and stored
 read-only, so nothing changes a record after its constructor checked it, and records
-compare field by field, arrays by value with NaN equal to NaN."""
+compare field by field, arrays by value with NaN equal to NaN.  A number field that a
+text format holds is finite, as its parser requires."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def readonly(values, dtype=float) -> np.ndarray:
@@ -25,3 +29,11 @@ def fields_equal(a, b):
         if not (np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y):
             return False
     return True
+
+
+def require_finite(record, *names: str) -> None:
+    """ValidationError for the first named field of record that holds a non-finite number; None passes."""
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"non-finite value in {name}: '{value}'")

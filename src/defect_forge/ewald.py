@@ -25,6 +25,14 @@ call.  potential_terms memoises the terms of each home-cell point by its
 bytes, so a point shared by charge states or by defects on equivalent host
 sites is evaluated once per context (the model potential is C * q times terms
 of the reduced point alone); the self potential is computed apart, once.
+The real-space images of a home-cell point are taken from one table of
+lattice vectors within real_cutoff plus half the cell diameter of the
+origin: no home-cell point lies farther than that half diameter from the
+origin, so the table holds every image within real_cutoff of each point.
+erfc is evaluated with numpy by the Cephes ndtr.c rational approximations that
+SciPy's erfc also evaluates (the form of W. J. Cody, Math. Comp. 23, 631
+(1969)); only exp(-x^2) comes from np.exp instead of the C library, so values
+stay within 4 ulp of SciPy's.
 """
 
 from __future__ import annotations
@@ -46,6 +54,52 @@ TAIL_TOLERANCE = 1e-8  # eV per unit q^2; each truncated tail must be bounded be
 # integer combinations either lattice sum may enumerate; building them peaks at
 # about 72 bytes each (tracemalloc), so the cap holds that near 0.7 GB
 MAX_COMBINATIONS = 10**7
+
+
+# Cephes ndtr.c coefficients, highest power first: erf(x) = x T(x^2) / U(x^2) on [0, 1), and
+# erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8) and exp(-x^2) R(x) / S(x) from 8 on; U, Q and S are
+# monic, their leading 1 left out
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest float: erfc(x) is 0 once x^2 exceeds it
+
+
+def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """The polynomial of coefs at x by Horner's rule, in Cephes' order of operations (polevl, or
+    p1evl for a monic one)."""
+    y = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc of an array of x >= 0, evaluated as Cephes evaluates it, with exp(-x^2) from np.exp."""
+    x = np.minimum(x, 27.0)  # erfc is 0 past sqrt(_MAXLOG) = 26.64, and a clamped x^2 cannot overflow
+    out = np.empty_like(x)
+    small, large = x < 1.0, x >= 8.0
+    s = x[small]
+    if s.size:  # each band costs some 30 numpy calls however few values it holds, so an empty one is skipped
+        z = s * s
+        out[small] = 1.0 - s * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+    for band, num, den in ((~(small | large), _ERFC_P, _ERFC_Q), (large, _ERFC_R, _ERFC_S)):
+        b = x[band]
+        if b.size:
+            out[band] = np.exp(-b * b) * _horner(b, num) / _horner(b, den, monic=True)
+    out[x * x > _MAXLOG] = 0.0
+    return out
 
 
 def _extent(rows: np.ndarray, cutoff: float) -> list[float]:
@@ -116,7 +170,7 @@ class EwaldContext:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "real_cutoff", real_cutoff)
         object.__setattr__(self, "recip_cutoff", recip_cutoff)
-        n_real = math.prod(2 * n + 1 for n in _extent(cell.lattice, real_cutoff + self._cell_diameter))
+        n_real = math.prod(2 * n + 1 for n in _extent(cell.lattice, real_cutoff + self._image_margin))
         n_recip = math.prod(2 * n + 1 for n in _extent(reciprocal(cell), recip_cutoff))
         if not (n_real <= MAX_COMBINATIONS and n_recip <= MAX_COMBINATIONS):
             raise ValidationError(f"Ewald sums too large for this cell and dielectric tensor: {n_real:.4g} real-space "
@@ -136,15 +190,16 @@ class EwaldContext:
         return float(np.sqrt(np.linalg.det(self.cell.dielectric)))
 
     @cached_property
-    def _cell_diameter(self) -> float:
-        corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float)
-        pts = corners @ self.cell.lattice
-        return float(max(np.linalg.norm(pts - p, axis=1).max() for p in pts))
+    def _image_margin(self) -> float:
+        """Half the cell diameter: the largest norm of a point that _home_cell returns, reached at a
+        corner f = (+-1/2, +-1/2, +-1/2) of its fractional box."""
+        corners = np.array([[i, j, k] for i in (-0.5, 0.5) for j in (-0.5, 0.5) for k in (-0.5, 0.5)])
+        return float(np.linalg.norm(corners @ self.cell.lattice, axis=1).max())
 
     @cached_property
     def _real_vectors(self) -> np.ndarray:
-        # margin: a point wrapped anywhere near the cell still sees every image within real_cutoff
-        return _integer_vectors(self.cell.lattice, self.real_cutoff + self._cell_diameter, skip_zero=False)
+        # every image within real_cutoff of a home-cell point lies within this radius of the origin
+        return _integer_vectors(self.cell.lattice, self.real_cutoff + self._image_margin, skip_zero=False)
 
     @cached_property
     def _recip_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,15 +231,12 @@ class EwaldContext:
 
     def _point_term(self, p: np.ndarray) -> float:
         """potential_terms at one home-cell point p; a pure function of p's bits."""
-        # local import: scipy.special costs about 0.3 s of start-up that most commands never use
-        from scipy.special import erfc
-
         volume = self.cell.volume
         gvecs, gweights = self._recip_table
         d = p[None, :] - self._real_vectors
         u = np.sqrt(np.einsum("ni,ij,nj->n", d, self._eps_inv, d))
-        mask = u > 1e-10
-        real = float(np.sum(erfc(self.eta * u[mask]) / u[mask])) / self._sqrt_det_eps
+        u = u[u > 1e-10]  # the charge itself, when p is its site
+        real = float(np.sum(_erfc(self.eta * u) / u)) / self._sqrt_det_eps
         recip = (4.0 * np.pi / volume) * float(np.sum(gweights * np.cos(gvecs @ p)))
         return real + recip - np.pi / (volume * self.eta * self.eta)
 

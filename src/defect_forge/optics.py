@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._record import fields_equal, readonly
+from ._record import fields_equal, readonly, require_finite
 from .errors import ValidationError
 from .lattice import CrystalCell
 from .units import DEBYE_PER_E_ANG, HC_EV_NM, MEV_PER_EV
@@ -64,6 +64,7 @@ class OpticsRecord:
                                   f"whitespace and no leading '#', got {d!r}")
         if self.spin not in SPIN_CHANNELS:
             raise ValidationError(f"spin channel must be one of {SPIN_CHANNELS}, got '{self.spin}'")
+        require_finite(self, "zpl_mev", "tdm_debye2", "shift_mev")
         if self.zpl_mev is not None and self.zpl_mev <= 0:
             raise ValidationError(f"ZPL must be > 0 meV, got {self.zpl_mev}")
         if self.tdm_debye2 is not None and self.tdm_debye2 < 0:

@@ -2,7 +2,7 @@
 
 Peak seeding uses a robust threshold (median + 5*MAD) so the broad phonon
 sideband does not spawn spurious seeds, and ranks the local maxima above it
-by topographic prominence, both as scipy's find_peaks defines them (see
+by topographic prominence, both as SciPy's find_peaks defines them (see
 _find_peaks).  Refinement is the damped Gauss-Newton solver with analytic
 Jacobians (fitting.py).  Lorentzian is the default line shape for the
 zero-phonon lines measured here at 6 K; Gaussian is available.  Linewidths at
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._record import fields_equal, readonly
+from ._record import fields_equal, readonly, require_finite
 from .errors import ValidationError
 from .fitting import (
     LINE_SHAPES,
@@ -86,6 +86,7 @@ class Spectrum:
             raise ValidationError("wavelength axis must be strictly increasing", row=int(np.argmin(rising)) + 1)
         if np.any(ct < 0):
             raise ValidationError("counts must be >= 0", row=int(np.argmax(ct < 0)))
+        require_finite(self, "temperature_k", "power_mw", "grating_gpmm", "x_um", "y_um")
         loc = self.location  # written as the stripped comment line '# location=...'
         if loc is not None and (len(loc.splitlines()) > 1 or loc != loc.strip()):
             raise ValidationError(f"location must hold no line break and no surrounding whitespace, got {loc!r}")
@@ -105,7 +106,7 @@ class PeakFit:
 
 
 def _find_peaks(x: np.ndarray, height: float):
-    """Local maxima of x at or above height and their prominences, bit for bit as scipy's
+    """Local maxima of x at or above height and their prominences, bit for bit as SciPy's
     find_peaks(x, height=height, prominence=0) gives them.  A maximum is a run of equal samples
     above the runs on each side, counted at its middle sample (the left one of two), never at
     an end.  Its prominence is its height above the higher of the lowest samples on each side

@@ -850,11 +850,18 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_fitpl_loads_no_scipy(tmp_path):
-    """The peak finder is numpy: only diagram's erfc imports scipy."""
+    """The peak finder is numpy, as is the Ewald sum's erfc: no command imports scipy."""
     io.save_spectrum(_demo_pl_spectrum(7)[0], tmp_path / "pl.csv")
     argv = ["fitpl", "--data", tmp_path / "pl.csv", "--max-peaks", "5", "--out", tmp_path / "out"]
     assert _modules_after_cli_import("scipy", *argv) == "[]"
     assert len((tmp_path / "out" / "fits" / "pl_peaks.csv").read_text().splitlines()) == 6
+
+
+def test_diagram_loads_no_scipy(tmp_path):
+    """The Ewald sum's erfc is numpy, so diagram on a 64-site host runs without scipy."""
+    argv = ["diagram", "--manifest", write_demo_manifest(tmp_path), "--out", tmp_path / "out"]
+    assert _modules_after_cli_import("scipy", *argv) == "[]"
+    assert (tmp_path / "out" / "diagrams" / "Ci.csv").is_file()
 
 
 def test_cli_import_loads_no_thread_pool():

@@ -1,5 +1,9 @@
 """Anisotropic Ewald summation against independent image-sum oracles."""
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,8 @@ from defect_forge import (
     finite_size_correction,
     lattice_energy,
 )
+from defect_forge import ewald
+from defect_forge.lattice import reciprocal
 from defect_forge.units import COULOMB_EV_ANG
 
 from oracles import block_madelung_alpha, block_potential
@@ -201,6 +207,99 @@ def test_sums_too_large_for_the_cell_are_refused_before_they_are_built(cell, eta
 @pytest.mark.parametrize("eps", [300.0, 1000.0])  # 531441 and 2924207 real-space combinations
 def test_large_dielectric_on_a_64_site_host_stays_under_the_cap(eps):
     assert EwaldContext(_host64(eps)).real_cutoff > 0
+
+
+# --- erfc and the real-space image table ----------------------------------------
+
+def test_erfc_matches_math_erfc():
+    rng = np.random.default_rng(11)
+    for lo, hi, rel in ((0.0, 8.0, 1e-14), (8.0, 26.0, 1e-13)):
+        x = np.concatenate([np.linspace(lo, hi, 4001), rng.uniform(lo, hi, 20000)])
+        want = np.array([math.erfc(v) for v in x])
+        assert np.max(np.abs(ewald._erfc(x) - want) / want) <= rel, (lo, hi)
+
+
+def test_erfc_is_exactly_zero_where_it_underflows():
+    """From sqrt(log of the largest float) = 26.64 up, with no overflowing x^2 on the way."""
+    x = np.concatenate([[26.65, 26.9], np.geomspace(27.0, 1e300, 2000), [np.finfo(float).max]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(ewald._erfc(x), np.zeros_like(x))
+
+
+def test_erfc_is_within_4_ulp_of_scipy():
+    erfc = pytest.importorskip("scipy.special").erfc
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(0.0, 30.0, 200000), np.geomspace(1e-300, 1e300, 20000),
+                        [0.0, 1.0, 8.0, 26.6, 27.0]])
+    ulps = np.abs(ewald._erfc(x).view(np.int64) - erfc(x).view(np.int64))  # non-negative floats
+    assert ulps.max() <= 4
+
+
+def _lattice_vectors(rows, radius):
+    """Every combination n @ rows of Cartesian norm <= radius, by brute force over a box of n."""
+    extent = np.ceil(radius * np.linalg.norm(np.linalg.inv(rows), axis=0)).astype(int) + 1
+    n = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in extent], indexing="ij"), -1).reshape(-1, 3)
+    vecs = n @ rows
+    return vecs[np.einsum("ij,ij->i", vecs, vecs) <= radius * radius]
+
+
+_SKEWED = CrystalCell(np.array([[6.0, 0.0, 0.0], [4.1, 3.5, 0.0], [2.9, 1.7, 4.4]]),
+                      (Site("X", (0.1, 0.2, 0.3)), Site("X", (0.6, 0.5, 0.4))),
+                      dielectric=np.array([[9.0, 1.5, 0.4], [1.5, 12.0, -0.8], [0.4, -0.8, 14.5]]))
+
+
+def _scipy_full_diameter_terms(ctx, points):
+    """potential_terms and self_potential_per_q summed with scipy's erfc over every image within
+    real_cutoff plus one whole cell diameter of the origin, as the sums were once evaluated."""
+    erfc = pytest.importorskip("scipy.special").erfc
+    cell, eta, volume = ctx.cell, ctx.eta, ctx.cell.volume
+    corners = np.array(list(itertools.product((0, 1), repeat=3))) @ cell.lattice
+    diameter = max(np.linalg.norm(corners - c, axis=1).max() for c in corners)
+    images = _lattice_vectors(cell.lattice, ctx.real_cutoff + diameter)
+    gvecs = _lattice_vectors(reciprocal(cell), ctx.recip_cutoff)
+    gvecs = gvecs[np.einsum("ij,ij->i", gvecs, gvecs) > 0]
+    geg = np.einsum("ni,ij,nj->n", gvecs, cell.dielectric, gvecs)
+    weights = np.exp(-geg / (4.0 * eta * eta)) / geg
+    eps_inv, sqrt_det = np.linalg.inv(cell.dielectric), np.sqrt(np.linalg.det(cell.dielectric))
+
+    def term(p):
+        d = p - images
+        u = np.sqrt(np.einsum("ni,ij,nj->n", d, eps_inv, d))
+        u = u[u > 1e-10]
+        return (np.sum(erfc(eta * u) / u) / sqrt_det + 4.0 * np.pi / volume * np.sum(weights * np.cos(gvecs @ p))
+                - np.pi / (volume * eta * eta))
+
+    frac = points @ np.linalg.inv(cell.lattice)
+    terms = np.array([term(p) for p in (frac - np.round(frac)) @ cell.lattice])
+    return terms, term(np.zeros(3)) - 2.0 * eta / (np.sqrt(np.pi) * sqrt_det)
+
+
+@pytest.mark.parametrize("cell", [_host64(11.7), _SKEWED], ids=["demo-host", "skewed"])
+def test_sums_agree_with_scipy_erfc_over_a_full_diameter_margin(cell):
+    """The numpy erfc and the half-diameter image table move every term by at most 1e-12 per unit C*q."""
+    ctx = EwaldContext(cell)
+    rng = np.random.default_rng(13)
+    points = np.concatenate([cell.site_positions()[1:] - cell.site_positions()[0],
+                             rng.uniform(-1.0, 2.0, (20, 3)) @ cell.lattice,
+                             np.array(list(itertools.product((-0.5, 0.5), repeat=3))) @ cell.lattice])
+    want_terms, want_self = _scipy_full_diameter_terms(ctx, points)
+    assert np.max(np.abs(ctx.potential_terms(points) - want_terms)) <= 1e-12
+    assert abs(ctx.self_potential_per_q - want_self) <= 1e-12
+
+
+@pytest.mark.parametrize("cell", [_host64(11.7), _SKEWED], ids=["demo-host", "skewed"])
+def test_image_table_holds_every_image_within_the_cutoff_of_a_home_cell_corner(cell):
+    """A corner f = (+-1/2, +-1/2, +-1/2) of the home cell lies farthest from the origin; a wider
+    brute-force shell finds no lattice vector within real_cutoff of it that the table lacks."""
+    ctx = EwaldContext(cell)
+    inv = np.linalg.inv(cell.lattice)
+    table = {tuple(n) for n in np.rint(ctx._real_vectors @ inv).astype(int).tolist()}
+    for f in itertools.product((-0.5, 0.5), repeat=3):
+        p = ctx._home_cell(np.array(f) @ cell.lattice)[0]
+        wide = _lattice_vectors(cell.lattice, ctx.real_cutoff + 2.0 * np.linalg.norm(p) + 1.0)
+        near = wide[np.linalg.norm(p - wide, axis=1) <= ctx.real_cutoff]
+        assert {tuple(n) for n in np.rint(near @ inv).astype(int).tolist()} <= table, f
 
 
 # --- finite-size correction ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Format round trips, parse errors with file/line context, manifest resolution."""
 
+import math
 import os
 import sys
 import tracemalloc
@@ -337,6 +338,53 @@ def test_spectrum_location_is_refused_or_round_trips(location):
 def test_site_species_is_refused_or_round_trips(first, second):
     _refused_or_round_trips(lambda: CrystalCell(np.eye(3), (Site(first, (0, 0, 0)), Site(second, (0.5, 0, 0)))),
                             io.write_structure, io.parse_structure)
+
+
+# --- number fields of the records ------------------------------------------------------
+
+# any float, the non-finite ones and signed zeros drawn often, or no value
+NUMBERS = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]), st.floats())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(charge=st.integers(-9, 9), zpl=NUMBERS, tdm=NUMBERS, shift=NUMBERS)
+def test_optics_numbers_are_refused_or_round_trip(charge, zpl, tdm, shift):
+    _refused_or_round_trips(lambda: [OpticsRecord("Ci", charge, "down", zpl, tdm, shift)],
+                            io.write_optics_records, io.parse_optics_records)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(temperature=NUMBERS, power=NUMBERS, x=NUMBERS, y=NUMBERS,
+       grating=st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+                         st.floats(min_value=0.0, exclude_min=True)))
+def test_spectrum_metadata_numbers_are_refused_or_round_trip(temperature, power, x, y, grating):
+    wl = np.linspace(1440.0, 1460.0, 16)
+    _refused_or_round_trips(lambda: Spectrum(wl, np.ones(16), temperature_k=temperature, power_mw=power,
+                                             grating_gpmm=grating, x_um=x, y_um=y),
+                            io.write_spectrum, io.parse_spectrum)
+
+
+@pytest.mark.xfail(strict=True, raises=ParseError,
+                   reason="test_text_rule.py::test_write_spectrum_matches_reference builds spectra with any "
+                          "finite grating, so the constructor does not yet own the parser's > 0 rule")
+@pytest.mark.parametrize("grating", [0.0, -5.0])
+def test_spectrum_non_positive_grating_is_refused_or_round_trips(grating):
+    wl = np.linspace(1440.0, 1460.0, 16)
+    _refused_or_round_trips(lambda: Spectrum(wl, np.ones(16), grating_gpmm=grating),
+                            io.write_spectrum, io.parse_spectrum)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OpticsRecord("X", 0, "none", math.inf, None, None), "non-finite value in zpl_mev: 'inf'"),
+    (lambda: OpticsRecord("X", 0, "none", 569.0, math.inf, None), "non-finite value in tdm_debye2: 'inf'"),
+    (lambda: OpticsRecord("X", 0, "none", 569.0, None, math.nan), "non-finite value in shift_mev: 'nan'"),
+    (lambda: Spectrum(np.arange(16.0) + 1, np.ones(16), temperature_k=math.nan),
+     "non-finite value in temperature_k: 'nan'"),
+    (lambda: Spectrum(np.arange(16.0) + 1, np.ones(16), y_um=-math.inf), "non-finite value in y_um: '-inf'"),
+], ids=["zpl-inf", "tdm-inf", "shift-nan", "temperature-nan", "y-minus-inf"])
+def test_number_fields_their_files_cannot_hold_are_refused(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("build, message", [

@@ -17,14 +17,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "lattice": ("CrystalCell", "Site", "reciprocal", "supercell", "frac_to_cart", "cart_to_frac"),
+    "lattice": ("CrystalCell", "Site", "reciprocal", "supercell"),
     "ewald": ("EwaldContext", "CorrectionResult", "ewald_potential", "lattice_energy",
               "finite_size_correction"),
     "thermo": ("DefectRun", "HostReference", "FormationDiagram", "formation_energy",
-               "transition_level", "build_diagram", "delta_ks"),
-    "optics": ("OpticsRecord", "GridFunction", "TransitionDipole", "zpl", "relative_shift",
-               "table_consistency_check", "wavelength_to_energy_mev", "energy_mev_to_wavelength",
-               "transition_dipole"),
+               "transition_level", "build_diagram"),
+    "optics": ("OpticsRecord", "GridFunction", "TransitionDipole", "zpl", "table_consistency_check",
+               "wavelength_to_energy_mev", "energy_mev_to_wavelength", "transition_dipole"),
     "spectro": ("Spectrum", "DecayTrace", "fit_peaks", "fit_lifetime", "fit_saturation",
                 "temperature_series", "raster_map"),
     "dose": ("DoseCurve", "calibrate", "classify"),

@@ -61,14 +61,6 @@ class DoseCurve:
     def boundaries(self) -> tuple[float, ...]:
         return tuple(s.hi for s in self.segments[:-1])
 
-    def interpolate(self, fluence: float) -> float:
-        if fluence < self.fluences[0] or fluence > self.fluences[-1]:
-            raise ValidationError(
-                f"fluence {fluence:g} outside the calibrated range "
-                f"[{self.fluences[0]:g}, {self.fluences[-1]:g}] mJ/cm^2"
-            )
-        return float(np.interp(fluence, self.fluences, self.intensities))
-
 
 def calibrate(points, label: str = "") -> DoseCurve:
     """Build a DoseCurve from (fluence mJ/cm^2, peak intensity) pairs.

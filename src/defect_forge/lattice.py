@@ -1,4 +1,4 @@
-"""Crystal-cell geometry: lattice algebra, coordinate conversions, supercells.
+"""Crystal-cell geometry: lattice algebra, fractional wrapping, minimum images, supercells.
 
 Lattice matrices are 3x3 with *rows* as lattice vectors in Angstrom (this
 matches the structure file layout, see docs/formats.md).  Fractional
@@ -23,8 +23,6 @@ __all__ = [
     "wrap_frac",
     "reciprocal",
     "supercell",
-    "frac_to_cart",
-    "cart_to_frac",
     "minimum_image",
     "ws_inscribed_radius",
 ]
@@ -50,7 +48,10 @@ class Site:
         if self.species.split() != [self.species] or self.species.startswith("#"):
             raise ValidationError(f"species must be non-empty, hold no whitespace and not start with '#', "
                                   f"got {self.species!r}")
-        object.__setattr__(self, "frac", readonly(wrap_frac(self.frac).reshape(3)))
+        frac = np.asarray(self.frac, dtype=float)
+        if not np.isfinite(frac).all():  # a structure file holds finite coordinates only
+            raise ValidationError(f"fractional coordinates must be finite, got {self.frac}")
+        object.__setattr__(self, "frac", readonly(wrap_frac(frac).reshape(3)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,15 +133,6 @@ def supercell(cell: CrystalCell, n1: int, n2: int, n3: int) -> CrystalCell:
         for shift in itertools.product(*(range(n) for n in reps)):
             sites.append(Site(site.species, (site.frac + np.array(shift)) / scale))
     return CrystalCell(lat, tuple(sites), cell.dielectric)
-
-
-def frac_to_cart(cell: CrystalCell, frac) -> np.ndarray:
-    """Cartesian coordinates (Angstrom): cart = frac @ lattice."""
-    return np.asarray(frac, dtype=float) @ cell.lattice
-
-
-def cart_to_frac(cell: CrystalCell, cart) -> np.ndarray:
-    return np.asarray(cart, dtype=float) @ np.linalg.inv(cell.lattice)
 
 
 # the 3^3 block of shifts {-1, 0, 1}^3; row 13 is the zero shift

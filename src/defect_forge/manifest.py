@@ -20,11 +20,10 @@ from ._record import fields_equal, readonly
 from .errors import ParseError
 from .io_formats import _at, _content, _integer, _keys, _load, _number, load_structure
 from .lattice import CrystalCell
-from .optics import SPIN_CHANNELS
 from .thermo import DefectRun, HostReference
 
 __all__ = ["RunManifest", "DefectEntry", "parse_manifest", "load_manifest",
-           "parse_defect_run", "parse_eigenvalues", "parse_site_potentials"]
+           "parse_defect_run", "parse_site_potentials"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,34 +98,6 @@ def parse_defect_run(text: str, label: str, charge: int, source: str = "<string>
     with _at(source, 1):
         return DefectRun(label=label, charge=charge, total_energy=e_total,
                          composition_delta=tuple(delta.items()), position=position)
-
-
-def parse_eigenvalues(text: str, source: str = "<string>"):
-    """Eigenvalue table rows: 'spin index energy_eV occupation'."""
-    channels: dict[str, dict[int, tuple[int, float, float]]] = {}  # spin -> index -> (line, energy, occ)
-    for no, ln in _content(text):
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ParseError("expected 'spin index energy occupation'", source, no)
-        spin = parts[0]
-        if spin not in SPIN_CHANNELS:
-            raise ParseError(f"spin must be up|down|none, got '{spin}'", source, no)
-        idx = _integer(parts[1], "level index", source, no)
-        energy = _number(parts[2], "eigenvalue energy", source, no)
-        occ = _number(parts[3], "occupation", source, no)
-        chan = channels.setdefault(spin, {})
-        if idx in chan:
-            raise ParseError(f"duplicate level index {idx} in spin channel '{spin}'", source, no)
-        chan[idx] = (no, energy, occ)
-    out = {}
-    for spin, chan in channels.items():
-        indices = sorted(chan)
-        gap = next((i for k, i in enumerate(indices) if i != k), None)
-        if gap is not None:
-            raise ParseError(f"spin channel '{spin}' indices must be contiguous from 0, got {indices}",
-                             source, chan[gap][0])
-        out[spin] = tuple(chan[i][1:] for i in indices)
-    return out
 
 
 def parse_site_potentials(text: str, source: str = "<string>") -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "GridFunction",
     "TransitionDipole",
     "zpl",
-    "relative_shift",
     "table_consistency_check",
     "wavelength_to_energy_mev",
     "energy_mev_to_wavelength",
@@ -81,20 +80,6 @@ def zpl(e_excited_total: float, e_ground_total: float) -> float:
     return MEV_PER_EV * (e_excited_total - e_ground_total)
 
 
-def _check_reference(reference_zpl_mev: float) -> None:
-    if not (np.isfinite(reference_zpl_mev) and reference_zpl_mev > 0):
-        raise ValidationError(f"reference ZPL must be finite and > 0 meV, got {reference_zpl_mev}")
-
-
-def relative_shift(record: OpticsRecord | float, reference_zpl_mev: float) -> float:
-    """ZPL shift (meV) against a reference ZPL; round only at display time."""
-    _check_reference(reference_zpl_mev)
-    value = record.zpl_mev if isinstance(record, OpticsRecord) else float(record)
-    if value is None:
-        raise ValidationError("record has no ZPL value to shift")
-    return value - reference_zpl_mev
-
-
 @dataclass(frozen=True)
 class TableCheck:
     """Consistency verdict for one table row."""
@@ -115,7 +100,8 @@ def table_consistency_check(records, reference_zpl_mev: float) -> list[TableChec
     reference + shift and reported as such (not flagged: the reconstruction
     is consistent by construction).
     """
-    _check_reference(reference_zpl_mev)
+    if not (np.isfinite(reference_zpl_mev) and reference_zpl_mev > 0):
+        raise ValidationError(f"reference ZPL must be finite and > 0 meV, got {reference_zpl_mev}")
     out = []
     for rec in records:
         if rec.zpl_mev is None:

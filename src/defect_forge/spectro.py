@@ -59,9 +59,20 @@ def grating_resolution_nm(grating_gpmm: float) -> float:
     return RESOLUTION_NM_GPMM / grating_gpmm
 
 
+def _require_finite_samples(axis: np.ndarray, counts: np.ndarray, what: str) -> None:
+    """ValidationError at the row of the first sample holding a nan or inf, which a CSV file cannot hold."""
+    finite = np.isfinite(axis) & np.isfinite(counts)
+    if not finite.all():
+        raise ValidationError(f"{what} and counts must be finite", row=int(np.argmin(finite)))
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Wavelength-intensity series with acquisition metadata."""
+    """Wavelength-intensity series with acquisition metadata.
+
+    Every sample is finite, on a strictly increasing wavelength axis, with counts >= 0; each
+    number of the metadata is finite, and a grating groove density is > 0 (grating_resolution_nm).
+    """
 
     wavelength_nm: np.ndarray
     counts: np.ndarray
@@ -79,6 +90,7 @@ class Spectrum:
         ct = readonly(self.counts)
         if wl.ndim != 1 or wl.shape != ct.shape:
             raise ValidationError("wavelength and counts must be 1-D arrays of equal length")
+        _require_finite_samples(wl, ct, "wavelength")
         if len(wl) < MIN_SPECTRUM_SAMPLES:
             raise ValidationError(f"spectrum needs >= {MIN_SPECTRUM_SAMPLES} samples, got {len(wl)}")
         rising = wl[1:] > wl[:-1]  # compared, not subtracted: a difference may overflow
@@ -87,6 +99,8 @@ class Spectrum:
         if np.any(ct < 0):
             raise ValidationError("counts must be >= 0", row=int(np.argmax(ct < 0)))
         require_finite(self, "temperature_k", "power_mw", "grating_gpmm", "x_um", "y_um")
+        if self.grating_gpmm is not None:  # refused as parse_spectrum refuses it
+            grating_resolution_nm(self.grating_gpmm)
         loc = self.location  # written as the stripped comment line '# location=...'
         if loc is not None and (len(loc.splitlines()) > 1 or loc != loc.strip()):
             raise ValidationError(f"location must hold no line break and no surrounding whitespace, got {loc!r}")
@@ -215,7 +229,7 @@ class DecayFit:
 
 @dataclass(frozen=True, eq=False)
 class DecayTrace:
-    """Time-resolved photon counts."""
+    """Time-resolved photon counts: at least one finite sample, on a strictly increasing time axis."""
 
     time_ns: np.ndarray
     counts: np.ndarray
@@ -227,6 +241,9 @@ class DecayTrace:
         ct = readonly(self.counts)
         if t.ndim != 1 or t.shape != ct.shape:
             raise ValidationError("time and counts must be 1-D arrays of equal length")
+        if not len(t):  # a decay file holds at least one row
+            raise ValidationError("decay trace needs >= 1 sample")
+        _require_finite_samples(t, ct, "time")
         rising = t[1:] > t[:-1]
         if not rising.all():
             raise ValidationError("time axis must be strictly increasing", row=int(np.argmin(rising)) + 1)

@@ -28,7 +28,6 @@ __all__ = [
     "formation_energy",
     "transition_level",
     "build_diagram",
-    "delta_ks",
 ]
 
 MAX_ABS_CHARGE = 3  # charge states handled by the diagrams
@@ -237,30 +236,3 @@ def build_diagram(runs, host: HostReference, corrections=None) -> FormationDiagr
 
     return FormationDiagram(gap=host.e_gap, lines=lines)
 
-
-def delta_ks(eigenvalues, from_level: int, to_level: int, spin: str = "none") -> float:
-    """Kohn-Sham eigenvalue difference (eV): target level minus source level.
-
-    eigenvalues maps a spin channel ("up" | "down" | "none") to its
-    (energy_eV, occupation) levels, as parse_eigenvalues returns them.
-    A cheap zero-phonon-line estimate.  The source is expected to be occupied
-    and the target empty; an inverted pair only warns, since partially
-    converged occupations are common in constrained runs.
-    """
-    channel = eigenvalues.get(spin)
-    if channel is None:
-        raise ValidationError(f"no eigenvalues for spin channel '{spin}'")
-    if from_level == to_level:
-        raise ValidationError("source and target levels must differ")
-    n = len(channel)
-    for idx in (from_level, to_level):
-        if not 0 <= idx < n:
-            raise ValidationError(f"level index {idx} out of range (channel has {n} levels)")
-    e_from, occ_from = channel[from_level]
-    e_to, occ_to = channel[to_level]
-    if occ_from < 0.5 or occ_to > 0.5:
-        warnings.warn(
-            f"occupations look inverted for levels {from_level}->{to_level} "
-            f"(source occ {occ_from:g}, target occ {occ_to:g})"
-        )
-    return e_to - e_from

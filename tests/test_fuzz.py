@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from defect_forge import CrystalCell, ParseError
 from defect_forge import io_formats as io
 from defect_forge.cli import main
-from defect_forge.manifest import load_manifest, parse_eigenvalues
+from defect_forge.manifest import load_manifest
 
 from test_cli import write_command_inputs
 
@@ -71,13 +71,11 @@ def _through_manifest(path: Path):
 
 
 # every input file of the demo, with the loader that reads it; the .run and
-# .pot records are read by the manifest, and the .eig table, which no command
-# reads, by parse_eigenvalues
+# .pot records are read by the manifest
 LOADERS = {
     "run.manifest": load_manifest,
     "host.cell": io.load_structure,
     "ci_m1.run": _through_manifest,
-    "ci_m1.eig": lambda path: io._load(path, parse_eigenvalues),
     "ci_m1.pot": _through_manifest,
     "tdm.cell": io.load_structure,
     "psi_i.grid": lambda path: io.load_grid(path, io.load_structure(path.parent / "tdm.cell")),

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from defect_forge import io_formats as io
 from defect_forge.manifest import (
     load_manifest,
     parse_defect_run,
-    parse_eigenvalues,
     parse_site_potentials,
 )
 from defect_forge.optics import GridFunction, OpticsRecord
@@ -342,8 +342,10 @@ def test_site_species_is_refused_or_round_trips(first, second):
 
 # --- number fields of the records ------------------------------------------------------
 
-# any float, the non-finite ones and signed zeros drawn often, or no value
-NUMBERS = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]), st.floats())
+# any float, the non-finite ones and signed zeros drawn often
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]), st.floats())
+# ... or no value
+NUMBERS = st.one_of(st.none(), FLOATS)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -364,14 +366,85 @@ def test_spectrum_metadata_numbers_are_refused_or_round_trip(temperature, power,
                             io.write_spectrum, io.parse_spectrum)
 
 
-@pytest.mark.xfail(strict=True, raises=ParseError,
-                   reason="test_text_rule.py::test_write_spectrum_matches_reference builds spectra with any "
-                          "finite grating, so the constructor does not yet own the parser's > 0 rule")
 @pytest.mark.parametrize("grating", [0.0, -5.0])
 def test_spectrum_non_positive_grating_is_refused_or_round_trips(grating):
     wl = np.linspace(1440.0, 1460.0, 16)
     _refused_or_round_trips(lambda: Spectrum(wl, np.ones(16), grating_gpmm=grating),
                             io.write_spectrum, io.parse_spectrum)
+
+
+# --- every record with a writer and a parser --------------------------------------------
+
+BOX = CrystalCell(np.eye(3) * 4.0)
+
+
+@st.composite
+def _series(draw, cls, min_size, **fields):
+    """A thunk building cls(axis, counts, **fields): a strictly increasing axis and counts >= 0, as a
+    valid file holds them, with up to two samples of either column replaced by any float."""
+    n = draw(st.integers(min_size, min_size + 4))
+    columns = (sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n, unique=True))),
+               draw(st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n)))
+    if n:
+        for column, row, value in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, n - 1), FLOATS),
+                                                max_size=2)):
+            columns[column][row] = value
+    return partial(cls, *map(np.array, columns), **{k: draw(v) for k, v in fields.items()})
+
+
+@st.composite
+def _cell(draw):
+    """A thunk building a CrystalCell: a lattice near a box, sites grouped by species as a file lists them."""
+    lattice = np.diag(draw(st.lists(st.floats(1.0, 100.0), min_size=3, max_size=3)))
+    for row, col, value in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), FLOATS), max_size=3)):
+        lattice[row, col] = value
+    species = draw(st.lists(st.sampled_from(["Si", "C", "H"]), max_size=3, unique=True))
+    fracs = [(sp, draw(st.tuples(FLOATS, FLOATS, FLOATS)))
+             for sp in species for _ in range(draw(st.integers(1, 2)))]
+    return lambda: CrystalCell(lattice, tuple(Site(sp, frac) for sp, frac in fracs))
+
+
+@st.composite
+def _grid(draw):
+    """A thunk building a GridFunction on BOX: real or complex values, up to two parts replaced by any float."""
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+    n = dims[0] * dims[1] * dims[2]
+    parts = st.lists(st.floats(-1e150, 1e150), min_size=n, max_size=n)
+    values = np.array(draw(parts), dtype=complex)
+    values.imag = draw(st.one_of(st.just([0.0] * n), parts))
+    for row, part, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(["real", "imag"]),
+                                                    FLOATS), max_size=2)):
+        getattr(values, part)[row] = value
+    return partial(GridFunction, dims, values, BOX)
+
+
+@st.composite
+def _optics_row(draw):
+    """A thunk building a one-row optics table."""
+    fields = draw(st.tuples(st.sampled_from(["Ci", "G"]), st.integers(), st.sampled_from(["up", "down", "none"]),
+                            NUMBERS, NUMBERS, NUMBERS))
+    return lambda: [OpticsRecord(*fields)]
+
+
+# record -> (thunks that build it, its writer, its parser)
+ROUND_TRIPS = {
+    "CrystalCell": (_cell(), io.write_structure, io.parse_structure),
+    "GridFunction": (_grid(), io.write_grid, lambda text: io.parse_grid(text, BOX)),
+    "Spectrum": (_series(Spectrum, 16, temperature_k=NUMBERS, power_mw=NUMBERS, grating_gpmm=NUMBERS,
+                         x_um=NUMBERS, y_um=NUMBERS), io.write_spectrum, io.parse_spectrum),
+    "DecayTrace": (_series(DecayTrace, 0), io.write_decay, io.parse_decay),
+    "OpticsRecord": (_optics_row(), io.write_optics_records, io.parse_optics_records),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_record_is_refused_or_round_trips(name, data):
+    """Each record that has a file refuses what that file cannot hold: its constructor refuses
+    the draw, or the record reads back equal."""
+    builds, write, parse = ROUND_TRIPS[name]
+    _refused_or_round_trips(data.draw(builds), write, parse)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -612,7 +685,7 @@ def test_write_diagram_csv_stable_column(lines):
     assert stable.tolist() == [diag.stable_charge(f) for f in fermi]
 
 
-# --- defect run / eigenvalue / site-potential records --------------------------------------
+# --- defect run / site-potential records -------------------------------------------------
 
 
 def test_defect_run_record_parses():
@@ -632,27 +705,6 @@ def test_defect_run_requires_fields():
         parse_defect_run("e_total = 1\ndelta.C = 1\ncharge = 2\n", "X", 0)
 
 
-def test_eigenvalue_table_parses():
-    text = "down 0 0.100 1.0\ndown 1 1.068 0.0\nup 0 0.2 1.0\n"
-    table = parse_eigenvalues(text)
-    assert table["down"] == ((0.100, 1.0), (1.068, 0.0))
-    with pytest.raises(ParseError, match="contiguous"):
-        parse_eigenvalues("down 1 0.5 1.0\n")
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_eigenvalues("down 0 0.5 1.0\ndown 0 0.6 1.0\n")
-
-
-@pytest.mark.parametrize("text, line", [
-    ("# header\nup 0 0.1 1\nup 2 0.5 0\n", 3),
-    ("up 3 0.1 1\nup 0 0.1 1\n\nup 1 0.5 0\ndown 0 0.2 1\n", 1),
-    ("down 0 0.2 1\nup 1 0.5 0\nup 0 0.1 1\nup -1 0.1 1\n", 4),
-])
-def test_eigenvalue_gap_names_the_first_index_out_of_sequence(text, line):
-    with pytest.raises(ParseError, match="contiguous from 0") as err:
-        parse_eigenvalues(text, "x.eig")
-    assert err.value.line == line
-
-
 def test_site_potentials_parse():
     rows = parse_site_potentials("0 0.01\n5 -0.02\n")
     np.testing.assert_array_equal(rows, [[0, 0.01], [5, -0.02]])
@@ -665,7 +717,7 @@ def test_site_potentials_parse():
 
 
 def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False):
-    """Demo manifest, beside an .eig table and the PL, dose and raster files of the demo."""
+    """Demo manifest, beside the PL, dose and raster files of the demo."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     cell = CrystalCell(np.eye(3) * 10.0,
                        tuple(Site("Si", (i / 4, j / 4, k / 4))
@@ -674,7 +726,6 @@ def write_demo_manifest(tmp_path, *, drop_gap=False, dangling=False):
 
     (tmp_path / "ci_m1.run").write_text("e_total = 0.45\ndelta.C = 1\nposition = 0 0 0\n")
     (tmp_path / "ci_0.run").write_text("e_total = 1.0\ndelta.C = 1\n")
-    (tmp_path / "ci_m1.eig").write_text("down 0 0.1 1.0\ndown 1 1.068 0.0\n")
     pots = "\n".join(f"{i} 0.001" for i in range(64))
     (tmp_path / "ci_m1.pot").write_text(pots + "\n")
 
@@ -730,8 +781,6 @@ def test_manifest_dielectric_of_three_numbers_is_the_diagonal_tensor(tmp_path):
 @pytest.mark.parametrize("name, old, new, what", [
     ("ci_m1.run", "e_total = 0.45", "e_total = {}", "e_total"),
     ("ci_m1.run", "position = 0 0 0", "position = 0 {} 0", "position"),
-    ("ci_m1.eig", "down 1 1.068 0.0", "down 1 {} 0.0", "eigenvalue energy"),
-    ("ci_m1.eig", "down 0 0.1 1.0", "down 0 0.1 {}", "occupation"),
     ("ci_m1.pot", "\n5 0.001", "\n5 {}", "site potential"),
     ("run.manifest", "mu.C = 0.0", "mu.C = {}", "chemical potential mu.C"),
     ("run.manifest", "e_bulk = 0.0", "e_bulk = {}", "host.e_bulk"),
@@ -740,8 +789,7 @@ def test_manifest_dielectric_of_three_numbers_is_the_diagonal_tensor(tmp_path):
     ("host.cell", "\n0 10 0\n", "\n0 {} 0\n", "lattice row 2"),
 ])
 def test_manifest_non_finite_number_names_its_line(tmp_path, name, old, new, what, bad):
-    """Each record the manifest parses names the line; an .eig table, which no manifest names, is
-    read through parse_eigenvalues."""
+    """Each record the manifest parses names the line."""
     manifest = write_demo_manifest(tmp_path)
     path = tmp_path / name
     text = path.read_text()
@@ -750,7 +798,7 @@ def test_manifest_non_finite_number_names_its_line(tmp_path, name, old, new, wha
     path.write_text(text)
     line = text[:text.index(new.format(bad).strip())].count("\n") + 1
     with pytest.raises(ParseError) as err:
-        io._load(path, parse_eigenvalues) if name.endswith(".eig") else load_manifest(manifest)
+        load_manifest(manifest)
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert f"non-finite value in {what}: '{bad}'" in str(err.value)
 
@@ -904,6 +952,13 @@ CSV_PARSERS = {
     "power_mW,intensity": lambda text, source: io.parse_xy(text, "power_mW,intensity", source),
     "x_um,y_um,counts": io.parse_raster_points,
 }
+
+
+def test_decay_file_without_rows_is_refused_by_its_parser():
+    """The parser refuses an empty trace before DecayTrace would, so its message names the file line."""
+    with pytest.raises(ParseError) as err:
+        io.parse_decay("time_ns,counts\n", source="f.csv")
+    assert str(err.value) == "f.csv:1: decay trace has no data rows"
 
 
 @pytest.mark.parametrize("header", list(CSV_PARSERS))

@@ -1,4 +1,4 @@
-"""Lattice algebra, wrapping, supercells, coordinate conversions."""
+"""Lattice algebra, wrapping, supercells, minimum images."""
 
 import warnings
 
@@ -7,23 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defect_forge import CrystalCell, ValidationError, cart_to_frac, frac_to_cart, reciprocal, supercell
+from defect_forge import CrystalCell, Site, ValidationError, reciprocal, supercell
 from defect_forge.lattice import minimum_image, wrap_frac, ws_inscribed_radius
 
 TWO_PI = 2.0 * np.pi
-
-
-def lattice_strategy():
-    # diagonally dominant rows keep det well away from zero
-    offdiag = st.floats(-1.5, 1.5)
-    diag = st.floats(3.0, 9.0)
-    return st.tuples(*(st.tuples(diag, offdiag, offdiag) for _ in range(3))).map(
-        lambda rows: np.array([
-            [rows[0][0], rows[0][1], rows[0][2]],
-            [rows[1][1], rows[1][0], rows[1][2]],
-            [rows[2][1], rows[2][2], rows[2][0]],
-        ])
-    )
 
 
 def test_reciprocal_cubic_identity():
@@ -91,6 +78,13 @@ def test_dielectric_of_another_shape_is_refused():
         CrystalCell(np.eye(3), dielectric=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_site_refuses_a_non_finite_coordinate(bad):
+    """A structure file holds finite coordinates only; inf would otherwise wrap to nan."""
+    with pytest.raises(ValidationError, match="fractional coordinates must be finite"):
+        Site("Si", (0.25, bad, 0.5))
+
+
 def test_wrap_canonicalization():
     np.testing.assert_allclose(wrap_frac([1.0, -0.25, 2.5]), [0.0, 0.75, 0.5], atol=1e-15)
     assert wrap_frac([1.0])[0] == 0.0
@@ -130,36 +124,6 @@ def test_supercell_rejects_bad_counts(si_motif):
         supercell(si_motif, 0, 1, 1)
     with pytest.raises(ValidationError):
         supercell(si_motif, 2, -1, 1)
-
-
-def test_frac_to_cart_basics(cubic_cell):
-    np.testing.assert_allclose(frac_to_cart(cubic_cell, [0, 0, 0]), [0, 0, 0])
-    a = 5.43
-    cell = CrystalCell(np.eye(3) * a)
-    np.testing.assert_allclose(frac_to_cart(cell, [0.5, 0.5, 0.5]), [2.715, 2.715, 2.715])
-
-
-@settings(max_examples=50, deadline=None)
-@given(lattice_strategy(), st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)))
-def test_frac_cart_round_trip(lat, point):
-    cell = CrystalCell(lat if np.linalg.det(lat) > 0 else lat[::-1])
-    frac = np.array(point)
-    np.testing.assert_allclose(cart_to_frac(cell, frac_to_cart(cell, frac)), frac, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    lattice_strategy(),
-    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
-    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
-    st.floats(-3, 3), st.floats(-3, 3),
-)
-def test_frac_to_cart_linear(lat, x, y, alpha, beta):
-    cell = CrystalCell(lat if np.linalg.det(lat) > 0 else lat[::-1])
-    x, y = np.array(x), np.array(y)
-    lhs = frac_to_cart(cell, alpha * x + beta * y)
-    rhs = alpha * frac_to_cart(cell, x) + beta * frac_to_cart(cell, y)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
 def test_minimum_image_cubic(cubic_cell):

@@ -10,7 +10,6 @@ from defect_forge import (
     OpticsRecord,
     ValidationError,
     energy_mev_to_wavelength,
-    relative_shift,
     table_consistency_check,
     wavelength_to_energy_mev,
     zpl,
@@ -42,23 +41,6 @@ def test_zpl_subtraction_oracle(ground, gap_ev):
 def rec(zpl_mev, shift=None, defect="Ci", charge=0, spin="none", tdm=None):
     return OpticsRecord(defect=defect, charge=charge, spin=spin,
                         zpl_mev=zpl_mev, tdm_debye2=tdm, shift_mev=shift)
-
-
-def test_relative_shift_table_rows():
-    assert relative_shift(rec(571.0), 569.0) == pytest.approx(2.0)
-    assert relative_shift(rec(655.0), 569.0) == pytest.approx(86.0)
-    assert relative_shift(rec(569.0), 569.0) == 0.0
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(1.0, 5000.0), st.floats(1.0, 5000.0))
-def test_relative_shift_antisymmetry(a, b):
-    assert relative_shift(rec(a), b) == pytest.approx(-relative_shift(rec(b), a), rel=1e-12, abs=1e-12)
-
-
-def test_relative_shift_rejects_bad_reference():
-    with pytest.raises(ValidationError):
-        relative_shift(rec(500.0), 0.0)
 
 
 # --- wavelength <-> energy --------------------------------------------------------

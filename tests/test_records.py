@@ -40,16 +40,17 @@ def _dose(fluences, intensities):
     return DoseCurve("G", fluences, intensities, (Segment(10.0, 30.0, "rising", REGIME_WRITE),))
 
 
-# name -> (constructor taking the arrays, caller-owned arrays, the array that may hold a NaN)
+# name -> (constructor taking the arrays, caller-owned arrays, the array that may hold a NaN; None
+# where the record's file holds finite numbers only, so its constructor refuses a NaN)
 RECORDS = {
-    "Site": (_site, lambda: {"frac": np.array([0.25, 0.5, 0.75])}, "frac"),
+    "Site": (_site, lambda: {"frac": np.array([0.25, 0.5, 0.75])}, None),
     "CrystalCell": (_cell, lambda: {"lattice": np.eye(3) * 5.0,
                                     "dielectric": np.diag([11.7, 11.7, 12.0])}, None),
     "GridFunction": (_grid, lambda: {"values": np.arange(1, 9) * (1.0 - 0.5j)}, None),
     "Spectrum": (Spectrum, lambda: {"wavelength_nm": np.linspace(1440.0, 1460.0, 16),
-                                    "counts": np.arange(16.0)}, "counts"),
+                                    "counts": np.arange(16.0)}, None),
     "DecayTrace": (DecayTrace, lambda: {"time_ns": np.linspace(0.0, 30.0, 12),
-                                        "counts": np.linspace(100.0, 1.0, 12)}, "counts"),
+                                        "counts": np.linspace(100.0, 1.0, 12)}, None),
     "RasterMap": (_raster, lambda: {"xs": np.array([0.0, 1.0]), "ys": np.array([0.0, 1.0]),
                                     "values": np.array([[1.0, 2.0], [np.nan, 4.0]])}, "values"),
     "DoseCurve": (_dose, lambda: {"fluences": np.array([10.0, 16.0, 30.0]),

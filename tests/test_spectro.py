@@ -180,6 +180,40 @@ def test_spectrum_validation():
         make_spectrum(wl, np.full(32, -1.0))
 
 
+@pytest.mark.parametrize("column, row, value", [
+    ("counts", 3, np.inf), ("counts", 3, np.nan), ("wavelength_nm", 15, np.inf), ("wavelength_nm", 0, -np.inf),
+])
+def test_spectrum_refuses_a_non_finite_sample(column, row, value):
+    """A CSV row cannot hold nan or inf, so the constructor names the row that does."""
+    arrays = {"wavelength_nm": np.linspace(1440.0, 1460.0, 16), "counts": np.arange(16.0)}
+    arrays[column][row] = value
+    with pytest.raises(ValidationError, match="must be finite") as err:
+        Spectrum(**arrays)
+    assert err.value.row == row
+
+
+@pytest.mark.parametrize("grating", [0.0, -0.0, -5.0])
+def test_spectrum_refuses_a_non_positive_grating(grating):
+    with pytest.raises(ValidationError, match="grating"):
+        make_spectrum(np.linspace(1440.0, 1460.0, 16), np.arange(16.0), grating_gpmm=grating)
+
+
+@pytest.mark.parametrize("column, row, value", [
+    ("counts", 1, np.nan), ("counts", 2, np.inf), ("time_ns", 3, np.inf), ("time_ns", 0, np.nan),
+])
+def test_decay_trace_refuses_a_non_finite_sample(column, row, value):
+    arrays = {"time_ns": np.arange(4.0), "counts": np.array([5.0, 4.0, 3.0, 2.0])}
+    arrays[column][row] = value
+    with pytest.raises(ValidationError, match="must be finite") as err:
+        DecayTrace(**arrays)
+    assert err.value.row == row
+
+
+def test_decay_trace_refuses_an_empty_trace():
+    with pytest.raises(ValidationError, match="needs >= 1 sample"):
+        DecayTrace(np.zeros(0), np.zeros(0))
+
+
 # --- lifetimes ---------------------------------------------------------------------
 
 

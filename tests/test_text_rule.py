@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from defect_forge import CrystalCell, DecayTrace, ParseError, Site, Spectrum
 from defect_forge import io_formats as io
-from defect_forge.manifest import parse_defect_run, parse_eigenvalues, parse_manifest, parse_site_potentials
+from defect_forge.manifest import parse_defect_run, parse_manifest, parse_site_potentials
 from defect_forge.optics import OpticsRecord
 from defect_forge.thermo import FormationDiagram
 
@@ -45,7 +45,7 @@ def test_write_xy_matches_reference(n, data):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(columns=_columns(0, 12))
+@given(columns=_columns(1, 12))
 def test_write_decay_matches_reference(columns):
     t, counts = columns
     t = sorted(set(t))
@@ -57,14 +57,16 @@ def test_write_decay_matches_reference(columns):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(columns=_columns(16, 40, y=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
                                             st.floats(min_value=0, allow_infinity=False))),
-       meta=st.lists(st.one_of(st.none(), FLOATS), min_size=5, max_size=5),
+       meta=st.lists(st.one_of(st.none(), FLOATS), min_size=4, max_size=4),
+       grating=st.one_of(st.none(), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
        location=st.one_of(st.none(), st.sampled_from(["spot-3", "a b"])))
-def test_write_spectrum_matches_reference(columns, meta, location):
+def test_write_spectrum_matches_reference(columns, meta, grating, location):
     wl, counts = columns
     wl = sorted(set(wl))
     if len(wl) < 16:
         wl = [1400.0 + k for k in range(16)]
     counts = (counts * 2)[:len(wl)]
+    meta = [*meta[:2], grating, *meta[2:]]  # a groove density is > 0
     spec = Spectrum(wavelength_nm=np.array(wl), counts=np.array(counts), temperature_k=meta[0],
                     power_mw=meta[1], grating_gpmm=meta[2], x_um=meta[3], y_um=meta[4], location=location)
     keys = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_um")
@@ -144,10 +146,6 @@ CASES = {
         "e_total = 0.45\ndelta.C = one\n",
         "e_total = 0.45\nposition = 0 0\ndelta.C = 1\n",
         "e_total = 0.45\n",
-    ]),
-    "eig": (lambda t: parse_eigenvalues(t, "c.eig"), "down 0 0.1 1\ndown 1 1.068 0\nup 0 0.2 1\n", [
-        "down 0 0.1 1\nup 0 0.2 1\ndown 2 1.068 0\n",
-        "down 0 0.1 1\ndown 0 0.2 1\n",
     ]),
     "pot": (lambda t: parse_site_potentials(t, "c.pot"), "0 0.01\n5 -0.02\n7 0\n", [
         "0 0.01\nfive -0.02\n",

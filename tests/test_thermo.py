@@ -1,4 +1,4 @@
-"""Formation energies, transition levels, stability envelopes, Kohn-Sham gaps."""
+"""Formation energies, transition levels, stability envelopes."""
 
 import warnings
 
@@ -13,7 +13,6 @@ from defect_forge import (
     HostReference,
     ValidationError,
     build_diagram,
-    delta_ks,
     formation_energy,
     transition_level,
 )
@@ -284,41 +283,3 @@ def test_charge_range_enforced():
     with pytest.raises(ValidationError):
         DefectRun(label="D", charge=-4, total_energy=0.0)
 
-
-# --- Kohn-Sham level differences ------------------------------------------------
-
-
-def eig_table(levels, spin="down"):
-    """One spin channel, as parse_eigenvalues returns it."""
-    return {spin: tuple(levels)}
-
-
-def test_delta_ks_reference_gap():
-    table = eig_table([(0.100, 1.0), (1.068, 0.0)])
-    assert delta_ks(table, 0, 1, "down") == pytest.approx(0.968, abs=1e-12)
-
-
-def test_delta_ks_same_level_rejected():
-    table = eig_table([(0.1, 1.0), (1.0, 0.0)])
-    with pytest.raises(ValidationError):
-        delta_ks(table, 1, 1, "down")
-
-
-def test_delta_ks_random_subtraction_oracle(rng):
-    energies = np.sort(rng.uniform(-1, 2, size=6))
-    levels = [(float(e), 1.0 if i < 3 else 0.0) for i, e in enumerate(energies)]
-    table = eig_table(levels, spin="up")
-    assert delta_ks(table, 2, 4, "up") == pytest.approx(energies[4] - energies[2], abs=1e-12)
-
-
-def test_delta_ks_missing_table():
-    with pytest.raises(ValidationError):
-        delta_ks(eig_table([(0.0, 1.0), (1.0, 0.0)], spin="up"), 0, 1, "down")
-    with pytest.raises(ValidationError):
-        delta_ks(eig_table([(0.0, 1.0), (1.0, 0.0)]), 0, 5, "down")
-
-
-def test_delta_ks_warns_on_inverted_occupations():
-    table = eig_table([(0.1, 0.0), (1.0, 1.0)])
-    with pytest.warns(UserWarning, match="inverted"):
-        delta_ks(table, 0, 1, "down")

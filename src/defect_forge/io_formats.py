@@ -13,6 +13,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
+from itertools import groupby
 from pathlib import Path
 from stat import S_ISREG
 
@@ -182,66 +183,44 @@ def write_structure(cell: CrystalCell, comment: str = "structure") -> str:
         out.append(" ".join(_fmt(x) for x in row))
     if not cell.sites:
         return "\n".join(out) + "\n"
-    species = list(dict.fromkeys(s.species for s in cell.sites))  # in order of first appearance
-    out.append(" ".join(species))
-    out.append(" ".join(str(sum(s.species == sp for s in cell.sites)) for sp in species))
-    for sp in species:
-        out += [" ".join(_fmt(x) for x in s.frac) for s in cell.sites if s.species == sp]
+    runs = [(sp, len(list(sites))) for sp, sites in groupby(cell.sites, key=lambda s: s.species)]
+    out.append(" ".join(sp for sp, _ in runs))  # one label per run of equal species, so site order holds
+    out.append(" ".join(str(n) for _, n in runs))
+    out += [" ".join(_fmt(x) for x in s.frac) for s in cell.sites]
     return "\n".join(out) + "\n"
 
 
 # --- grid function files ----------------------------------------------------
 
-def parse_grid(text: str | bytes, cell: CrystalCell, source: str = "<string>", *,
-               head: str = "") -> GridFunction:
+def parse_grid(text: str, cell: CrystalCell, source: str = "<string>") -> GridFunction:
     """Grid file: header 'GRID n1 n2 n3 complex|real', then values (fastest index n3).
 
-    The file is head + text.  load_grid passes the lines through the header,
-    any UTF-8 text, as head and the rest of the file, read once, as bytes;
-    numpy converts an ASCII block with no decoded copy, other bytes are decoded
-    as UTF-8, and an undecodable byte is reported as for any input file.
-
-    The value block is converted in one numpy call.  A file that call cannot
-    take whole (comments in the block, a wrong count, a token float() reads
-    differently, a non-finite value) goes through the per-line reader, which
-    reports the offending line.
+    The token-by-token reader; every error names its line.  load_grid converts
+    most files in one numpy call instead and gives every other file to it.
     """
-    if isinstance(text, bytes) and not (head and text.isascii()):
-        text, head = _decode(head.encode("utf-8") + text, source), ""
-    split = _grid_split(head or text)
-    if split is not None and not (head and split[2]):
-        header, header_no, rest = split
-        values = _block_values(text if head else rest)
-        del split, rest  # drop the copy of the text before the grid arrays are built
-        if values is not None:
-            dims, kind = _grid_header(header, source, header_no)
-            if len(values) == _grid_value_count(dims, kind):
-                del text  # the bytes from load_grid, whose only reference this call holds
-                values = _complex_values(values, kind)  # and the floats, before GridFunction copies the values
-                with _at(source, header_no):
-                    return GridFunction(dims, values, cell)
-    return _parse_grid_lines(head + (text.decode("ascii") if isinstance(text, bytes) else text), cell, source)
+    lines = list(_content(text))
+    if not lines:
+        raise ParseError("empty grid file", source, 1)
+    no, header = lines[0]
+    dims, kind = _grid_header(header, source, no)
+    tokens = [_number(t, "grid", source, no) for no, ln in lines[1:] for t in ln.split()]
+    need = _grid_value_count(dims, kind)
+    if len(tokens) != need:
+        raise ParseError(
+            f"grid value count mismatch: header promises {need} numbers "
+            f"({dims[0] * dims[1] * dims[2]} {kind} values), found {len(tokens)}",
+            source, lines[-1][0],
+        )
+    values = _complex_values(np.array(tokens), kind)
+    with _at(source, lines[0][0]):
+        return GridFunction(dims, values, cell)
 
 
-def _grid_split(text: str):
-    """(header line, its line number, the text after it), or None where splitlines would number lines differently."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos) + 1 or len(text)
-        line = text[pos:end]
-        if len(line.splitlines()) > 1:
-            return None
-        if line.strip() and not line.lstrip().startswith("#"):
-            return line, len(text[:pos].splitlines()) + 1, text[end:]
-        pos = end
-    return None
-
-
-def _block_values(block: str | bytes):
-    """Every number of a value block from one numpy call, or None to leave the block to the per-line reader."""
+def _block_values(block: bytes):
+    """Every number of a value block from one numpy call, or None to leave the file to parse_grid."""
     # numpy reads a whitespace-only block as [-1.0], and takes tokens such as
-    # 'nan(1)' that float() rejects; '#' lines are comments to the per-line reader
-    if (b"#" if isinstance(block, bytes) else "#") in block or not block or block.isspace():
+    # 'nan(1)' that float() rejects; '#' lines are comments to parse_grid
+    if b"#" in block or not block or block.isspace():
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # "could not be read to its end"
@@ -283,26 +262,6 @@ def _complex_values(arr: np.ndarray, kind: str) -> np.ndarray:
     values.real += re
     np.add(im, 0.0, out=values.imag)
     return values
-
-
-def _parse_grid_lines(text: str, cell: CrystalCell, source: str) -> GridFunction:
-    """Token-by-token grid reader; every error names its line."""
-    lines = list(_content(text))
-    if not lines:
-        raise ParseError("empty grid file", source, 1)
-    no, header = lines[0]
-    dims, kind = _grid_header(header, source, no)
-    tokens = [_number(t, "grid", source, no) for no, ln in lines[1:] for t in ln.split()]
-    need = _grid_value_count(dims, kind)
-    if len(tokens) != need:
-        raise ParseError(
-            f"grid value count mismatch: header promises {need} numbers "
-            f"({dims[0] * dims[1] * dims[2]} {kind} values), found {len(tokens)}",
-            source, lines[-1][0],
-        )
-    values = _complex_values(np.array(tokens), kind)
-    with _at(source, lines[0][0]):
-        return GridFunction(dims, values, cell)
 
 
 GRID_VALUES_PER_LINE = 3  # real values, or complex re/im pairs, on each line of a written grid
@@ -554,24 +513,36 @@ def save_structure(cell: CrystalCell, path, comment: str = "structure") -> None:
 
 
 def load_grid(path, cell: CrystalCell) -> GridFunction:
-    """The grid file at path, read once, a pipe as well as a regular file: its lines through
-    the header, any UTF-8 text, then the rest of the file as one bytes object for parse_grid."""
+    """The grid file at path, read once, a pipe as well as a regular file.
+
+    A file whose header is its only content line before an ASCII value block
+    holding the header's count of finite numbers is converted in one numpy call,
+    with no decoded copy; every other file is decoded and read by parse_grid,
+    which reports the offending line."""
     source = str(Path(path))
-    # parse_grid reads no file, so an OSError here comes from open or a read
     with _reading(source), open(path, "rb") as f:
         lines = []
         for line in f:
             lines.append(line)
             if line.strip() and not line.lstrip().startswith(b"#"):
                 break
-        head = _decode(b"".join(lines), source)
+        head = b"".join(lines)
         stat = os.fstat(f.fileno())
         # a sized read fills one bytes object, where read() joins the buffered tail to a second copy;
         # a pipe reads to its end, as does a file whose size is below the position (/proc, truncated)
         size = max(stat.st_size - f.tell(), -1) if S_ISREG(stat.st_mode) else -1
-        # an argument with no name, so that parse_grid holds the only reference and frees the bytes
-        # once they are converted (CPython 3.11 and later move call arguments into the callee)
-        return parse_grid(f.read(size), cell, source, head=head)
+        block = f.read(size)
+    content = list(_content(_decode(head, source)))
+    if len(content) == 1 and block.isascii():
+        no, header = content[0]
+        dims, kind = _grid_header(header, source, no)
+        values = _block_values(block)
+        if values is not None and len(values) == _grid_value_count(dims, kind):
+            del block  # the file's bytes, before the grid arrays are built
+            values = _complex_values(values, kind)  # and its numbers, before GridFunction copies the values
+            with _at(source, no):
+                return GridFunction(dims, values, cell)
+    return parse_grid(_decode(head + block, source), cell, source)
 
 
 def save_grid(grid: GridFunction, path) -> None:

@@ -12,6 +12,7 @@ reported as physical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +57,10 @@ PITCH_TOLERANCE = 0.01  # fraction of the median pitch a raster point may sit of
 def grating_resolution_nm(grating_gpmm: float) -> float:
     if grating_gpmm <= 0:
         raise ValidationError(f"grating groove density must be > 0, got {grating_gpmm}")
-    return RESOLUTION_NM_GPMM / grating_gpmm
+    resolution = RESOLUTION_NM_GPMM / grating_gpmm
+    if not math.isfinite(resolution):  # a density below about 2e-307 overflows the floor
+        raise ValidationError(f"grating groove density {grating_gpmm} gives no finite resolution floor")
+    return resolution
 
 
 def _require_finite_samples(axis: np.ndarray, counts: np.ndarray, what: str) -> None:
@@ -71,7 +75,8 @@ class Spectrum:
     """Wavelength-intensity series with acquisition metadata.
 
     Every sample is finite, on a strictly increasing wavelength axis, with counts >= 0; each
-    number of the metadata is finite, and a grating groove density is > 0 (grating_resolution_nm).
+    number of the metadata is finite, and a grating groove density is > 0 with a finite
+    resolution floor (grating_resolution_nm).
     """
 
     wavelength_nm: np.ndarray

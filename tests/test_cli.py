@@ -461,6 +461,20 @@ def test_fitpl_command(tmp_path):
     assert "1450.8" in text
 
 
+def test_fitpl_grating_with_no_finite_resolution_floor_exit_2(tmp_path, capsys):
+    """A subnormal groove density would give an infinite resolution floor, and every width at it."""
+    wl = np.arange(1449.0, 1453.0, 0.05)
+    counts = peak_model(wl, [5.0, 1000.0, 1450.8, 0.3], "lorentzian")
+    path = tmp_path / "pl.csv"
+    io.save_spectrum(Spectrum(wavelength_nm=wl, counts=counts, grating_gpmm=1200.0), path)
+    path.write_text(path.read_text().replace("grating_gpmm=1200", "grating_gpmm=1e-320"))
+    out = tmp_path / "out"
+    assert run_cli("fitpl", "--data", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}:1: grating groove density 1e-320 gives no finite resolution floor" in err
+    assert not out.exists() or not any(out.rglob("*.csv"))
+
+
 def test_fitpl_empty_csv_exit_2(tmp_path):
     (tmp_path / "empty.csv").write_text("")
     assert run_cli("fitpl", "--data", tmp_path / "empty.csv", "--out", tmp_path / "out") == 2

@@ -124,6 +124,21 @@ def test_gauss_newton_reports_nonconvergence(monkeypatch):
         )
 
 
+def test_gauss_newton_without_a_descent_direction_does_not_converge():
+    """A Jacobian of the wrong sign points every step uphill: all MAX_HALVINGS halvings raise the
+    cost, so the first iteration ends the fit."""
+    calls = []
+
+    def residual(x):
+        calls.append(x.copy())
+        return x
+
+    with pytest.raises(FitNonConvergence, match=r"^toy fit did not converge in 1 iterations \(residual rms 1\)$"):
+        gauss_newton(residual, lambda x: -np.eye(1), np.array([1.0]), "toy")
+    assert len(calls) == 1 + fitting.MAX_HALVINGS
+    assert all(c[0] > 1.0 for c in calls[1:])
+
+
 def test_gauss_newton_stderr_scale():
     """Asymptotic errors shrink like 1/sqrt(n) on replicated data."""
     rng = np.random.default_rng(11)

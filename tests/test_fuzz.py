@@ -142,6 +142,44 @@ def test_load_grid_reads_every_file_as_the_text_reader_does(edits):
             _outcome(lambda p: io._load(p, io.parse_grid, cell), path)
 
 
+# how a writer other than write_grid may spell a float
+_SPELLINGS = [repr, "%.17g".__mod__, "%.30e".__mod__, "%.40E".__mod__, "%+.17g".__mod__, "%.3f".__mod__,
+              lambda x: "+" + repr(x)]
+# numbers spelled as no %-format writes them: bare points, exponent forms, subnormals and values
+# that round to zero
+_SPELLED = ["5.", ".5", "-.5", "+.5e-3", "5.e2", "1E5", "1e+05", "00.1e-0", "4.9e-324", "-2.5e-310",
+            "2.4703282292062328e-324", "1e-400", "-1e-400"]
+# tokens each reader may take apart differently: overflow, non-finite words and what float() refuses
+_ODD = ["1e309", "-1e309", "1.7976931348623159e308", "inf", "-Infinity", "nan", "0x1p3", "1_0", "1e5.5",
+        "1-2", "+-1", "."]
+_VALUE_TOKENS = st.one_of(st.builds(lambda spell, x: spell(x), st.sampled_from(_SPELLINGS),
+                                    st.floats(-1e150, 1e150)),
+                          st.sampled_from(_SPELLED))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["real", "complex"]), tokens=st.lists(_VALUE_TOKENS, min_size=1, max_size=12),
+       odd=st.one_of(st.none(), st.tuples(st.integers(0, 11), st.sampled_from(_ODD))),
+       seps=st.lists(st.sampled_from([" ", "   ", "\t", "\n", "\r\n", " \x0c"]), min_size=12, max_size=12),
+       extra=st.sampled_from([0, 0, 0, 0, -1, 1]))
+def test_load_grid_reads_every_spelling_of_a_number_as_the_text_reader_does(kind, tokens, odd, seps, extra):
+    """The one numpy call of load_grid and the token-by-token parse_grid give the same grid, bit
+    for bit, or the same error, however the numbers are spelled; at most one token is odd, and
+    extra != 0 breaks the count."""
+    if odd is not None:
+        tokens[odd[0] % len(tokens)] = odd[1]
+    if kind == "complex":
+        tokens = tokens[:len(tokens) // 2 * 2] or tokens * 2
+    n = max(1, (len(tokens) if kind == "real" else len(tokens) // 2) + extra)
+    block = "".join(t + sep for t, sep in zip(tokens, seps))
+    cell = CrystalCell(np.eye(3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.grid"
+        path.write_bytes(f"GRID {n} 1 1 {kind}\n{block}".encode())
+        assert _outcome(lambda p: io.load_grid(p, cell), path) == \
+            _outcome(lambda p: io._load(p, io.parse_grid, cell), path)
+
+
 def _check_command(demo, command, name, edit, options=(), label=None):
     """The command on a copy of the demo inputs, with `name` edited, `options` appended and,
     given a label, the defect label replaced, exits 0, 2 or 3 (argparse's exit counts), with no

@@ -198,6 +198,13 @@ def test_spectrum_refuses_a_non_positive_grating(grating):
         make_spectrum(np.linspace(1440.0, 1460.0, 16), np.arange(16.0), grating_gpmm=grating)
 
 
+@pytest.mark.parametrize("grating", [5e-324, 1e-320, 1e-308])
+def test_spectrum_refuses_a_grating_with_no_finite_resolution_floor(grating):
+    """36 / grating overflows to inf below about 2e-307 grooves/mm."""
+    with pytest.raises(ValidationError, match="^grating groove density .* gives no finite resolution floor$"):
+        make_spectrum(np.linspace(1440.0, 1460.0, 16), np.arange(16.0), grating_gpmm=grating)
+
+
 @pytest.mark.parametrize("column, row, value", [
     ("counts", 1, np.nan), ("counts", 2, np.inf), ("time_ns", 3, np.inf), ("time_ns", 0, np.nan),
 ])

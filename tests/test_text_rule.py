@@ -12,6 +12,7 @@ from defect_forge import CrystalCell, DecayTrace, ParseError, Site, Spectrum
 from defect_forge import io_formats as io
 from defect_forge.manifest import parse_defect_run, parse_manifest, parse_site_potentials
 from defect_forge.optics import OpticsRecord
+from defect_forge.spectro import RESOLUTION_NM_GPMM
 from defect_forge.thermo import FormationDiagram
 
 from oracles import decay_csv_reference, diagram_csv_reference, spectrum_csv_reference, xy_csv_reference
@@ -58,7 +59,8 @@ def test_write_decay_matches_reference(columns):
 @given(columns=_columns(16, 40, y=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
                                             st.floats(min_value=0, allow_infinity=False))),
        meta=st.lists(st.one_of(st.none(), FLOATS), min_size=4, max_size=4),
-       grating=st.one_of(st.none(), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+       grating=st.one_of(st.none(), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).filter(
+           lambda g: math.isfinite(RESOLUTION_NM_GPMM / g))),
        location=st.one_of(st.none(), st.sampled_from(["spot-3", "a b"])))
 def test_write_spectrum_matches_reference(columns, meta, grating, location):
     wl, counts = columns
@@ -66,7 +68,7 @@ def test_write_spectrum_matches_reference(columns, meta, grating, location):
     if len(wl) < 16:
         wl = [1400.0 + k for k in range(16)]
     counts = (counts * 2)[:len(wl)]
-    meta = [*meta[:2], grating, *meta[2:]]  # a groove density is > 0
+    meta = [*meta[:2], grating, *meta[2:]]  # a groove density is > 0, with a finite resolution floor
     spec = Spectrum(wavelength_nm=np.array(wl), counts=np.array(counts), temperature_k=meta[0],
                     power_mw=meta[1], grating_gpmm=meta[2], x_um=meta[3], y_um=meta[4], location=location)
     keys = ("temperature_K", "power_mW", "grating_gpmm", "x_um", "y_um")

@@ -163,8 +163,7 @@ def _cmd_check_table1(args, out: _Out) -> None:
 
 def _cmd_tdm(args, out: _Out) -> None:
     cell = io.load_structure(args.cell)
-    psi_i = io.load_grid(args.psi_i, cell)
-    psi_f = io.load_grid(args.psi_f, cell)
+    psi_i, psi_f = io._load_grid_pair(args.psi_i, args.psi_f, cell)
     result = transition_dipole(psi_i, psi_f)
     payload = {
         "components_debye": {

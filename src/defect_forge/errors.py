@@ -18,6 +18,11 @@ class ParseError(ValidationError):
         self.line = line
         loc = source if line is None else f"{source}:{line}"
         super().__init__(f"{loc}: {message}")
+        self._message = message
+
+    def __reduce__(self):
+        # args holds the located text, so a copy or an unpickled error is rebuilt from the raw message
+        return type(self), (self._message, self.source, self.line), self.__dict__
 
 
 class FitNonConvergence(RuntimeError):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import warnings
 from contextlib import contextmanager
 from itertools import groupby
@@ -198,21 +200,30 @@ def parse_grid(text: str, cell: CrystalCell, source: str = "<string>") -> GridFu
     The token-by-token reader; every error names its line.  load_grid converts
     most files in one numpy call instead and gives every other file to it.
     """
-    lines = list(_content(text))
-    if not lines:
+    lines = _content(text)
+    header_no, header = next(lines, (1, None))
+    if header is None:
         raise ParseError("empty grid file", source, 1)
-    no, header = lines[0]
-    dims, kind = _grid_header(header, source, no)
-    tokens = [_number(t, "grid", source, no) for no, ln in lines[1:] for t in ln.split()]
+    dims, kind = _grid_header(header, source, header_no)
+    last_no = header_no  # the last content line read, where a count mismatch is reported
+
+    def numbers():
+        nonlocal last_no
+        for last_no, ln in lines:
+            for t in ln.split():
+                yield _number(t, "grid", source, last_no)
+
+    arr = np.fromiter(numbers(), dtype=float)  # with no list of Python floats
     need = _grid_value_count(dims, kind)
-    if len(tokens) != need:
+    if len(arr) != need:
         raise ParseError(
             f"grid value count mismatch: header promises {need} numbers "
-            f"({dims[0] * dims[1] * dims[2]} {kind} values), found {len(tokens)}",
-            source, lines[-1][0],
+            f"({dims[0] * dims[1] * dims[2]} {kind} values), found {len(arr)}",
+            source, last_no,
         )
-    values = _complex_values(np.array(tokens), kind)
-    with _at(source, lines[0][0]):
+    values = _complex_values(arr, kind)
+    del arr
+    with _at(source, header_no):
         return GridFunction(dims, values, cell)
 
 
@@ -517,8 +528,10 @@ def load_grid(path, cell: CrystalCell) -> GridFunction:
 
     A file whose header is its only content line before an ASCII value block
     holding the header's count of finite numbers is converted in one numpy call,
-    with no decoded copy; every other file is decoded and read by parse_grid,
-    which reports the offending line."""
+    with no decoded copy; every other file is decoded, its bytes dropped, and
+    read by parse_grid, which reports the offending line.  `tdm` reads its two
+    grids through _load_grid_pair, which may run this function on --psi-f in a
+    forked worker process."""
     source = str(Path(path))
     with _reading(source), open(path, "rb") as f:
         lines = []
@@ -542,7 +555,111 @@ def load_grid(path, cell: CrystalCell) -> GridFunction:
             values = _complex_values(values, kind)  # and its numbers, before GridFunction copies the values
             with _at(source, no):
                 return GridFunction(dims, values, cell)
-    return parse_grid(_decode(head + block, source), cell, source)
+    data = head + block
+    del head, block  # one copy of the file's bytes while it is decoded, and none while it is parsed
+    text = _decode(data, source)
+    del data
+    return parse_grid(text, cell, source)
+
+
+# Below this size a grid parses in less time than a forked worker costs to start and to send its values
+# back.  Fresh-process `tdm` on a pair of complex grids, 2 vCPUs, Python 3.11, numpy 2.4, medians of 12
+# alternating pairs: 24^3 grids (0.65 MB each) broke even (0.315 s serial, 0.313 s forked), and 32^3
+# grids (1.5 MB) gained 7% (0.346 to 0.323 s, lower in 12 of 12).
+_FORK_MIN_BYTES = 1 << 20
+
+
+def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> tuple[GridFunction, GridFunction]:
+    """(load_grid(path_i, cell), load_grid(path_f, cell)), with path_f read by a forked worker
+    process while this one reads path_i: the text parse holds the interpreter lock, so a second
+    thread would gain nothing.
+
+    The worker is forked only where that is safe and can gain: os.fork exists, this process runs
+    one OS thread, and both paths are regular files of at least _FORK_MIN_BYTES.  Otherwise, or
+    when no process can be forked, the two grids are read one after the other.  The worker sends
+    back the grid's dims and values as raw bytes, or its ValidationError, and the GridFunction is
+    built here, under the record's own rules.  A worker that sends no complete reply (it died,
+    warned, or met another error) leaves path_f to be read here, so that it fails or warns as the
+    serial read does.  A path_i error wins over a path_f error, and no worker outlives the call.
+    """
+    if not _fork_pays(path_i, path_f):
+        return load_grid(path_i, cell), load_grid(path_f, cell)
+    read_fd, write_fd = os.pipe()
+    # a Ctrl-C waits until each process is inside the try that ends it
+    interrupts = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: path_f is read here
+        pid = None
+    if pid == 0:
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, interrupts)
+            os.close(read_fd)
+            _send_grid(write_fd, path_f, cell)
+        finally:
+            os._exit(0)
+    reply = None
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, interrupts)
+        os.close(write_fd)
+        psi_i = load_grid(path_i, cell)
+        if pid:
+            reply = _receive_grid(read_fd)
+    finally:
+        os.close(read_fd)
+        if pid:
+            if reply is None:  # a worker may still be reading a grid that will not be used
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if isinstance(reply, ValidationError):
+        raise reply
+    if reply is None:
+        return psi_i, load_grid(path_f, cell)
+    return psi_i, GridFunction(*reply, cell)
+
+
+def _fork_pays(*paths) -> bool:
+    """Whether _load_grid_pair may fork: os.fork exists, /proc/self/task lists one thread (a fork
+    copies only the calling thread, and Python 3.12 warns at it), and every path is a regular
+    file of at least _FORK_MIN_BYTES, so that a pipe is read once, by this process."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return False
+        stats = [os.stat(path) for path in paths]
+    except OSError:
+        return False
+    return all(S_ISREG(st.st_mode) and st.st_size >= _FORK_MIN_BYTES for st in stats)
+
+
+def _send_grid(fd: int, path, cell: CrystalCell) -> None:
+    """The worker's reply on fd: the pickled grid dims, then the grid's complex values as raw
+    bytes; or the pickled ValidationError of load_grid.  Nothing is sent when load_grid warns or
+    raises any other error."""
+    with os.fdopen(fd, "wb") as pipe, warnings.catch_warnings(record=True) as caught:
+        try:
+            grid = load_grid(path, cell)
+            header, values = grid.dims, grid.values
+        except ValidationError as exc:
+            header, values = exc, b""
+        if not caught:
+            pickle.dump(header, pipe)
+            pipe.write(values)
+
+
+def _receive_grid(fd: int):
+    """The worker's reply read from fd: (dims, values), a ValidationError, or None when the
+    reply is incomplete."""
+    with open(fd, "rb", closefd=False) as pipe:
+        try:
+            header = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):  # no reply, or one cut short
+            return None
+        if isinstance(header, ValidationError):
+            return header
+        values = np.empty(header, dtype=complex)
+        return (header, values) if pipe.readinto(values) == values.nbytes else None
 
 
 def save_grid(grid: GridFunction, path) -> None:

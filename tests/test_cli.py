@@ -792,15 +792,19 @@ def test_verbose_writes_log(tmp_path):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _fresh_python(probe: str, **env) -> str:
-    """The last line that `probe` prints in a fresh interpreter with src/ on the path, no
-    BLAS thread variable set but those in env."""
+def _fresh_run(probe: str, *flags: str, **env) -> subprocess.CompletedProcess:
+    """`probe` run to a zero exit in a fresh interpreter with the given flags, src/ on the path,
+    and no BLAS thread variable set but those in env; its output captured as text."""
     src = Path(__file__).resolve().parents[1] / "src"
     child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     child_env.update(env, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    return result.stdout.splitlines()[-1]
+    return subprocess.run([sys.executable, *flags, "-c", probe], env=child_env, capture_output=True,
+                          text=True, check=True, timeout=120)
+
+
+def _fresh_python(probe: str, **env) -> str:
+    """The last line that `probe` prints in a fresh interpreter (see _fresh_run)."""
+    return _fresh_run(probe, **env).stdout.splitlines()[-1]
 
 
 def _modules_after_cli_import(prefix: str, *argv) -> str:
@@ -881,3 +885,144 @@ def test_diagram_loads_no_scipy(tmp_path):
 def test_cli_import_loads_no_thread_pool():
     """Manifests are parsed serially, so start-up pulls in no concurrent.futures (nor its logging)."""
     assert _modules_after_cli_import("concurrent") == "[]"
+
+
+# --- tdm's worker process ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def large_tdm_inputs(tmp_path_factory):
+    """An orthogonal 32^3 complex grid pair, each file large enough that tdm reads --psi-f in a worker."""
+    root = tmp_path_factory.mktemp("large_tdm")
+    cell = CrystalCell(np.eye(3) * 10.0)
+    io.save_structure(cell, root / "box.cell")
+    f = (np.arange(32) + 0.5) / 32
+    fx, fy, fz = np.meshgrid(f, f, f, indexing="ij")
+    envelope = np.exp(-8.0 * ((fx - 0.5) ** 2 + (fy - 0.5) ** 2 + (fz - 0.5) ** 2))
+    for name, values in (("psi_i", (1 + 0.5j) * envelope), ("psi_f", (0.3 - 1j) * (fz - 0.5) * envelope)):
+        path = root / f"{name}.grid"
+        io.save_grid(GridFunction(values.shape, values, cell), path)
+        assert path.stat().st_size >= io._FORK_MIN_BYTES
+    return root
+
+
+# main's exit code (or the interrupt it raised), the number of forks, and whether main left
+# a child process or a blocked SIGINT behind
+TDM_PROBE = """\
+import os, signal
+import defect_forge.cli as cli
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+{preamble}
+try:
+    code = cli.main({argv!r})
+except KeyboardInterrupt:
+    code = "KeyboardInterrupt"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(code, len(forks), left, signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ()))
+"""
+
+
+def _fresh_tdm(root: Path, out: Path, psi_i=None, psi_f=None, preamble: str = "", **env):
+    """(last stdout line of TDM_PROBE, the lines before it, stderr) of `tdm` on root's inputs in a
+    fresh interpreter.  DeprecationWarning is an error, as os.fork raises it in a process with
+    more than one thread on Python 3.12 and later."""
+    argv = ["tdm", "--psi-i", psi_i or root / "psi_i.grid", "--psi-f", psi_f or root / "psi_f.grid",
+            "--cell", root / "box.cell", "--out", out]
+    probe = TDM_PROBE.format(preamble=preamble, argv=[str(a) for a in argv])
+    result = _fresh_run(probe, "-W", "error::DeprecationWarning", **env)
+    *lines, last = result.stdout.splitlines()
+    return last, lines, result.stderr
+
+
+def _tdm_json(out: Path) -> bytes:
+    return (out / "optics" / "tdm.json").read_bytes()
+
+
+def test_tdm_worker_and_serial_reads_write_the_same_json(large_tdm_inputs, tmp_path):
+    """Two OpenBLAS threads make two OS threads, which sends tdm down the serial route."""
+    forked = _fresh_tdm(large_tdm_inputs, tmp_path / "forked")
+    serial = _fresh_tdm(large_tdm_inputs, tmp_path / "serial", OPENBLAS_NUM_THREADS="2")
+    assert (forked[0], serial[0]) == ("0 1 False False", "0 0 False False")
+    assert forked[1:] == serial[1:]
+    assert serial[2] == ""
+    assert _tdm_json(tmp_path / "forked") == _tdm_json(tmp_path / "serial")
+
+
+def test_tdm_reads_small_grids_and_pipes_without_a_worker(large_tdm_inputs, tmp_path):
+    root = large_tdm_inputs
+    small = write_command_inputs(tmp_path / "small")["tdm"]
+    assert _fresh_tdm(root, tmp_path / "small_out", small[1], small[3])[0] == "0 0 False False"
+    fifo = tmp_path / "psi_f.fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["cp", root / "psi_f.grid", fifo])
+    try:
+        piped = _fresh_tdm(root, tmp_path / "piped", psi_f=fifo)
+    finally:
+        writer.kill()
+        writer.wait(timeout=60)
+    assert piped == _fresh_tdm(root, tmp_path / "serial", OPENBLAS_NUM_THREADS="2")
+    assert piped[0] == "0 0 False False"
+    assert _tdm_json(tmp_path / "piped") == _tdm_json(tmp_path / "serial")
+
+
+def _spoil(grid: Path, target: Path, token: str) -> Path:
+    """A copy of grid at target whose second line starts with a token that is not a number."""
+    header, rest = grid.read_text().split("\n", 1)
+    target.write_text(f"{header}\n{token} {rest}")
+    return target
+
+
+@pytest.mark.parametrize("bad_i", [False, True], ids=["bad psi_f", "both bad"])
+def test_tdm_bad_grid_exits_2_with_the_serial_message(large_tdm_inputs, tmp_path, bad_i):
+    """The worker's error comes back as the serial read raises it; a --psi-i error wins."""
+    root = large_tdm_inputs
+    psi_f = _spoil(root / "psi_f.grid", tmp_path / "psi_f.grid", "x")
+    psi_i = _spoil(root / "psi_i.grid", tmp_path / "psi_i.grid", "y") if bad_i else None
+    forked = _fresh_tdm(root, tmp_path / "forked", psi_i, psi_f)
+    serial = _fresh_tdm(root, tmp_path / "serial", psi_i, psi_f, OPENBLAS_NUM_THREADS="2")
+    assert (forked[0], serial[0]) == ("2 1 False False", "2 0 False False")
+    expected = f"error: {psi_i}:2: non-numeric value in grid: 'y'" if bad_i else \
+        f"error: {psi_f}:2: non-numeric value in grid: 'x'"
+    assert forked[1:] == serial[1:] == ([], expected + "\n")
+    assert not (tmp_path / "forked" / "optics" / "tdm.json").exists()
+
+
+# load_grid with a fault that the worker, or every process, meets
+FAULTY_LOAD_GRID = """\
+import time, warnings
+import defect_forge.io_formats as io
+parent, load_grid = os.getpid(), io.load_grid
+def faulty_load_grid(path, cell):
+    in_worker = os.getpid() != parent
+    {fault}
+    return load_grid(path, cell)
+io.load_grid = faulty_load_grid
+"""
+
+
+@pytest.mark.parametrize("preamble", [
+    FAULTY_LOAD_GRID.format(fault="if in_worker: os._exit(1)"),
+    FAULTY_LOAD_GRID.format(fault="if in_worker: raise RuntimeError('worker fault')"),
+    FAULTY_LOAD_GRID.format(fault="warnings.warn('grid warning')"),
+    "def fork():\n    raise BlockingIOError(11, 'Resource temporarily unavailable')",
+], ids=["worker dies", "worker raises", "every read warns", "fork fails"])
+def test_tdm_reads_psi_f_itself_when_no_worker_sends_a_grid(large_tdm_inputs, tmp_path, preamble):
+    """A worker that dies, fails or warns sends no grid, and so does one that cannot be forked:
+    the parent reads --psi-f itself, so the output and warnings are the serial route's, and a
+    worker writes nothing to stderr."""
+    forked = _fresh_tdm(large_tdm_inputs, tmp_path / "forked", preamble=preamble)
+    serial = _fresh_tdm(large_tdm_inputs, tmp_path / "serial", preamble=preamble, OPENBLAS_NUM_THREADS="2")
+    assert (forked[0], serial[0]) == ("0 1 False False", "0 0 False False")
+    assert forked[1:] == serial[1:]
+    assert _tdm_json(tmp_path / "forked") == _tdm_json(tmp_path / "serial")
+
+
+def test_tdm_interrupted_leaves_no_worker(large_tdm_inputs, tmp_path):
+    """A KeyboardInterrupt in the parent ends a worker that would read for ten minutes."""
+    fault = "time.sleep(600) if in_worker else None\n    raise KeyboardInterrupt"
+    assert _fresh_tdm(large_tdm_inputs, tmp_path / "out", preamble=FAULTY_LOAD_GRID.format(fault=fault)) == (
+        "KeyboardInterrupt 1 False False", [], "")

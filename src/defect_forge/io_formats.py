@@ -531,7 +531,8 @@ def load_grid(path, cell: CrystalCell) -> GridFunction:
     with no decoded copy; every other file is decoded, its bytes dropped, and
     read by parse_grid, which reports the offending line.  `tdm` reads its two
     grids through _load_grid_pair, which may run this function on --psi-f in a
-    forked worker process."""
+    forked worker process; a file the worker fails on is read again by the
+    calling process, which then raises."""
     source = str(Path(path))
     with _reading(source), open(path, "rb") as f:
         lines = []
@@ -575,12 +576,12 @@ def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> tuple[GridFunction, Gr
     thread would gain nothing.
 
     The worker is forked only where that is safe and can gain: os.fork exists, this process runs
-    one OS thread, and both paths are regular files of at least _FORK_MIN_BYTES.  Otherwise, or
-    when no process can be forked, the two grids are read one after the other.  The worker sends
-    back the grid's dims and values as raw bytes, or its ValidationError, and the GridFunction is
-    built here, under the record's own rules.  A worker that sends no complete reply (it died,
-    warned, or met another error) leaves path_f to be read here, so that it fails or warns as the
-    serial read does.  A path_i error wins over a path_f error, and no worker outlives the call.
+    one OS thread, and both paths are regular files of at least _FORK_MIN_BYTES.  Otherwise the
+    two grids are read one after the other.  The worker sends back the grid's dims and values as
+    raw bytes, or nothing, and the GridFunction is built here, under the record's own rules.
+    Whenever no complete grid arrives (no process could be forked, or the worker failed, warned
+    or died), path_f is read here, so that it fails or warns as the serial read does.  A path_i
+    error wins over a path_f error, and no worker outlives the call.
     """
     if not _fork_pays(path_i, path_f):
         return load_grid(path_i, cell), load_grid(path_f, cell)
@@ -598,24 +599,22 @@ def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> tuple[GridFunction, Gr
             _send_grid(write_fd, path_f, cell)
         finally:
             os._exit(0)
-    reply = None
+    values = None
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, interrupts)
         os.close(write_fd)
         psi_i = load_grid(path_i, cell)
         if pid:
-            reply = _receive_grid(read_fd)
+            values = _receive_grid(read_fd)
     finally:
         os.close(read_fd)
         if pid:
-            if reply is None:  # a worker may still be reading a grid that will not be used
+            if values is None:  # a worker may still be reading a grid that will not be used
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if isinstance(reply, ValidationError):
-        raise reply
-    if reply is None:
+    if values is None:
         return psi_i, load_grid(path_f, cell)
-    return psi_i, GridFunction(*reply, cell)
+    return psi_i, GridFunction(values.shape, values, cell)
 
 
 def _fork_pays(*paths) -> bool:
@@ -635,31 +634,23 @@ def _fork_pays(*paths) -> bool:
 
 def _send_grid(fd: int, path, cell: CrystalCell) -> None:
     """The worker's reply on fd: the pickled grid dims, then the grid's complex values as raw
-    bytes; or the pickled ValidationError of load_grid.  Nothing is sent when load_grid warns or
-    raises any other error."""
+    bytes.  Nothing is sent when load_grid warns or raises; its error propagates."""
     with os.fdopen(fd, "wb") as pipe, warnings.catch_warnings(record=True) as caught:
-        try:
-            grid = load_grid(path, cell)
-            header, values = grid.dims, grid.values
-        except ValidationError as exc:
-            header, values = exc, b""
+        grid = load_grid(path, cell)
         if not caught:
-            pickle.dump(header, pipe)
-            pipe.write(values)
+            pickle.dump(grid.dims, pipe)
+            pipe.write(grid.values)
 
 
-def _receive_grid(fd: int):
-    """The worker's reply read from fd: (dims, values), a ValidationError, or None when the
-    reply is incomplete."""
+def _receive_grid(fd: int) -> np.ndarray | None:
+    """The grid values the worker sent on fd, or None when its reply is missing or cut short."""
     with open(fd, "rb", closefd=False) as pipe:
         try:
-            header = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):  # no reply, or one cut short
+            dims = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
             return None
-        if isinstance(header, ValidationError):
-            return header
-        values = np.empty(header, dtype=complex)
-        return (header, values) if pipe.readinto(values) == values.nbytes else None
+        values = np.empty(dims, dtype=complex)
+        return values if pipe.readinto(values) == values.nbytes else None
 
 
 def save_grid(grid: GridFunction, path) -> None:

@@ -63,11 +63,22 @@ def grating_resolution_nm(grating_gpmm: float) -> float:
     return resolution
 
 
-def _require_finite_samples(axis: np.ndarray, counts: np.ndarray, what: str) -> None:
-    """ValidationError at the row of the first sample holding a nan or inf, which a CSV file cannot hold."""
+def _samples(axis, counts, name: str, min_count: int, too_few: str) -> tuple[np.ndarray, np.ndarray]:
+    """axis and counts copied read-only, or a ValidationError: they must be 1-D of equal length,
+    finite (a CSV file cannot hold a nan or inf), at least min_count long (too_few, formatted with
+    min and n, says so) and on a strictly increasing axis; a row names the first bad sample."""
+    axis, counts = readonly(axis), readonly(counts)
+    if axis.ndim != 1 or axis.shape != counts.shape:
+        raise ValidationError(f"{name} and counts must be 1-D arrays of equal length")
     finite = np.isfinite(axis) & np.isfinite(counts)
     if not finite.all():
-        raise ValidationError(f"{what} and counts must be finite", row=int(np.argmin(finite)))
+        raise ValidationError(f"{name} and counts must be finite", row=int(np.argmin(finite)))
+    if len(axis) < min_count:
+        raise ValidationError(too_few.format(min=min_count, n=len(axis)))
+    rising = axis[1:] > axis[:-1]  # compared, not subtracted: a difference may overflow
+    if not rising.all():  # row: the first sample not above its predecessor
+        raise ValidationError(f"{name} axis must be strictly increasing", row=int(np.argmin(rising)) + 1)
+    return axis, counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +102,8 @@ class Spectrum:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        wl = readonly(self.wavelength_nm)
-        ct = readonly(self.counts)
-        if wl.ndim != 1 or wl.shape != ct.shape:
-            raise ValidationError("wavelength and counts must be 1-D arrays of equal length")
-        _require_finite_samples(wl, ct, "wavelength")
-        if len(wl) < MIN_SPECTRUM_SAMPLES:
-            raise ValidationError(f"spectrum needs >= {MIN_SPECTRUM_SAMPLES} samples, got {len(wl)}")
-        rising = wl[1:] > wl[:-1]  # compared, not subtracted: a difference may overflow
-        if not rising.all():  # row: the first sample not above its predecessor
-            raise ValidationError("wavelength axis must be strictly increasing", row=int(np.argmin(rising)) + 1)
+        wl, ct = _samples(self.wavelength_nm, self.counts, "wavelength", MIN_SPECTRUM_SAMPLES,
+                          "spectrum needs >= {min} samples, got {n}")
         if np.any(ct < 0):
             raise ValidationError("counts must be >= 0", row=int(np.argmax(ct < 0)))
         require_finite(self, "temperature_k", "power_mw", "grating_gpmm", "x_um", "y_um")
@@ -242,16 +245,8 @@ class DecayTrace:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        t = readonly(self.time_ns)
-        ct = readonly(self.counts)
-        if t.ndim != 1 or t.shape != ct.shape:
-            raise ValidationError("time and counts must be 1-D arrays of equal length")
-        if not len(t):  # a decay file holds at least one row
-            raise ValidationError("decay trace needs >= 1 sample")
-        _require_finite_samples(t, ct, "time")
-        rising = t[1:] > t[:-1]
-        if not rising.all():
-            raise ValidationError("time axis must be strictly increasing", row=int(np.argmin(rising)) + 1)
+        # a decay file holds at least one row
+        t, ct = _samples(self.time_ns, self.counts, "time", 1, "decay trace needs >= {min} sample")
         object.__setattr__(self, "time_ns", t)
         object.__setattr__(self, "counts", ct)
 
@@ -281,7 +276,11 @@ def fit_lifetime(trace: DecayTrace) -> DecayFit:
     k = int(np.searchsorted(-above, -top))
     if 0 < k < len(t):
         tau0 = float(t[k] - t[0])
-    a0 = float((ct[0] - b0) * np.exp(t[0] / tau0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a window far after t = 0 overflows
+        a0 = float((ct[0] - b0) * np.exp(t[0] / tau0))
+    if not math.isfinite(a0):
+        raise ValidationError(f"amplitude extrapolated to t = 0 is not a finite number: the decay is fitted "
+                              f"from t = {t[0]:g} ns with a starting lifetime of {tau0:g} ns")
 
     result = gauss_newton(
         lambda p: decay_model(t, p) - ct,

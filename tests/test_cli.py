@@ -541,6 +541,21 @@ def test_lifetime_whose_cost_overflows_at_the_start_exit_3(tmp_path, capsys):
     assert not list((out / "fits").iterdir())
 
 
+def test_lifetime_window_far_after_t0_exit_2(tmp_path, capsys):
+    """The start amplitude, extrapolated back 750 lifetimes to t = 0, is refused as not finite,
+    with no overflow warning; the same decay from t = 700 ns fits."""
+    for start, code in ((700.0, 0), (1500.0, 2)):
+        t = start + 0.1 * np.arange(200)
+        (tmp_path / "decay.csv").write_text(io.write_decay(
+            DecayTrace(time_ns=t, counts=1000.0 * np.exp(-(t - start) / 2.0) + 10.0)))
+        assert run_cli("lifetime", "--data", tmp_path / "decay.csv", "--out", tmp_path / str(start)) == code
+    assert capsys.readouterr().err == ("error: amplitude extrapolated to t = 0 is not a finite number: "
+                                       "the decay is fitted from t = 1500 ns with a starting lifetime of 2 ns\n")
+    assert json.loads((tmp_path / "700.0" / "fits" / "decay_lifetime.json").read_text())["tau_ns"] == \
+        pytest.approx(2.0, rel=1e-6)
+    assert not list((tmp_path / "1500.0" / "fits").iterdir())
+
+
 @pytest.mark.parametrize("scale, background, code, message", [
     # the decay check's means overflow on these finite counts
     (1e307, 1e300, 3, "lifetime fit did not converge in 0 iterations (residual rms inf)"),
@@ -978,7 +993,8 @@ def _spoil(grid: Path, target: Path, token: str) -> Path:
 
 @pytest.mark.parametrize("bad_i", [False, True], ids=["bad psi_f", "both bad"])
 def test_tdm_bad_grid_exits_2_with_the_serial_message(large_tdm_inputs, tmp_path, bad_i):
-    """The worker's error comes back as the serial read raises it; a --psi-i error wins."""
+    """A worker that fails sends nothing, so --psi-f is read again here and fails as the serial
+    read does; a --psi-i error wins."""
     root = large_tdm_inputs
     psi_f = _spoil(root / "psi_f.grid", tmp_path / "psi_f.grid", "x")
     psi_i = _spoil(root / "psi_i.grid", tmp_path / "psi_i.grid", "y") if bad_i else None

@@ -233,12 +233,29 @@ def test_complex_grid_values_match_on_a_long_array(rng):
 @pytest.mark.parametrize("duplicate", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
 def test_errors_survive_pickle_and_copy(error, duplicate):
-    """A grid read in a worker process sends its error back pickled, text and location intact."""
+    """An error keeps its text and location through pickle and copy, as an exception passed
+    between processes or copied by a caller must."""
     back = duplicate(error)
     assert type(back) is type(error)
     assert (str(back), back.row) == (str(error), error.row)
     if isinstance(error, ParseError):
         assert (back.source, back.line) == (error.source, error.line)
+
+
+@pytest.mark.parametrize("grid_text", ["GRID 2 1 1 real\n1.0 x\n", "GRID 2 1 1 real\n1.0\n"], ids=["bad", "short"])
+def test_grid_worker_reply_is_a_grid_or_nothing(tmp_path, grid_text):
+    """The worker's reader raises its error where it runs and sends nothing, so the pipe is
+    empty; the parent then reads the file itself."""
+    path = tmp_path / "psi_f.grid"
+    path.write_text(grid_text)
+    read_fd, write_fd = os.pipe()
+    try:
+        with pytest.raises(ParseError, match=f"^{path}:2: "):
+            io._send_grid(write_fd, path, CrystalCell(np.eye(3)))
+        assert os.read(read_fd, 1) == b""
+        assert io._receive_grid(read_fd) is None
+    finally:
+        os.close(read_fd)
 
 
 @pytest.mark.parametrize("data, line, message", [
@@ -565,6 +582,8 @@ def _steps(n, start=1400):
     (_steps(10) + [(1409, 2)] + _steps(9, 1411), "1409,2", "wavelength axis must be strictly"),
     ([(1400 + i, -2 if i in (5, 9) else 1) for i in range(20)], "1405,-2", "counts must be >= 0"),
     (_steps(5), "1404,1", "spectrum needs >= 16 samples, got 5"),
+    # too few samples is found before an axis that falls, at the last row
+    ([(1404 - i, 1) for i in range(5)], "1400,1", "spectrum needs >= 16 samples, got 5"),
 ])
 @pytest.mark.parametrize("comment_every", [4, 100])
 def test_spectrum_constructor_error_names_its_row(rows, bad, match, comment_every):

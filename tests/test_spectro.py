@@ -217,8 +217,24 @@ def test_decay_trace_refuses_a_non_finite_sample(column, row, value):
 
 
 def test_decay_trace_refuses_an_empty_trace():
-    with pytest.raises(ValidationError, match="needs >= 1 sample"):
+    with pytest.raises(ValidationError, match="^decay trace needs >= 1 sample$"):
         DecayTrace(np.zeros(0), np.zeros(0))
+
+
+@pytest.mark.parametrize("make, message, row", [
+    (lambda: Spectrum(np.arange(5.0), [0.0, 1.0, np.inf, 3.0, 4.0]), "wavelength and counts must be finite", 2),
+    (lambda: Spectrum(np.arange(5.0)[::-1], np.ones(5)), "spectrum needs >= 16 samples, got 5", -1),
+    (lambda: Spectrum(np.zeros((16, 2)), np.zeros((16, 2))),
+     "wavelength and counts must be 1-D arrays of equal length", -1),
+    (lambda: DecayTrace([[0.0, np.nan]], [[1.0, 2.0]]), "time and counts must be 1-D arrays of equal length", -1),
+    (lambda: DecayTrace(np.zeros((0, 2)), np.zeros((0, 2))), "time and counts must be 1-D arrays of equal length", -1),
+], ids=["short spectrum with inf", "short falling spectrum", "2-D spectrum", "2-D decay with nan", "empty 2-D decay"])
+def test_sample_checks_run_in_order(make, message, row):
+    """Shape, then finite samples, then the sample count, then a rising axis: the first broken
+    rule is the one reported, at its row."""
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert (str(err.value), err.value.row) == (message, row)
 
 
 # --- lifetimes ---------------------------------------------------------------------

@@ -27,8 +27,8 @@ if "numpy" not in sys.modules and not any(
 import numpy as np
 
 from . import io_formats as io
-from .dose import calibrate, classify_with_segment
-from .errors import FitNonConvergence, ParseError, ValidationError
+from .dose import calibrate, classify
+from .errors import FitNonConvergence, ValidationError
 from .ewald import EwaldContext, finite_size_correction
 from .fitting import LINE_SHAPES
 from .manifest import load_manifest
@@ -93,11 +93,9 @@ def _cmd_diagram(args, out: _Out) -> None:
         for entry, run in zip(entries, runs):
             if entry.site_potentials is not None and run.charge != 0:
                 if ctx is None:
-                    ctx = EwaldContext.for_cell(manifest.cell)
-                try:
+                    ctx = EwaldContext(manifest.cell)
+                with io._at(entry.site_potential_path, entry.site_potential_line):  # a .pot the correction refuses
                     corr = finite_size_correction(ctx, run.charge, entry.site_potentials, run.position)
-                except ValidationError as exc:  # a .pot the correction refuses
-                    raise ParseError(str(exc), entry.site_potential_path, entry.site_potential_line(exc.row)) from None
                 corrections[run.charge] = corr.total
                 out.log(
                     f"{label} q={run.charge:+d}: E_pc={corr.point_charge_energy:.6f} eV, "
@@ -250,7 +248,7 @@ def _cmd_dose(args, out: _Out) -> None:
     out.write(f"fits/{stem}_dose.json", _json(summary))
     lines = []
     for f in args.classify or []:
-        regime, segment = classify_with_segment(curve, f, args.damage_threshold)
+        regime, segment = classify(curve, f, args.damage_threshold)
         lines.append(json.dumps(
             {"fluence_mJcm2": f, "regime": regime, "segment": segment}, sort_keys=True))
         print(f"{f:g} mJ/cm^2 -> {regime}")

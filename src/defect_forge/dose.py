@@ -73,9 +73,7 @@ def calibrate(points, label: str = "") -> DoseCurve:
         raise ValidationError(f"calibration needs >= 3 points, got {len(pts)}")
     flu = np.array([p[0] for p in pts])
     inten = np.array([p[1] for p in pts])
-    with np.errstate(over="ignore"):  # a gap that overflows is no duplicate
-        duplicate = np.any(np.diff(flu) <= 1e-12)
-    if duplicate:
+    if np.any(flu[1:] == flu[:-1]):  # compared, not subtracted: any two distinct fluences are kept
         raise ValidationError("duplicate fluences in calibration data")
     if np.any(inten < 0):
         raise ValidationError("intensities must be >= 0")
@@ -106,18 +104,15 @@ def calibrate(points, label: str = "") -> DoseCurve:
     return DoseCurve(label=label, fluences=flu, intensities=inten, segments=tuple(segments))
 
 
-def classify(curve: DoseCurve, fluence: float, damage_threshold: float) -> str:
-    """Regime label for one fluence given a damage threshold (mJ/cm^2).
+def classify(curve: DoseCurve, fluence: float, damage_threshold: float) -> tuple[str, int | None]:
+    """(regime label, segment index) of one fluence given a damage threshold (mJ/cm^2).
 
-    A fluence at an interior boundary belongs to the segment on its left,
-    so the apex of the first rise still classifies as write.  Fluences above
-    the calibrated range but below the threshold extend the last segment.
+    The index is None outside the calibration: below its first fluence, or at
+    or above the damage threshold.  A fluence at an interior boundary belongs
+    to the segment on its left, so the apex of the first rise still classifies
+    as write.  Fluences above the calibrated range but below the threshold
+    extend the last segment.
     """
-    return classify_with_segment(curve, fluence, damage_threshold)[0]
-
-
-def classify_with_segment(curve: DoseCurve, fluence: float, damage_threshold: float):
-    """(regime, segment index) pair; index is None outside the calibration."""
     if not np.isfinite(fluence):
         raise ValidationError(f"fluence must be finite, got {fluence}")
     if fluence < 0:

@@ -103,14 +103,15 @@ def _integer(token: str, what: str, source: str, lineno: int) -> int:
 
 
 @contextmanager
-def _at(source: str, lineno: int):
-    """A ValidationError in the block becomes a ParseError at source:lineno; a ParseError passes."""
+def _at(source: str, line):
+    """The one place where a ValidationError in the block becomes a ParseError at source:line;
+    line is a line number or a function of the error's `row` that returns one.  A ParseError passes."""
     try:
         yield
     except ParseError:
         raise
     except ValidationError as exc:
-        raise ParseError(str(exc), source, lineno) from None
+        raise ParseError(str(exc), source, line(exc.row) if callable(line) else line) from None
 
 
 def _floats(token_line: str, n: int, source: str, lineno: int, what: str) -> list[float]:
@@ -327,21 +328,13 @@ def _data_line(text: str, row: int) -> int:
     return [no for no, _ in _content(text)][1:][row]  # the header is the first content line
 
 
-def _series(cls, arr: np.ndarray, text: str, source: str, **fields):
-    """cls(first column, counts column, **fields); a constructor error is raised as a
-    ParseError at the line of the row it names."""
-    try:
-        return cls(arr[:, 0], arr[:, 1], **fields)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source, _data_line(text, exc.row)) from None
-
-
 # '# key=value' spectrum metadata -> the Spectrum field it fills, in writing order
 _SPECTRUM_META = {"temperature_K": "temperature_k", "power_mW": "power_mw", "grating_gpmm": "grating_gpmm",
                   "x_um": "x_um", "y_um": "y_um", "location": "location"}
 
 
 def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
+    """The Spectrum of a spectrum CSV; a sample the record refuses is blamed on its row's line."""
     arr = _parse_csv_body(text, source, "wavelength_nm,counts", "spectrum")
     entries = []  # (line number, key, value) of each '# key=value' comment
     for no, ln in enumerate(text.splitlines(), start=1):
@@ -357,7 +350,8 @@ def parse_spectrum(text: str, source: str = "<string>") -> Spectrum:
         if key == "grating_gpmm":  # the groove-density rule of fit_peaks, refused at this line
             with _at(source, no):
                 grating_resolution_nm(value)
-    return _series(Spectrum, arr, text, source, **meta)
+    with _at(source, lambda row: _data_line(text, row)):
+        return Spectrum(arr[:, 0], arr[:, 1], **meta)
 
 
 def write_spectrum(spec: Spectrum) -> str:
@@ -368,8 +362,10 @@ def write_spectrum(spec: Spectrum) -> str:
 
 
 def parse_decay(text: str, source: str = "<string>") -> DecayTrace:
+    """The DecayTrace of a decay CSV; a sample the record refuses is blamed on its row's line."""
     arr = _parse_csv_body(text, source, "time_ns,counts", "decay trace")
-    return _series(DecayTrace, arr, text, source)
+    with _at(source, lambda row: _data_line(text, row)):
+        return DecayTrace(arr[:, 0], arr[:, 1])
 
 
 def write_decay(trace: DecayTrace) -> str:

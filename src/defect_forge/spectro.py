@@ -276,10 +276,13 @@ def fit_lifetime(trace: DecayTrace) -> DecayFit:
     k = int(np.searchsorted(-above, -top))
     if 0 < k < len(t):
         tau0 = float(t[k] - t[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # a window far after t = 0 overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # a window far from t = 0 overflows
         a0 = float((ct[0] - b0) * np.exp(t[0] / tau0))
-    if not math.isfinite(a0):
-        raise ValidationError(f"amplitude extrapolated to t = 0 is not a finite number: the decay is fitted "
+        # a0 underflows to 0 far before t = 0; the start model is then 0 * inf at t[0]
+        underflow = a0 == 0 and np.isinf(np.exp(-t[0] / tau0))
+    if not math.isfinite(a0) or underflow:
+        cause = "underflows to 0" if underflow else "is not a finite number"
+        raise ValidationError(f"amplitude extrapolated to t = 0 {cause}: the decay is fitted "
                               f"from t = {t[0]:g} ns with a starting lifetime of {tau0:g} ns")
 
     result = gauss_newton(
@@ -331,6 +334,9 @@ def fit_saturation(powers_mw, intensities) -> SaturationFit:
 
     p_sat0 = float(np.median(p))
     i_sat0 = float(np.max(i)) * 2.0
+    if not math.isfinite(i_sat0):
+        raise ValidationError(f"starting saturation intensity 2 * max(I) is not a finite number: "
+                              f"the largest intensity is {np.max(i):g}")
     result = gauss_newton(
         lambda q: saturation_model(p, q) - i,
         lambda q: saturation_jacobian(p, q),

@@ -214,7 +214,7 @@ def test_criterion_08_fit_recovery():
 def test_criterion_09_dose_regimes():
     curve = calibrate([(10.0, 150.0), (16.0, 1000.0), (22.0, 500.0), (30.0, 60.0),
                        (38.0, 420.0), (44.5, 900.0)], label="G")
-    verdicts = {f: classify(curve, f, 100.0) for f in (16.0, 30.0, 44.5, 300.0)}
+    verdicts = {f: classify(curve, f, 100.0)[0] for f in (16.0, 30.0, 44.5, 300.0)}
     assert verdicts[16.0] == "write"
     assert verdicts[30.0] == "erase"
     assert verdicts[44.5] == "rewrite"

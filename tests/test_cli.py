@@ -556,6 +556,18 @@ def test_lifetime_window_far_after_t0_exit_2(tmp_path, capsys):
     assert not list((tmp_path / "1500.0" / "fits").iterdir())
 
 
+def test_lifetime_window_far_before_t0_exit_2(tmp_path, capsys):
+    """The start amplitude, extrapolated forward 750 lifetimes to t = 0, is refused as an underflow."""
+    t = -1500.0 + 0.1 * np.arange(200)
+    (tmp_path / "decay.csv").write_text(io.write_decay(
+        DecayTrace(time_ns=t, counts=1000.0 * np.exp(-(t + 1500.0) / 2.0) + 10.0)))
+    out = tmp_path / "out"
+    assert run_cli("lifetime", "--data", tmp_path / "decay.csv", "--out", out) == 2
+    assert capsys.readouterr().err == ("error: amplitude extrapolated to t = 0 underflows to 0: "
+                                       "the decay is fitted from t = -1500 ns with a starting lifetime of 2 ns\n")
+    assert not list((out / "fits").iterdir())
+
+
 @pytest.mark.parametrize("scale, background, code, message", [
     # the decay check's means overflow on these finite counts
     (1e307, 1e300, 3, "lifetime fit did not converge in 0 iterations (residual rms inf)"),
@@ -623,6 +635,15 @@ def test_saturation_all_zero_intensities_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "every intensity is 0" in err
     assert "Traceback" not in err
+    assert not list((out / "fits").iterdir())
+
+
+def test_saturation_start_intensity_that_overflows_exit_2(tmp_path, capsys):
+    (tmp_path / "big.csv").write_text("power_mW,intensity\n1,1e308\n2,1.2e308\n3,1.3e308\n4,1.4e308\n")
+    out = tmp_path / "out"
+    assert run_cli("saturation", "--data", tmp_path / "big.csv", "--out", out) == 2
+    assert capsys.readouterr().err == ("error: starting saturation intensity 2 * max(I) is not a finite number: "
+                                       "the largest intensity is 1.4e+308\n")
     assert not list((out / "fits").iterdir())
 
 
@@ -695,6 +716,16 @@ def test_dose_fluences_whose_gap_overflows_calibrate(tmp_path):
     assert run_cli("dose", "--data", tmp_path / "dose.csv", "--damage-threshold", "1.7e308", "--out", out) == 0
     summary = json.loads((out / "fits" / "dose_dose.json").read_text())
     assert summary["boundaries_mJcm2"] == [1e308]
+    assert [seg["regime"] for seg in summary["segments"]] == ["write", "erase"]
+
+
+def test_dose_fluences_near_the_smallest_float_calibrate(tmp_path):
+    """Fluences whose gaps are far below 1e-12 are distinct, so none is a duplicate."""
+    (tmp_path / "dose.csv").write_text("fluence_mJcm2,intensity\n1e-300,1\n2e-300,2\n3e-300,1\n")
+    out = tmp_path / "out"
+    assert run_cli("dose", "--data", tmp_path / "dose.csv", "--damage-threshold", "1", "--out", out) == 0
+    summary = json.loads((out / "fits" / "dose_dose.json").read_text())
+    assert summary["boundaries_mJcm2"] == [2e-300]
     assert [seg["regime"] for seg in summary["segments"]] == ["write", "erase"]
 
 

@@ -11,7 +11,6 @@ from defect_forge.dose import (
     REGIME_ERASE,
     REGIME_REWRITE,
     REGIME_WRITE,
-    classify_with_segment,
 )
 
 
@@ -50,11 +49,11 @@ def test_g_fixture_boundaries():
 
 def test_classification_anchors():
     curve = g_center_fixture()
-    assert classify(curve, 16.0, 100.0) == REGIME_WRITE
-    assert classify(curve, 30.0, 100.0) == REGIME_ERASE
-    assert classify(curve, 44.5, 100.0) == REGIME_REWRITE
-    assert classify(curve, 300.0, 100.0) == REGIME_DAMAGE
-    assert classify(curve, 5.0, 100.0) == REGIME_BELOW
+    assert classify(curve, 16.0, 100.0)[0] == REGIME_WRITE
+    assert classify(curve, 30.0, 100.0)[0] == REGIME_ERASE
+    assert classify(curve, 44.5, 100.0)[0] == REGIME_REWRITE
+    assert classify(curve, 300.0, 100.0)[0] == REGIME_DAMAGE
+    assert classify(curve, 5.0, 100.0)[0] == REGIME_BELOW
 
 
 def test_classify_validation():
@@ -69,22 +68,22 @@ def test_classify_validation():
 
 def test_classify_with_segment_indices():
     curve = g_center_fixture()
-    assert classify_with_segment(curve, 12.0, 100.0) == (REGIME_WRITE, 0)
-    assert classify_with_segment(curve, 25.0, 100.0) == (REGIME_ERASE, 1)
-    assert classify_with_segment(curve, 40.0, 100.0) == (REGIME_REWRITE, 2)
-    assert classify_with_segment(curve, 300.0, 100.0) == (REGIME_DAMAGE, None)
-    assert classify_with_segment(curve, 1.0, 100.0) == (REGIME_BELOW, None)
+    assert classify(curve, 12.0, 100.0) == (REGIME_WRITE, 0)
+    assert classify(curve, 25.0, 100.0) == (REGIME_ERASE, 1)
+    assert classify(curve, 40.0, 100.0) == (REGIME_REWRITE, 2)
+    assert classify(curve, 300.0, 100.0) == (REGIME_DAMAGE, None)
+    assert classify(curve, 1.0, 100.0) == (REGIME_BELOW, None)
 
 
 def test_every_calibration_fluence_classifies_into_the_segment_that_ends_there():
     """A boundary (the apex at 16 and the trough at 30) belongs to the segment on its left;
     the first fluence opens the first segment."""
     curve = g_center_fixture()
-    indices = [classify_with_segment(curve, float(f), 100.0)[1] for f in curve.fluences]
+    indices = [classify(curve, float(f), 100.0)[1] for f in curve.fluences]
     assert indices == [0, 0, 1, 1, 2, 2]
     for f, idx in zip(curve.fluences[1:], indices[1:]):
         assert curve.segments[idx].lo < f <= curve.segments[idx].hi
-    assert [classify_with_segment(curve, b, 100.0)[1] for b in curve.boundaries] == [0, 1]
+    assert [classify(curve, b, 100.0)[1] for b in curve.boundaries] == [0, 1]
 
 
 def test_reordered_points_identical_curve():
@@ -133,4 +132,4 @@ def test_w_center_damage_anchor():
     """A W-forming fluence far above threshold classifies as near-damage even
     on a curve calibrated for another emitter."""
     curve = g_center_fixture()
-    assert classify(curve, 300.0, 100.0) == "near-damage(W-forming)"
+    assert classify(curve, 300.0, 100.0)[0] == "near-damage(W-forming)"

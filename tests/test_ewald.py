@@ -330,7 +330,7 @@ def _model_site_potentials(ctx, q, defect_frac):
 
 def test_correction_zero_charge_is_all_zero():
     ctx = EwaldContext.for_cell(_sampled_cell())
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="^q=0 with nonzero site potentials: correction is identically zero$"):
         res = finite_size_correction(ctx, 0, [(1, 0.05)], (0.0, 0.0, 0.0))
     assert res == CorrectionResult(0.0, 0.0, 0.0, 0, 0.0)
 

@@ -13,6 +13,10 @@ from defect_forge.lattice import minimum_image, wrap_frac, ws_inscribed_radius
 TWO_PI = 2.0 * np.pi
 
 
+def test_site_positions_of_a_cell_without_sites_is_empty():
+    assert CrystalCell(np.eye(3) * 4.0).site_positions().shape == (0, 3)
+
+
 def test_reciprocal_cubic_identity():
     cell = CrystalCell(np.eye(3) * 4.0)
     np.testing.assert_allclose(reciprocal(cell), TWO_PI / 4.0 * np.eye(3), atol=1e-14)

@@ -158,6 +158,11 @@ def test_gaussian_model_recovery():
     assert peak.model == "gaussian"
 
 
+def test_unknown_line_shape_is_refused():
+    with pytest.raises(ValidationError, match="^model must be 'lorentzian' or 'gaussian', got 'voigt'$"):
+        fit_peaks(narrow_line_spectrum(), model="voigt")
+
+
 def test_peak_fit_shift_equivariance():
     """Shifting the wavelength axis shifts the centers, widths unchanged."""
     spec = narrow_line_spectrum()
@@ -351,6 +356,8 @@ def test_saturation_input_validation():
         fit_saturation([0.0, 0.2, 0.3, 0.4], [1, 2, 3, 4])
     with pytest.raises(ValidationError, match="every intensity is 0"):
         fit_saturation([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="^powers and intensities must be 1-D arrays of equal length$"):
+        fit_saturation(np.ones((4, 2)), np.ones((4, 2)))
 
 
 # --- temperature series -----------------------------------------------------------------
@@ -394,6 +401,11 @@ def noise_only_spectrum(**meta):
 def test_temperature_series_refuses_a_fit_that_does_not_converge():
     with pytest.raises(FitNonConvergence, match="^peak fit did not converge"):
         temperature_series([thermal_spectrum(6.0, 500.0), noise_only_spectrum(temperature_k=12.0)])
+
+
+def test_temperature_series_of_no_spectra_is_refused():
+    with pytest.raises(ValidationError, match="^temperature_series needs at least one spectrum$"):
+        temperature_series([])
 
 
 def test_temperature_series_requires_metadata():

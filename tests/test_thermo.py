@@ -124,6 +124,13 @@ def test_diagram_single_line():
     assert diag.intervals[0].lo == 0.0 and diag.intervals[0].hi == diag.gap
 
 
+def test_energy_of_a_charge_with_no_line_is_refused():
+    diag = build_diagram([run_with_intercept(1.0, -1)], host())
+    assert diag.energy_of(-1, 0.25) == pytest.approx(0.75)
+    with pytest.raises(ValidationError, match=r"^no line for charge state \+1$"):
+        diag.energy_of(1, 0.25)
+
+
 @pytest.mark.parametrize("fermi", [float("nan"), float("inf")])
 def test_stable_charge_rejects_non_finite_fermi(fermi):
     diag = build_diagram([run_with_intercept(1.0, -1), run_with_intercept(0.5, 0)], host())

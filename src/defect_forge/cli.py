@@ -32,7 +32,7 @@ from .errors import FitNonConvergence, ValidationError
 from .ewald import EwaldContext, finite_size_correction
 from .fitting import LINE_SHAPES
 from .manifest import load_manifest
-from .optics import table_consistency_check, transition_dipole
+from .optics import _transition_dipole, table_consistency_check
 from .spectro import fit_lifetime, fit_peaks, fit_saturation, raster_map
 from .thermo import build_diagram
 
@@ -161,8 +161,7 @@ def _cmd_check_table1(args, out: _Out) -> None:
 
 def _cmd_tdm(args, out: _Out) -> None:
     cell = io.load_structure(args.cell)
-    psi_i, psi_f = io._load_grid_pair(args.psi_i, args.psi_f, cell)
-    result = transition_dipole(psi_i, psi_f)
+    result = _transition_dipole(io._load_grid_pair(args.psi_i, args.psi_f, cell))  # the grids' only holder
     payload = {
         "components_debye": {
             axis: {"re": comp.real, "im": comp.imag}

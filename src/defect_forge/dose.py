@@ -122,6 +122,8 @@ def classify(curve: DoseCurve, fluence: float, damage_threshold: float) -> tuple
             f"damage threshold {damage_threshold:g} must exceed the largest "
             f"calibrated fluence {curve.fluences[-1]:g}"
         )
+    if not np.isfinite(damage_threshold):
+        raise ValidationError(f"damage threshold must be finite, got {damage_threshold}")
     if fluence >= damage_threshold:
         return REGIME_DAMAGE, None
     if fluence < curve.fluences[0]:

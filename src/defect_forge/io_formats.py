@@ -407,9 +407,7 @@ def write_raster_pgm(rmap: RasterMap) -> str:
     mask = np.isfinite(vals)
     scaled[mask] = np.rint((vals[mask] - lo) / span * 65535).astype(int)
     ny, nx = vals.shape
-    out = ["P2", f"{nx} {ny}", "65535"]
-    for iy in range(ny):
-        out.append(" ".join(str(v) for v in scaled[iy]))
+    out = ["P2", f"{nx} {ny}", "65535", *(" ".join(map(str, row)) for row in scaled.tolist())]
     return "\n".join(out) + "\n"
 
 
@@ -566,8 +564,8 @@ def load_grid(path, cell: CrystalCell) -> GridFunction:
 _FORK_MIN_BYTES = 1 << 20
 
 
-def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> tuple[GridFunction, GridFunction]:
-    """(load_grid(path_i, cell), load_grid(path_f, cell)), with path_f read by a forked worker
+def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> list[GridFunction]:
+    """[load_grid(path_i, cell), load_grid(path_f, cell)], with path_f read by a forked worker
     process while this one reads path_i: the text parse holds the interpreter lock, so a second
     thread would gain nothing.
 
@@ -580,7 +578,7 @@ def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> tuple[GridFunction, Gr
     error wins over a path_f error, and no worker outlives the call.
     """
     if not _fork_pays(path_i, path_f):
-        return load_grid(path_i, cell), load_grid(path_f, cell)
+        return [load_grid(path_i, cell), load_grid(path_f, cell)]
     read_fd, write_fd = os.pipe()
     # a Ctrl-C waits until each process is inside the try that ends it
     interrupts = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -609,8 +607,8 @@ def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> tuple[GridFunction, Gr
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if values is None:
-        return psi_i, load_grid(path_f, cell)
-    return psi_i, GridFunction(values.shape, values, cell)
+        return [psi_i, load_grid(path_f, cell)]
+    return [psi_i, GridFunction(values.shape, values, cell)]
 
 
 def _fork_pays(*paths) -> bool:

@@ -1,14 +1,14 @@
 """Zero-phonon lines, reference-table bookkeeping, and transition dipole moments.
 
-ZPLs come from constrained-occupation total-energy differences and are
-reported in meV.  Transition dipole moments are computed in the length
-gauge from wavefunctions sampled on a periodic real-space grid, with the
-position operator measured from the charge-density centroid of the state
-pair, each grid point taken at its nearest image in fractional coordinates
-(np.round) around the pair-density maximum.  That choice is appropriate for
-localized defect states in a large supercell: for orthogonal states the
-matrix element is origin-independent, and the centroid removes the residual
-dependence for nearly-orthogonal pairs.
+ZPLs come from constrained-occupation total-energy differences and are reported in meV.
+Transition dipole moments are computed in the length gauge from wavefunctions sampled on a
+periodic real-space grid, with the position operator measured from the charge-density centroid
+of the state pair, each grid point taken at its nearest image in fractional coordinates
+(np.round) around the pair-density maximum.  That choice is appropriate for localized defect
+states in a large supercell: for orthogonal states the matrix element is origin-independent,
+and the centroid removes the residual dependence for nearly-orthogonal pairs.  The dipole
+normalizes both states first; the CLI hands it the only references to its two input grids,
+which it lets go of then, so that they are freed before its larger arrays are built.
 """
 
 from __future__ import annotations
@@ -203,18 +203,25 @@ def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDip
     invariant under global phases and (for orthogonal states) under the
     choice of origin.
     Overlaps above OVERLAP_TOLERANCE only warn; the overlap is always
-    reported.
+    reported.  The caller's records are left as they were.
     """
+    return _transition_dipole([psi_i, psi_f])
+
+
+def _transition_dipole(pair: list) -> TransitionDipole:
+    """transition_dipole of the records in pair, which it empties once their values are normalized."""
+    psi_i, psi_f = pair
     if psi_i.dims != psi_f.dims:
         raise ValidationError(f"grid mismatch: {psi_i.dims} vs {psi_f.dims}")
     if not np.allclose(psi_i.cell.lattice, psi_f.cell.lattice, atol=1e-10):
         raise ValidationError("states live on different cells")
 
-    # each step works in place where it can, so that besides the two inputs only the
-    # kernel, the pair density and one (n1, n2, n3, 3) coordinate array are held at once
-    w = psi_i.point_weight
+    # each step works in place where it can, so that besides the inputs (if the caller keeps them)
+    # only the kernel, the pair density and one (n1, n2, n3, 3) coordinate array are held at once
+    dims, w, lattice = psi_i.dims, psi_i.point_weight, psi_i.cell.lattice
     a = psi_i.values / np.sqrt(psi_i.sum_abs2 * w)
     b = psi_f.values / np.sqrt(psi_f.sum_abs2 * w)
+    del psi_i, psi_f, pair[:]
     rho = np.abs(a) ** 2 + np.abs(b) ** 2
     kernel = np.conjugate(b, out=b)
     kernel *= a
@@ -227,7 +234,6 @@ def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDip
         )
     kernel *= w
 
-    dims = psi_i.dims
     disp = np.empty((*dims, 3))  # fractional coordinates of every grid point
     for c, n in enumerate(dims):
         disp[..., c] = (np.arange(n) / n).reshape([n if k == c else 1 for k in range(3)])
@@ -245,7 +251,7 @@ def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDip
 
     disp -= offset
     for plane in disp:  # to Cartesian one x-plane at a time: the same (n3, 3) @ (3, 3) batches
-        plane[...] = plane @ psi_i.cell.lattice
+        plane[...] = plane @ lattice
     components = DEBYE_PER_E_ANG * np.einsum("xyz,xyzc->c", kernel, disp)
     squared = np.abs(components) ** 2
     return TransitionDipole(

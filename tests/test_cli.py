@@ -692,6 +692,20 @@ def test_dose_nan_damage_threshold_exit_2(tmp_path, capsys):
     assert not (out / "fits" / "dose_classified.jsonl").exists()
 
 
+@pytest.mark.parametrize("threshold", ["inf", "1e400"])
+def test_dose_infinite_damage_threshold_exit_2(tmp_path, capsys, threshold):
+    """An infinite threshold would classify every fluence below it, however high, as short of damage."""
+    (tmp_path / "dose.csv").write_text(io.write_xy(
+        [10.0, 16.0, 22.0, 30.0, 38.0, 44.5],
+        [150.0, 1000.0, 500.0, 60.0, 420.0, 900.0],
+        "fluence_mJcm2,intensity"))
+    out = tmp_path / "out"
+    assert run_cli("dose", "--data", tmp_path / "dose.csv", "--classify", "16,30,44.5,300",
+                   "--damage-threshold", threshold, "--out", out) == 2
+    assert "error: damage threshold must be finite, got inf" in capsys.readouterr().err
+    assert not (out / "fits" / "dose_classified.jsonl").exists()
+
+
 def test_raster_non_finite_count_exit_2(tmp_path, capsys):
     (tmp_path / "scan.csv").write_text("x_um,y_um,counts\n0,0,1\n1,0,inf\n0,1,3\n1,1,4\n")
     out = tmp_path / "out"
@@ -935,13 +949,12 @@ def test_cli_import_loads_no_thread_pool():
 
 # --- tdm's worker process ------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def large_tdm_inputs(tmp_path_factory):
-    """An orthogonal 32^3 complex grid pair, each file large enough that tdm reads --psi-f in a worker."""
-    root = tmp_path_factory.mktemp("large_tdm")
+def _write_tdm_pair(root: Path, n: int) -> Path:
+    """An orthogonal n^3 complex grid pair in a 10 A cube under root, each file large enough that
+    tdm reads --psi-f in a worker."""
     cell = CrystalCell(np.eye(3) * 10.0)
     io.save_structure(cell, root / "box.cell")
-    f = (np.arange(32) + 0.5) / 32
+    f = (np.arange(n) + 0.5) / n
     fx, fy, fz = np.meshgrid(f, f, f, indexing="ij")
     envelope = np.exp(-8.0 * ((fx - 0.5) ** 2 + (fy - 0.5) ** 2 + (fz - 0.5) ** 2))
     for name, values in (("psi_i", (1 + 0.5j) * envelope), ("psi_f", (0.3 - 1j) * (fz - 0.5) * envelope)):
@@ -949,6 +962,11 @@ def large_tdm_inputs(tmp_path_factory):
         io.save_grid(GridFunction(values.shape, values, cell), path)
         assert path.stat().st_size >= io._FORK_MIN_BYTES
     return root
+
+
+@pytest.fixture(scope="module")
+def large_tdm_inputs(tmp_path_factory):
+    return _write_tdm_pair(tmp_path_factory.mktemp("large_tdm"), 32)
 
 
 # main's exit code (or the interrupt it raised), the number of forks, and whether main left
@@ -996,6 +1014,30 @@ def test_tdm_worker_and_serial_reads_write_the_same_json(large_tdm_inputs, tmp_p
     assert forked[1:] == serial[1:]
     assert serial[2] == ""
     assert _tdm_json(tmp_path / "forked") == _tdm_json(tmp_path / "serial")
+
+
+# the peak of traced allocations in main, as the last line before TDM_PROBE's own
+PEAK_PREAMBLE = """\
+import tracemalloc
+main = cli.main
+def traced_main(argv):
+    tracemalloc.start()
+    try:
+        return main(argv)
+    finally:
+        print(tracemalloc.get_traced_memory()[1])
+cli.main = traced_main
+"""
+
+
+def test_tdm_frees_its_input_grids_before_the_dipole_builds_its_arrays(tmp_path):
+    """The worker route's peak is the parse of --psi-i, about 4.1 grids' bytes: the file's text
+    and its numbers.  A process that still held both inputs while the dipole built its kernel,
+    pair density and coordinates would peak near 5.6 grids."""
+    root = _write_tdm_pair(tmp_path, 48)
+    last, lines, _ = _fresh_tdm(root, tmp_path / "out", preamble=PEAK_PREAMBLE)
+    assert last == "0 1 False False"
+    assert int(lines[-1]) < 4.8 * 48 ** 3 * 16  # complex128 values of one grid
 
 
 def test_tdm_reads_small_grids_and_pipes_without_a_worker(large_tdm_inputs, tmp_path):

@@ -143,6 +143,19 @@ def test_transition_dipole_matches_out_of_place_reference_bit_for_bit(make_pair)
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:states are not orthogonal:UserWarning")
+def test_transition_dipole_leaves_the_callers_records_as_they_were():
+    """The dipole lets go of the records it is given, but never of its caller's."""
+    pair = random_pair(SKEWED, (5, 7, 3), 2)
+    before = [(psi.values.tobytes(), psi.sum_abs2) for psi in pair]
+    first = transition_dipole(*pair)
+    assert [(psi.values.tobytes(), psi.sum_abs2) for psi in pair] == before
+    assert not any(psi.values.flags.writeable for psi in pair)
+    second = transition_dipole(*pair)
+    for name in ("components_debye", "squared_components", "squared_total", "overlap", "centroid_frac"):
+        assert np.asarray(getattr(first, name)).tobytes() == np.asarray(getattr(second, name)).tobytes()
+
+
 def test_transition_dipole_peak_memory_stays_under_four_grids():
     """Beyond its two inputs, the call holds about 3.5 grids' worth of bytes at its peak: the
     kernel, the pair density and the (n1, n2, n3, 3) coordinates, each built in place."""

@@ -159,7 +159,22 @@ def _cmd_check_table1(args, out: _Out) -> None:
     _check_records(records, reference, out, "table1_check")
 
 
+def _pin_mmap_threshold() -> None:
+    """Pin glibc's M_MMAP_THRESHOLD at its 128 KiB default; nothing where libc has no mallopt."""
+    # so every grid-sized array is mapped and goes back to the system when freed: unpinned, glibc
+    # raises the threshold to the size of a freed mapped block, and tdm's next grid-sized arrays
+    # land on a heap that it never trims
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 128 * 1024)
+
+
 def _cmd_tdm(args, out: _Out) -> None:
+    _pin_mmap_threshold()
     cell = io.load_structure(args.cell)
     result = _transition_dipole(io._load_grid_pair(args.psi_i, args.psi_f, cell))  # the grids' only holder
     payload = {

@@ -15,7 +15,8 @@ import pickle
 import signal
 import warnings
 from contextlib import contextmanager
-from itertools import groupby
+from functools import partial
+from itertools import chain, groupby
 from pathlib import Path
 from stat import S_ISREG
 
@@ -199,13 +200,13 @@ def parse_grid(text: str, cell: CrystalCell, source: str = "<string>") -> GridFu
     """Grid file: header 'GRID n1 n2 n3 complex|real', then values (fastest index n3).
 
     The token-by-token reader; every error names its line.  load_grid converts
-    most files in one numpy call instead and gives every other file to it.
+    most files piece by piece with numpy instead and gives every other file to it.
     """
     lines = _content(text)
     header_no, header = next(lines, (1, None))
     if header is None:
         raise ParseError("empty grid file", source, 1)
-    dims, kind = _grid_header(header, source, header_no)
+    dims, kind, need = _grid_header(header, source, header_no)
     last_no = header_no  # the last content line read, where a count mismatch is reported
 
     def numbers():
@@ -215,35 +216,50 @@ def parse_grid(text: str, cell: CrystalCell, source: str = "<string>") -> GridFu
                 yield _number(t, "grid", source, last_no)
 
     arr = np.fromiter(numbers(), dtype=float)  # with no list of Python floats
-    need = _grid_value_count(dims, kind)
     if len(arr) != need:
         raise ParseError(
             f"grid value count mismatch: header promises {need} numbers "
             f"({dims[0] * dims[1] * dims[2]} {kind} values), found {len(arr)}",
             source, last_no,
         )
-    values = _complex_values(arr, kind)
-    del arr
+    values = arr.astype(complex) if kind == "real" else _complex_values(arr.view(complex))
     with _at(source, header_no):
         return GridFunction(dims, values, cell)
 
 
-def _block_values(block: bytes):
-    """Every number of a value block from one numpy call, or None to leave the file to parse_grid."""
-    # numpy reads a whitespace-only block as [-1.0], and takes tokens such as
-    # 'nan(1)' that float() rejects; '#' lines are comments to parse_grid
-    if b"#" in block or not block or block.isspace():
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)  # "could not be read to its end"
-        try:
-            values = np.fromstring(block, sep=" ")
-        except (ValueError, DeprecationWarning):
+def _stream_grid(head: bytes, chunks, room: int, cell: CrystalCell, source: str):
+    """The grid of a file whose lines up to the header are `head` and whose value block, `room` bytes or
+    more, comes in `chunks`, parsed by numpy piece by piece; None leaves the file to parse_grid."""
+    try:  # parse_grid then reports a bad head, after any undecodable byte below it
+        (no, header), = _content(_decode(head, source))
+        dims, kind, need = _grid_header(header, source, no)
+        if not 0 < need <= (room + 1) // 2:  # n numbers take 2n - 1 bytes at least
             return None
-    return values if np.isfinite(values).all() else None
+        values = np.zeros(dims, dtype=complex)
+        flat = values.reshape(-1).view(float)
+        dest, pos, tail = flat if kind == "complex" else flat[0::2], 0, b""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # older numpy's "could not be read to its end"
+            for chunk in chain(chunks, [b""]):
+                piece = tail + chunk
+                # every piece but the last ends at whitespace, so that no number is cut in two
+                tail = piece.rsplit(None, 1)[-1] if chunk and not piece[-1:].isspace() else b""
+                piece = piece[:len(piece) - len(tail)]
+                if len(tail) > _LONGEST_NUMBER:
+                    return None
+                if piece and not piece.isspace():  # numpy reads whitespace alone as [-1.0]
+                    numbers = np.fromstring(piece, sep=" ")  # a ValueError at '#' or a non-ASCII byte
+                    dest[pos:pos + len(numbers)] = numbers  # a ValueError past the header's count
+                    pos += len(numbers)
+    except (ValueError, DeprecationWarning):
+        return None
+    if pos != need or not np.isfinite(flat).all():  # numpy takes 'nan(1)', which float() rejects
+        return None
+    with _at(source, no):
+        return GridFunction(dims, values if kind == "real" else _complex_values(values), cell)
 
 
-def _grid_header(header: str, source: str, no: int) -> tuple[tuple[int, int, int], str]:
+def _grid_header(header: str, source: str, no: int) -> tuple[tuple[int, int, int], str, int]:
     parts = header.split()
     if len(parts) != 5 or parts[0] != "GRID":
         raise ParseError("grid header must be 'GRID n1 n2 n3 complex|real'", source, no)
@@ -251,28 +267,16 @@ def _grid_header(header: str, source: str, no: int) -> tuple[tuple[int, int, int
     kind = parts[4]
     if kind not in ("complex", "real"):
         raise ParseError(f"grid kind must be 'complex' or 'real', got '{kind}'", source, no)
-    return dims, kind
+    return dims, kind, dims[0] * dims[1] * dims[2] * (2 if kind == "complex" else 1)
 
 
-def _grid_value_count(dims, kind: str) -> int:
-    n = dims[0] * dims[1] * dims[2]
-    return 2 * n if kind == "complex" else n
-
-
-def _complex_values(arr: np.ndarray, kind: str) -> np.ndarray:
-    """The grid values of a block's numbers: for a complex grid, arr[0::2] + 1j * arr[1::2] bit for bit,
-    signed zeros included, built in one array."""
-    if kind == "real":
-        return arr.astype(complex)
-    re, im = arr[0::2], arr[1::2]
-    values = np.empty(len(re), dtype=complex)
-    # numpy forms 1j * im as (0*im - 0) + (im + 0)j and adds re + 0j to it; taking +0.0 from a
-    # number changes no bit, and adding it changes only -0.0, so the real part is re + 0*im and
-    # the imaginary part im + 0.0, signs of zero included (a view of arr as complex keeps -0.0
-    # where the expression gives +0.0)
-    np.multiply(im, 0.0, out=values.real)
-    values.real += re
-    np.add(im, 0.0, out=values.imag)
+def _complex_values(values: np.ndarray) -> np.ndarray:
+    """values, read as interleaved (re, im) floats, given the bits of re + 1j * im in place."""
+    # numpy forms 1j * im as (0*im - 0) + (im + 0)j and adds re + 0j to it; taking +0.0 changes no
+    # bit and adding it changes only -0.0, so re + 1j * im is (re + 0*im) + (im + 0.0)j, signs of
+    # zero included, where the floats as read keep -0.0 that the expression turns into +0.0
+    values.real += values.imag * 0.0
+    values.imag += 0.0
     return values
 
 
@@ -518,15 +522,12 @@ def save_structure(cell: CrystalCell, path, comment: str = "structure") -> None:
 
 
 def load_grid(path, cell: CrystalCell) -> GridFunction:
-    """The grid file at path, read once, a pipe as well as a regular file.
+    """The grid file at path, a pipe, which is read once, as well as a regular file.
 
-    A file whose header is its only content line before an ASCII value block
-    holding the header's count of finite numbers is converted in one numpy call,
-    with no decoded copy; every other file is decoded, its bytes dropped, and
-    read by parse_grid, which reports the offending line.  `tdm` reads its two
-    grids through _load_grid_pair, which may run this function on --psi-f in a
-    forked worker process; a file the worker fails on is read again by the
-    calling process, which then raises."""
+    The value block is parsed piece by piece into the grid's values, with neither the file's
+    text nor a second array of its numbers held.  A file _stream_grid leaves goes to parse_grid,
+    which reports the offending line: a regular file read again from its start, a pipe from the
+    pieces it keeps.  _load_grid_pair may run this on tdm's --psi-f in a forked worker."""
     source = str(Path(path))
     with _reading(source), open(path, "rb") as f:
         lines = []
@@ -536,26 +537,23 @@ def load_grid(path, cell: CrystalCell) -> GridFunction:
                 break
         head = b"".join(lines)
         stat = os.fstat(f.fileno())
-        # a sized read fills one bytes object, where read() joins the buffered tail to a second copy;
-        # a pipe reads to its end, as does a file whose size is below the position (/proc, truncated)
-        size = max(stat.st_size - f.tell(), -1) if S_ISREG(stat.st_mode) else -1
-        block = f.read(size)
-    content = list(_content(_decode(head, source)))
-    if len(content) == 1 and block.isascii():
-        no, header = content[0]
-        dims, kind = _grid_header(header, source, no)
-        values = _block_values(block)
-        if values is not None and len(values) == _grid_value_count(dims, kind):
-            del block  # the file's bytes, before the grid arrays are built
-            values = _complex_values(values, kind)  # and its numbers, before GridFunction copies the values
-            with _at(source, no):
-                return GridFunction(dims, values, cell)
-    data = head + block
-    del head, block  # one copy of the file's bytes while it is decoded, and none while it is parsed
+        chunks = iter(partial(f.read, _PIECE_BYTES), b"")
+        if not S_ISREG(stat.st_mode):  # a pipe is read to its end once, with no tell() or seek()
+            chunks = list(chunks)
+        # a /proc file, or one truncated meanwhile, has a size below the position: parse_grid reads it
+        room = stat.st_size - f.tell() if S_ISREG(stat.st_mode) else sum(map(len, chunks))
+        if (grid := _stream_grid(head, chunks, room, cell, source)) is not None:
+            return grid
+        if S_ISREG(stat.st_mode):
+            f.seek(0)
+        data = f.read() if S_ISREG(stat.st_mode) else head + b"".join(chunks)
+        del head, chunks  # one copy of the file's bytes while it is decoded, and none while it is parsed
     text = _decode(data, source)
     del data
     return parse_grid(text, cell, source)
 
+
+_PIECE_BYTES = _LONGEST_NUMBER = 1 << 16  # load_grid's read size, well below tdm's pinned mmap threshold
 
 # Below this size a grid parses in less time than a forked worker costs to start and to send its values
 # back.  Fresh-process `tdm` on a pair of complex grids, 2 vCPUs, Python 3.11, numpy 2.4, medians of 12
@@ -572,7 +570,9 @@ def _load_grid_pair(path_i, path_f, cell: CrystalCell) -> list[GridFunction]:
     The worker is forked only where that is safe and can gain: os.fork exists, this process runs
     one OS thread, and both paths are regular files of at least _FORK_MIN_BYTES.  Otherwise the
     two grids are read one after the other.  The worker sends back the grid's dims and values as
-    raw bytes, or nothing, and the GridFunction is built here, under the record's own rules.
+    raw bytes, or nothing, and the GridFunction is built here, under the record's own rules, so
+    that this process holds three grids' worth of arrays at most: path_i's grid, and path_f's
+    values with their copy.
     Whenever no complete grid arrives (no process could be forked, or the worker failed, warned
     or died), path_f is read here, so that it fails or warns as the serial read does.  A path_i
     error wins over a path_f error, and no worker outlives the call.

@@ -7,8 +7,9 @@ of the state pair, each grid point taken at its nearest image in fractional coor
 (np.round) around the pair-density maximum.  That choice is appropriate for localized defect
 states in a large supercell: for orthogonal states the matrix element is origin-independent,
 and the centroid removes the residual dependence for nearly-orthogonal pairs.  The dipole
-normalizes both states first; the CLI hands it the only references to its two input grids,
-which it lets go of then, so that they are freed before its larger arrays are built.
+normalizes both states first; the CLI hands it the only references to its two input grids, and
+it lets go of each as soon as its normalized copy exists, so that the process holds no more
+than three grids' worth of arrays at any step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._record import fields_equal, readonly, require_finite
+from ._record import fields_equal, require_finite
 from .errors import ValidationError
 from .lattice import CrystalCell
 from .units import DEBYE_PER_E_ANG, HC_EV_NM, MEV_PER_EV
@@ -150,7 +151,10 @@ class GridFunction:
         dims = tuple(int(n) for n in self.dims)
         if any(n < 1 for n in dims):
             raise ValidationError(f"grid dims must be positive, got {dims}")
-        vals = readonly(self.values, dtype=complex)
+        # checked on the caller's values where they are a complex array already, and copied last,
+        # so that the values, their copy and the |value|^2 temporary are never all held at once;
+        # values that had to be converted to complex are a copy already, which the record keeps
+        vals = np.ascontiguousarray(self.values, dtype=complex)
         if vals.size != dims[0] * dims[1] * dims[2]:
             raise ValidationError(
                 f"value count {vals.size} does not match dims {dims} "
@@ -161,12 +165,17 @@ class GridFunction:
             raise ValidationError("grid values contain non-finite entries")
         object.__setattr__(self, "dims", dims)
         with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
-            sum_abs2 = float(np.sum(np.abs(vals) ** 2))
+            abs2 = np.abs(vals)
+            sum_abs2 = float(np.sum(np.square(abs2, out=abs2)))
+        del abs2
         norm2 = sum_abs2 * self.point_weight
         if not np.isfinite(norm2):
             raise ValidationError("grid function L2 norm overflows (sum of |value|^2 * V/N is not finite)")
         if norm2 <= 0:
             raise ValidationError("grid function has zero L2 norm")
+        if np.may_share_memory(vals, self.values):
+            vals = vals.copy()
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "sum_abs2", sum_abs2)
 
@@ -203,26 +212,36 @@ def transition_dipole(psi_i: GridFunction, psi_f: GridFunction) -> TransitionDip
     invariant under global phases and (for orthogonal states) under the
     choice of origin.
     Overlaps above OVERLAP_TOLERANCE only warn; the overlap is always
-    reported.  The caller's records are left as they were.
+    reported.  The caller's records are left as they were; besides them,
+    the call holds three grids' worth of arrays at most.
     """
     return _transition_dipole([psi_i, psi_f])
 
 
 def _transition_dipole(pair: list) -> TransitionDipole:
-    """transition_dipole of the records in pair, which it empties once their values are normalized."""
+    """transition_dipole of the records in pair, which it empties, each record as soon as its
+    values are normalized."""
     psi_i, psi_f = pair
     if psi_i.dims != psi_f.dims:
         raise ValidationError(f"grid mismatch: {psi_i.dims} vs {psi_f.dims}")
     if not np.allclose(psi_i.cell.lattice, psi_f.cell.lattice, atol=1e-10):
         raise ValidationError("states live on different cells")
 
-    # each step works in place where it can, so that besides the inputs (if the caller keeps them)
-    # only the kernel, the pair density and one (n1, n2, n3, 3) coordinate array are held at once
+    # each record goes once its normalized values exist, and each later step works in place
+    # where it can, so that besides the inputs (if the caller keeps them) three grids' worth of
+    # arrays are held at most: an input with a and b, then a, b and the pair density with
+    # |b|^2, then the kernel, the pair density and the (n1, n2, n3, 3) coordinates
     dims, w, lattice = psi_i.dims, psi_i.point_weight, psi_i.cell.lattice
-    a = psi_i.values / np.sqrt(psi_i.sum_abs2 * w)
-    b = psi_f.values / np.sqrt(psi_f.sum_abs2 * w)
-    del psi_i, psi_f, pair[:]
-    rho = np.abs(a) ** 2 + np.abs(b) ** 2
+    del psi_i, psi_f
+    a = pair[0].values / np.sqrt(pair[0].sum_abs2 * w)
+    del pair[0]
+    b = pair[0].values / np.sqrt(pair[0].sum_abs2 * w)
+    del pair[0]
+    rho = np.abs(a)
+    np.square(rho, out=rho)
+    abs2 = np.abs(b)
+    rho += np.square(abs2, out=abs2)
+    del abs2
     kernel = np.conjugate(b, out=b)
     kernel *= a
     del a, b
@@ -241,10 +260,9 @@ def _transition_dipole(pair: list) -> TransitionDipole:
     # unwrap every point once around the pair-density maximum; measuring the
     # dipole from the centroid of the same unwrapped coordinates makes the
     # diagonal element vanish identically
-    disp -= ref
-    for c in range(3):
-        axis = disp[..., c]
-        axis -= np.round(axis)
+    for plane in disp:  # one x-plane at a time, as the rounding needs a temporary array
+        plane -= ref
+        plane -= np.round(plane)
     offset = np.einsum("xyz,xyzc->c", rho, disp) / np.sum(rho)
     del rho
     centroid = ref + offset

@@ -3,6 +3,7 @@
 import json
 import os
 import pkgutil
+import platform
 import re
 import subprocess
 import sys
@@ -1031,13 +1032,43 @@ cli.main = traced_main
 
 
 def test_tdm_frees_its_input_grids_before_the_dipole_builds_its_arrays(tmp_path):
-    """The worker route's peak is the parse of --psi-i, about 4.1 grids' bytes: the file's text
-    and its numbers.  A process that still held both inputs while the dipole built its kernel,
-    pair density and coordinates would peak near 5.6 grids."""
+    """The worker route holds three grids' bytes at most: --psi-i's grid, --psi-f's values and
+    their copy; then each input with the normalized states; then the dipole's arrays.  Holding
+    the file's text while parsing, or an input grid while the dipole builds its arrays, takes
+    it to four grids or more."""
     root = _write_tdm_pair(tmp_path, 48)
     last, lines, _ = _fresh_tdm(root, tmp_path / "out", preamble=PEAK_PREAMBLE)
     assert last == "0 1 False False"
-    assert int(lines[-1]) < 4.8 * 48 ** 3 * 16  # complex128 values of one grid
+    assert int(lines[-1]) < 3.3 * 48 ** 3 * 16  # complex128 values of one grid
+
+
+# the growth of the process's peak resident set in main, in KiB, as the last line before TDM_PROBE's
+# own; VmHWM is this process image's peak, where ru_maxrss keeps a larger one from before the exec
+RSS_PREAMBLE = """\
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+main = cli.main
+def measured_main(argv):
+    base = peak_kib()
+    try:
+        return main(argv)
+    finally:
+        print(peak_kib() - base)
+cli.main = measured_main
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="Linux's VmHWM and glibc's mmap threshold")
+def test_tdm_peak_resident_set_stays_under_four_grids(tmp_path):
+    """What tracemalloc counts is what the process holds: freed grid-sized arrays go back to the
+    system, as tdm pins glibc's mmap threshold.  Unpinned, the threshold rises to the size of the
+    first grid freed, later grid-sized arrays land on a heap that is never trimmed, and a 64^3
+    pair peaks above five grids."""
+    root = _write_tdm_pair(tmp_path, 64)
+    last, lines, _ = _fresh_tdm(root, tmp_path / "out", preamble=RSS_PREAMBLE)
+    assert last == "0 1 False False"
+    assert int(lines[-1]) * 1024 < 3.5 * 64 ** 3 * 16
 
 
 def test_tdm_reads_small_grids_and_pipes_without_a_worker(large_tdm_inputs, tmp_path):

@@ -215,7 +215,9 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308, 1.0
 def test_complex_grid_values_match_the_numpy_expression_bit_for_bit(pairs):
     arr = np.array(pairs, dtype=float).reshape(-1)
     expected = arr[0::2] + 1j * arr[1::2]
-    assert io._complex_values(arr, "complex").tobytes() == expected.tobytes()
+    values = arr.view(complex)  # the numbers as read, in the grid's complex array
+    io._complex_values(values)
+    assert values.tobytes() == expected.tobytes()
 
 
 def test_complex_grid_values_match_on_a_long_array(rng):
@@ -223,7 +225,9 @@ def test_complex_grid_values_match_on_a_long_array(rng):
     arr = rng.normal(size=2 * 10_001) * 10.0 ** rng.integers(-320, 300, 2 * 10_001)
     arr[rng.integers(0, len(arr), 2000)] = rng.choice(EDGE_FLOATS, 2000)
     expected = arr[0::2] + 1j * arr[1::2]
-    assert io._complex_values(arr, "complex").tobytes() == expected.tobytes()
+    values = arr.view(complex)  # the numbers as read, in the grid's complex array
+    io._complex_values(values)
+    assert values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("error", [
@@ -269,10 +273,16 @@ def test_grid_worker_reply_is_a_grid_or_nothing(tmp_path, grid_text):
      "grid value count mismatch: header promises 1 numbers (1 real values), found 2"),
     (b"#" * 5000 + b"\nGRID 1 1 1 real\n1 x\n", 3, "non-numeric value in grid: 'x'"),
     (b"", 1, "empty grid file"),
+    (b"GRID 1 1 real\n1.0\xff\n", 2, "not UTF-8 text: byte 0xff"),
+    (b"GRID 1 1 real\n1.0\n", 1, "grid header must be 'GRID n1 n2 n3 complex|real'"),
+    (b"GRID -1 -1 1 real\n1.0\n", 1, "grid dims must be positive, got (-1, -1, 1)"),
+    (b"GRID 100000 100000 100000 real\n1\n", 2,
+     "grid value count mismatch: header promises 1000000000000000 numbers (1000000000000000 real values), found 1"),
 ])
 def test_load_grid_errors_name_the_same_line_on_every_path(tmp_path, data, line, message):
-    """Non-ASCII bytes, '#' in the block, odd line breaks and a long head all keep the
-    text reader's message and line."""
+    """Non-ASCII bytes, '#' in the block, odd line breaks, a long head, a bad header before an
+    undecodable byte and a header that promises more values than the file could hold all keep
+    the text reader's message and line."""
     path = tmp_path / "g.grid"
     path.write_bytes(data)
     with pytest.raises(ParseError) as err:
@@ -293,10 +303,10 @@ def test_load_grid_refuses_a_zero_dim(tmp_path):
     (b"", b"# note\n", 3.2),
 ], ids=["no comment", "non-ASCII comment", "5000-byte comment", "comment among the values"])
 def test_load_grid_holds_one_copy_of_the_file(tmp_path, rng, head, note, bound):
-    """Reading a 32^3 complex grid peaks at about the file plus its numbers; the file is
-    never held both as bytes and as text, and the numbers go before the values are copied.
-    A comment among the values sends the file to parse_grid, which holds its text and lines
-    but no list of Python floats."""
+    """Reading a 32^3 complex grid never holds the file both as bytes and as text: the streamed
+    read holds neither (test_load_grid_holds_the_values_and_their_copy bounds it by the grid),
+    and a comment among the values sends the file to parse_grid, which holds its text and
+    lines but no list of Python floats."""
     cell = CrystalCell(np.eye(3) * 10.0)
     shape = (32, 32, 32)
     grid = GridFunction(shape, rng.normal(size=shape) + 1j * rng.normal(size=shape), cell)
@@ -316,18 +326,20 @@ def test_load_grid_holds_one_copy_of_the_file(tmp_path, rng, head, note, bound):
 
 def test_load_grid_reads_a_pipe_once(tmp_path):
     """A grid given as a pipe, as a shell's <(...) passes it, reads as the same file does:
-    its head is not read twice."""
-    data = "# ψ_i\nGRID 2 1 1 complex\n1 -0 0.5 2\n".encode()
-    path = tmp_path / "g.grid"
-    path.write_bytes(data)
+    its head is not read twice, and a pipe left to parse_grid (here by a comment among the
+    values) gives it the pieces it has read."""
     cell = CrystalCell(np.eye(3))
-    read_fd, write_fd = os.pipe()
-    try:
-        with os.fdopen(write_fd, "wb") as w:
-            w.write(data)  # fits in the pipe's buffer, so the write does not wait for a reader
-        assert io.load_grid(f"/dev/fd/{read_fd}", cell) == io.load_grid(path, cell)
-    finally:
-        os.close(read_fd)
+    for data in ("# ψ_i\nGRID 2 1 1 complex\n1 -0 0.5 2\n".encode(),
+                 "# ψ_i\nGRID 2 1 1 complex\n1 -0\n# ψ\n0.5 2\n".encode()):
+        path = tmp_path / "g.grid"
+        path.write_bytes(data)
+        read_fd, write_fd = os.pipe()
+        try:
+            with os.fdopen(write_fd, "wb") as w:
+                w.write(data)  # fits in the pipe's buffer, so the write does not wait for a reader
+            assert io.load_grid(f"/dev/fd/{read_fd}", cell) == io.load_grid(path, cell)
+        finally:
+            os.close(read_fd)
 
 
 
@@ -341,6 +353,82 @@ def test_load_grid_reads_a_file_whose_size_reads_zero(tmp_path, monkeypatch):
     fstat = os.fstat
     monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(fstat(fd)[:6] + (0,) + fstat(fd)[7:10]))
     assert io.load_grid(path, cell) == GridFunction((2, 1, 1), [1.0, 2.0], cell)
+
+
+def _random_grid_text(rng, kind: str, dims=(3, 4, 5)) -> str:
+    """A grid file of random numbers over a wide range of exponents, zeros of both signs among
+    them, each followed by a run of the separators that numpy and parse_grid both take."""
+    n = dims[0] * dims[1] * dims[2] * (2 if kind == "complex" else 1)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 150, n)
+    floats[rng.integers(0, n, n // 4)] = rng.choice([0.0, -0.0], n // 4)
+    separators = rng.choice([" ", "\t", "\v", "\f", "\n", "  \n", "\t\v "], n)
+    return f"GRID {dims[0]} {dims[1]} {dims[2]} {kind}\n" + "".join(
+        f"{x!r}{sep}" for x, sep in zip(floats.tolist(), separators))
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_load_grid_in_pieces_of_a_few_bytes_gives_parse_grids_values(tmp_path, rng, monkeypatch,
+                                                                     kind, piece_bytes):
+    """Wherever the pieces are cut, every number is read whole: the streamed read alone gives
+    parse_grid's values bit for bit, signs of zero included."""
+    text = _random_grid_text(rng, kind)
+    path = tmp_path / "g.grid"
+    path.write_text(text)
+    cell = CrystalCell(np.eye(3))
+    want = io.parse_grid(text, cell)
+    monkeypatch.setattr(io, "_PIECE_BYTES", piece_bytes)
+    monkeypatch.setattr(io, "parse_grid", lambda *args, **kwargs: pytest.fail("left to parse_grid"))
+    assert io.load_grid(path, cell).values.tobytes() == want.values.tobytes()
+
+
+def _grid_or_message(read):
+    try:
+        return read().values.tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("piece_bytes", [3, 1 << 16])
+@pytest.mark.parametrize("ending, message", [
+    ("\n# note\n", None),
+    (" # note\n", "non-numeric value in grid: '#'"),
+    (" é\n", "non-numeric value in grid: 'é'"),
+    ("\n1e999", "non-finite value in grid: '1e999'"),
+    (" 1.5\n", "grid value count mismatch"),
+], ids=["comment line", "comment", "non-ASCII", "non-finite", "one too many"])
+def test_load_grid_meets_a_fault_in_its_last_piece_as_parse_grid_does(tmp_path, rng, monkeypatch,
+                                                                     piece_bytes, ending, message):
+    """A comment, a non-ASCII byte, a non-finite value or one value too many at the end of the
+    file sends it to parse_grid once the pieces before were read: the same grid or message."""
+    text = _random_grid_text(rng, "complex") + ending
+    path = tmp_path / "g.grid"
+    path.write_text(text, encoding="utf-8")
+    cell = CrystalCell(np.eye(3))
+    monkeypatch.setattr(io, "_PIECE_BYTES", piece_bytes)
+    got = _grid_or_message(lambda: io.load_grid(path, cell))
+    assert got == _grid_or_message(lambda: io.parse_grid(text, cell, str(path)))
+    assert isinstance(got, bytes) if message is None else message in got
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_load_grid_holds_the_values_and_their_copy(tmp_path, rng, kind):
+    """The streamed read of a 32^3 grid peaks at two grids' worth of complex values, the array
+    it fills and the record's read-only copy, with no text of the file and no other array."""
+    cell = CrystalCell(np.eye(3) * 10.0)
+    shape = (32, 32, 32)
+    values = rng.normal(size=shape) + (1j * rng.normal(size=shape) if kind == "complex" else 0)
+    grid = GridFunction(shape, values, cell)
+    io.save_grid(grid, tmp_path / "g.grid")
+    assert io.write_grid(grid).split()[4] == kind
+    tracemalloc.start()
+    try:
+        back = io.load_grid(tmp_path / "g.grid", cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == grid
+    assert peak < 2.1 * grid.values.nbytes
 
 # --- text fields of the records --------------------------------------------------------
 
